@@ -65,7 +65,7 @@ class WindowExhausted(CutstackError):
 
 
 class WindowEdge(CutstackError):
-    """A machine assignment was not stable under window doubling."""
+    """A machine item or slot lies past the frame window."""
 
     def __init__(self, message, window=None, detail=None):
         self.window = window

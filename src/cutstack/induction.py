@@ -2,14 +2,13 @@
 
 Works for any system exposing apply/contains/measure through a small
 adapter: rank-one systems act on level-set unions, rotations on exact
-interval unions, odometers on digit cylinders.  Budgets are everywhere;
+interval unions.  Budgets are everywhere;
 running out raises BudgetExhausted or NeedMoreDepth rather than guessing.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arithmetic import odometer_apply
 from .errors import BudgetExhausted, NeedMoreDepth
 from .quadratic import Surd
 from .towers import LevelSet, RankOneSystem
@@ -203,31 +202,6 @@ class RotationAdapter:
 
     def same_point(self, p, q):
         return self.angle.compare_points(p, q) == 0
-
-
-class OdometerAdapter:
-    """Mixed-radix odometer; sets are digit cylinders (depth, tuple set)."""
-
-    kind = "odometer"
-
-    def __init__(self, spec):
-        self.spec = spec
-
-    def apply(self, point, steps, budget=256):
-        return odometer_apply(self.spec, point, steps, budget)
-
-    def contains(self, cylinder, point):
-        depth, tuples = cylinder
-        return tuple(point.digit(k) for k in range(1, depth + 1)) in tuples
-
-    def measure(self, cylinder):
-        from .arithmetic import cylinder_mass
-
-        depth, tuples = cylinder
-        return len(tuples) * cylinder_mass(self.spec, depth)
-
-    def same_point(self, p, q, guard=64):
-        return all(p.digit(k) == q.digit(k) for k in range(1, guard + 1))
 
 
 # ---------------------------------------------------------------------------

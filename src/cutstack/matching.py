@@ -3,9 +3,10 @@
 Given systems X and Y with distinguished base levels A and B and a digit
 isomorphism phi of the induced maps, the even matcher assigns each point of
 an X column (a pile over a base point) to a slot in a Y column (a pit), by
-sliding piles over pits and dropping items into free slots.  The machine
-simulation on a finite window is authoritative; a closed-form sum formula
-is provided alongside for comparison, and the two disagree exactly on the
+sliding piles over pits and dropping items into free slots.  The machine,
+computed on a finite window by one left-to-right scan, is authoritative,
+and a slot it places never moves when the window grows.  The strict
+closed-form sum reproduces it; the non-strict sum differs exactly on the
 boundary cells where a pile height ties a pit capacity.
 
 The non-even matcher handles bases of different mass by first inducing on a
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitStream, OverlayDigits, SeededDigits, explicit_extent
+from .digits import OverlayDigits, SeededDigits, explicit_extent
 from .errors import (
     HorizonExhausted,
     InadmissiblePair,
@@ -45,49 +46,6 @@ class IdentityPhi:
 
     def backward(self, stream):
         return stream
-
-
-class _PermutedDigits(DigitStream):
-    def __init__(self, src, perm_fn, invert):
-        self.src = src
-        self.perm_fn = perm_fn
-        self.invert = invert
-        self.start = src.start
-
-    def digit(self, k):
-        perm = self.perm_fn(k)
-        d = self.src.digit(k)
-        return perm.index(d) if self.invert else perm[d]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _PermutedDigits)
-            and self.invert == other.invert
-            and self.perm_fn is other.perm_fn
-            and self.src == other.src
-        )
-
-    def __hash__(self):
-        return hash(("perm", self.invert, id(self.perm_fn), self.src))
-
-
-class DigitPermutationPhi:
-    """Per-stage relabeling of columns: digit k maps through perm_fn(k).
-
-    Only order-preserving relabelings intertwine the induced odometers;
-    validate_pair detects the rest.
-    """
-
-    name = "digit_permutation"
-
-    def __init__(self, perm_fn):
-        self.perm_fn = perm_fn
-
-    def forward(self, stream):
-        return _PermutedDigits(stream, self.perm_fn, invert=False)
-
-    def backward(self, stream):
-        return _PermutedDigits(stream, self.perm_fn, invert=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,64 +193,67 @@ def return_window(system, digits, window, budget=256):
 class PilePitFrame:
     """One machine run: pile i holds items (i, h), 1 <= h < ra[i]; pit j
     offers slots (j, d), 1 <= d < rb[j]; at shift n pile i drops its lowest
-    remaining items into the lowest free slots of pit i + n."""
+    remaining items into the lowest free slots of pit i + n.  A placed
+    item's slot is the same in every wider window (see _ballot_scan)."""
 
     window: int
     ra: dict
     rb: dict
     assignment: dict  # (i, h) -> (j, d)
     inverse: dict  # (j, d) -> (i, h)
-    unplaced: list  # items blocked by the window edge
+    unplaced: list  # items whose pit lies past the window edge
     unfilled: list  # slots the window's piles never reached
-    shifts: int
 
 
-def build_frame(pair, digits, window, max_shift=None, budget=256):
+def _ballot_scan(ra, rb, W):
+    """The machine's (assignment, unplaced, unfilled) on piles and pits
+    -W..W, in one left-to-right pass.
+
+    Pit j is visited by piles j, j-1, j-2, ... in that order, so piles with
+    items left form a stack, newest on top: push pile j, then fill pit j's
+    slots from the top pile's lowest remaining item, popping piles as they
+    empty.  Widening the window cannot move a placed slot: piles added on
+    the left are pushed first, so they sit below every pile of the narrower
+    window and only reach slots it left unfilled, and piles added on the
+    right come after pit W."""
+    assignment = {}
+    unfilled = []
+    stack = []  # [pile, next item] for piles with items left
+    for j in range(-W, W + 1):
+        if ra[j] > 1:
+            stack.append([j, 1])
+        for d in range(1, rb[j]):
+            if not stack:
+                unfilled.append((j, d))
+                continue
+            top = stack[-1]
+            i, h = top
+            assignment[(i, h)] = (j, d)
+            if h + 1 < ra[i]:
+                top[1] = h + 1
+            else:
+                stack.pop()
+    unplaced = [(i, h) for i, nxt in stack for h in range(nxt, ra[i])]
+    return assignment, unplaced, unfilled
+
+
+def build_frame(pair, digits, window, budget=256):
     ra = return_window(pair.sys_x, digits, window, budget)
     rb = return_window(pair.sys_y, pair.phi.forward(digits), window, budget)
-    W = window
-    nxt = {i: 1 for i in range(-W, W + 1)}
-    top = {i: ra[i] - 1 for i in range(-W, W + 1)}
-    fill = {j: 0 for j in range(-W, W + 1)}
-    cap = {j: rb[j] - 1 for j in range(-W, W + 1)}
-    assignment = {}
-    limit = max_shift if max_shift is not None else 2 * W + 2
-    shifts = 0
-    for n in range(limit + 1):
-        shifts = n
-        for i in range(-W, W + 1):
-            if nxt[i] > top[i]:
-                continue
-            j = i + n
-            if j > W:
-                continue
-            while nxt[i] <= top[i] and fill[j] < cap[j]:
-                fill[j] += 1
-                assignment[(i, nxt[i])] = (j, fill[j])
-                nxt[i] += 1
-        if not any(
-            nxt[i] <= top[i] and i + n + 1 <= W for i in range(-W, W + 1)
-        ):
-            break
+    assignment, unplaced, unfilled = _ballot_scan(ra, rb, window)
     inverse = {v: k for k, v in assignment.items()}
-    unplaced = [
-        (i, h) for i in range(-W, W + 1) for h in range(nxt[i], top[i] + 1)
-    ]
-    unfilled = [
-        (j, d) for j in range(-W, W + 1) for d in range(fill[j] + 1, cap[j] + 1)
-    ]
-    return PilePitFrame(W, ra, rb, assignment, inverse, unplaced, unfilled, shifts)
+    return PilePitFrame(window, ra, rb, assignment, inverse, unplaced,
+                        unfilled)
 
 
 def frame_stability(pair, digits, window, interior=None, budget=256):
     """Fraction of placed interior assignments that survive window doubling.
 
     An item unplaced at the smaller window has no assignment yet (its pit
-    lies past the edge), so it does not enter the fraction; pits at index
-    <= W only receive deposits from piles <= W, which is why placed
-    assignments are expected to be invariant under enlargement except very
-    close to the left edge.  Returns (fraction, frame, doubled_frame);
-    interior defaults to half the window.
+    lies past the edge), so it does not enter the fraction.  A placed slot
+    never moves when the window grows (see _ballot_scan), so the fraction
+    is 1; the audit recomputes it from both frames.  Returns (fraction,
+    frame, doubled_frame); interior defaults to half the window.
     """
     f1 = build_frame(pair, digits, window, budget=budget)
     f2 = build_frame(pair, digits, 2 * window, budget=budget)
@@ -346,7 +307,7 @@ class MatchRecord:
     y: object  # the matched Y point
     mode: str
     boundary: bool = False  # chosen shift tied pile top to pit capacity
-    stable: object = None  # machine mode: survived window doubling
+    stable: object = None  # machine mode: True, a placed slot is final
 
 
 @dataclass
@@ -361,6 +322,33 @@ class InverseMatchRecord:
     stable: object = None
 
 
+def _forward_walk(pair, digits, h, slack, horizon, budget):
+    """The partial-sum walk of even_match_formula, up to the horizon.
+
+    Returns (n, d, margin, wy), margin being the right side minus the left
+    and wy the Y walker at the base of pit n.  Past the horizon n is None
+    and margin is the largest margin seen."""
+    wx = BaseOrbitWalker(pair.sys_x, digits)
+    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    reach = h
+    psi = 0
+    best = None
+    for n in range(horizon + 1):
+        if n:
+            if n == 1:
+                wx.step(budget)  # skip a_0; the sums start at a_1
+            reach += wx.step(budget)
+            wy.step(budget)
+        b_n = wy.return_time()
+        psi += b_n
+        margin = psi - slack - reach
+        if margin >= 0:
+            return n, reach - psi + b_n, margin, wy
+        if best is None or margin > best:
+            best = margin
+    return None, None, best, wy
+
+
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     """Shift and slot by partial sums of return times.
 
@@ -369,43 +357,24 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     slot capacities), and d = h + (a_1 + ... + a_n) - (b_0 + ... + b_{n-1});
     a and b are the X and Y return times along the matched base orbits.
     """
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
     slack = 1 if strict else 0
-    theta = 0
-    psi_prev = 0
-    n = 0
-    primed = False
-    while True:
-        b_n = wy.return_time()
-        psi = psi_prev + b_n
-        if h + theta <= psi - slack:
-            d = h + theta - psi_prev
-            boundary = h + theta == psi
-            break
-        n += 1
-        if n > horizon:
-            raise WindowExhausted(
-                f"no pit found within {horizon} shifts", window=horizon
-            )
-        if not primed:
-            wx.step(budget)  # skip a_0; theta sums start at a_1
-            primed = True
-        theta += wx.step(budget)
-        psi_prev = psi
-        wy.step(budget)
+    n, d, margin, wy = _forward_walk(pair, digits, h, slack, horizon, budget)
+    if n is None:
+        raise WindowExhausted(
+            f"no pit found within {horizon} shifts", window=horizon
+        )
     y_base = wy.point()
     y = pair.sys_y.apply(y_base, d) if d else y_base
     x_base = RankOnePoint(1, 0, digits)
     x = pair.sys_x.apply(x_base, h) if h else x_base
     return MatchRecord(x, h, n, d, y, "formula_strict" if strict else "formula",
-                       boundary=boundary)
+                       boundary=margin == -slack)
 
 
-def even_match_machine(pair, digits, h, window=32, check_stability=True,
-                       budget=256):
+def even_match_machine(pair, digits, h, window=32, budget=256):
     """The same assignment read off a machine frame centered at the base
-    point; raises WindowEdge if the item is unplaced or unstable."""
+    point; raises WindowEdge if the item's pit lies past the window.  A
+    placed slot is final (see _ballot_scan), so the record is stable."""
     x_base = RankOnePoint(1, 0, digits)
     if h == 0:
         y = RankOnePoint(1, 0, pair.phi.forward(digits))
@@ -416,22 +385,12 @@ def even_match_machine(pair, digits, h, window=32, check_stability=True,
         raise WindowEdge(
             f"item (0, {h}) not placed within window {window}", window=window
         )
-    stable = None
-    if check_stability:
-        wide = build_frame(pair, digits, 2 * window, budget=budget)
-        stable = wide.assignment.get((0, h)) == slot
-        if not stable:
-            raise WindowEdge(
-                f"assignment of (0, {h}) changed under window doubling",
-                window=window,
-                detail=(slot, wide.assignment.get((0, h))),
-            )
     j, d = slot
     wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
     wy.advance(j, budget)
     y = pair.sys_y.apply(wy.point(), d)
     x = pair.sys_x.apply(x_base, h)
-    return MatchRecord(x, h, j, d, y, "machine", stable=stable)
+    return MatchRecord(x, h, j, d, y, "machine", stable=True)
 
 
 def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
@@ -473,8 +432,7 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
     )
 
 
-def even_match_inverse_machine(pair, digits, D, window=32,
-                               check_stability=True, budget=256):
+def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     """Inverse assignment read off the machine frame (table inversion)."""
     y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
     if D == 0:
@@ -486,22 +444,12 @@ def even_match_inverse_machine(pair, digits, D, window=32,
         raise WindowEdge(
             f"slot (0, {D}) not filled within window {window}", window=window
         )
-    stable = None
-    if check_stability:
-        wide = build_frame(pair, digits, 2 * window, budget=budget)
-        stable = wide.inverse.get((0, D)) == item
-        if not stable:
-            raise WindowEdge(
-                f"source of slot (0, {D}) changed under window doubling",
-                window=window,
-                detail=(item, wide.inverse.get((0, D))),
-            )
     i, H = item
     wx = BaseOrbitWalker(pair.sys_x, digits)
     wx.advance(i, budget)
     x = pair.sys_x.apply(wx.point(), H)
     y = pair.sys_y.apply(y_base, D)
-    return InverseMatchRecord(y, D, -i, H, x, "machine", stable=stable)
+    return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
 
 
 def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
@@ -516,49 +464,28 @@ def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
                               horizon=horizon)
 
 
-def phi_hat_stable(pair, x, windows=(16, 64, 256), budget=256,
-                   formula_fallback=True, horizon=2**16):
-    """Machine matching with window escalation: retry unstable or unplaced
-    items at growing windows until one sticks.
-
-    The matching shift has a heavy tail, so a small fraction of points
-    outruns any affordable window; with `formula_fallback` those fall back
-    to the strict closed form, which reproduces the machine's assignment
-    wherever the machine resolves (mode "formula_strict", stable None).
-    """
-    last = None
+def _escalate(match, pair, point, windows, budget, horizon):
     for W in windows:
         try:
-            return phi_hat(pair, x, mode="machine", window=W, budget=budget)
-        except WindowEdge as e:
-            last = e
-    if formula_fallback:
-        return phi_hat(pair, x, mode="formula", strict=True, budget=budget,
-                       horizon=horizon)
-    raise WindowEdge(
-        f"no stable assignment up to window {windows[-1]}",
-        window=windows[-1],
-        detail=str(last),
-    )
+            return match(pair, point, mode="machine", window=W, budget=budget)
+        except WindowEdge:
+            pass
+    return match(pair, point, mode="formula", strict=True, budget=budget,
+                 horizon=horizon)
+
+
+def phi_hat_stable(pair, x, windows=(16, 64, 256), budget=256,
+                   horizon=2**16):
+    """Machine matching at growing windows until one places the item.  The
+    matching shift has a heavy tail, so a few points outrun every window;
+    those fall back to the strict closed form, which reproduces the
+    machine wherever it resolves (mode "formula_strict", stable None)."""
+    return _escalate(phi_hat, pair, x, windows, budget, horizon)
 
 
 def phi_hat_inverse_stable(pair, y, windows=(16, 64, 256), budget=256,
-                           formula_fallback=True, horizon=2**16):
-    last = None
-    for W in windows:
-        try:
-            return phi_hat_inverse(pair, y, mode="machine", window=W,
-                                   budget=budget)
-        except WindowEdge as e:
-            last = e
-    if formula_fallback:
-        return phi_hat_inverse(pair, y, mode="formula", strict=True,
-                               budget=budget, horizon=horizon)
-    raise WindowEdge(
-        f"no stable source up to window {windows[-1]}",
-        window=windows[-1],
-        detail=str(last),
-    )
+                           horizon=2**16):
+    return _escalate(phi_hat_inverse, pair, y, windows, budget, horizon)
 
 
 def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
@@ -579,29 +506,18 @@ def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
 def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     """Shift at which the whole pile over this base point is swallowed:
     the matching shift of the topmost item h = r_A - 1."""
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    h = wx.return_time() - 1
+    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
     if h == 0:
         return 0
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
-    slack = 1 if strict else 0
-    theta = 0
-    psi = 0
-    best = None
-    wx.step(budget)  # sums start at a_1
-    for n in range(horizon + 1):
-        psi += wy.return_time()
-        margin = psi - slack - (h + theta)
-        if margin >= 0:
-            return n
-        best = margin if best is None or margin > best else best
-        theta += wx.step(budget)
-        wy.step(budget)
-    raise HorizonExhausted(
-        f"pile not swallowed within {horizon} shifts",
-        horizon=horizon,
-        running_min=best,
-    )
+    n, _, margin, _ = _forward_walk(pair, digits, h, 1 if strict else 0,
+                                    horizon, budget)
+    if n is None:
+        raise HorizonExhausted(
+            f"pile not swallowed within {horizon} shifts",
+            horizon=horizon,
+            running_min=margin,
+        )
+    return n
 
 
 def cocycle_rows(pair, digits, window, budget=256):

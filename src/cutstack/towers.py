@@ -338,9 +338,6 @@ class BaseOrbitWalker:
     def state(self):
         return tuple(self.d)
 
-    def set_state(self, digits):
-        self.d = list(digits)
-
     def point(self):
         prefix = tuple(self.d)
         return RankOnePoint(

@@ -2,9 +2,9 @@
 
 Every check is a pure function of a SuiteConfig: deterministic seeds in,
 Verdict out.  Failures never raise; they become failing verdicts carrying a
-minimal counterexample payload.  The registry records which module
-invariant each check covers, and run_suite asserts the union covers the
-required list, so removing a check without a replacement fails loudly.
+counterexample payload.  The registry records which module invariant each
+check covers, and run_suite asserts the union covers the required list, so
+removing a check without a replacement fails loudly.
 """
 
 import json
@@ -440,6 +440,12 @@ def _check_boundary(cfg):
         h = rng.randrange(0, w.return_time())
         strict = matching.even_match_formula(pair, stream, h, strict=True)
         loose = matching.even_match_formula(pair, stream, h, strict=False)
+        slot = matching.build_frame(pair, stream, 32).assignment.get((0, h))
+        if slot is not None and slot != (strict.n, strict.d):
+            return Verdict("formula_machine_boundary", False,
+                           {"trial": t, "kind": "machine"},
+                           {"h": h, "machine": slot,
+                            "strict": (strict.n, strict.d)})
         if (strict.n, strict.d) != (loose.n, loose.d):
             disagreements += 1
             if not loose.boundary:
@@ -634,33 +640,3 @@ def report_json(verdicts):
         for v in verdicts
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Counterexample shrinking
-
-
-def shrink(counterexample, still_fails):
-    """Minimize a counterexample dict while `still_fails` keeps returning
-    True: bisect a 'window' field down, then truncate a 'digit_prefix'."""
-    cx = dict(counterexample)
-    if not still_fails(cx):
-        return cx
-    if "window" in cx and isinstance(cx["window"], int):
-        lo, hi = 1, cx["window"]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if still_fails({**cx, "window": mid}):
-                hi = mid
-            else:
-                lo = mid + 1
-        cx["window"] = hi
-    if "digit_prefix" in cx:
-        prefix = list(cx["digit_prefix"])
-        while prefix:
-            cand = {**cx, "digit_prefix": tuple(prefix[:-1])}
-            if not still_fails(cand):
-                break
-            prefix.pop()
-        cx["digit_prefix"] = tuple(prefix)
-    return cx

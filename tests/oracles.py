@@ -90,3 +90,37 @@ def three_gap_lengths(alpha, n):
     gaps = [b - a for a, b in zip(pts, pts[1:])]
     gaps.append(1.0 - pts[-1] + pts[0])
     return sorted({round(g, 9) for g in gaps})
+
+
+def deposit_frame(ra, rb, W):
+    """The pile/pit machine simulated shift by shift, for comparison with
+    the ballot scan: at shift n every pile i drops its lowest remaining
+    items into the lowest free slots of pit i + n.  Returns (assignment,
+    unplaced, unfilled) in the scan's format."""
+    nxt = {i: 1 for i in range(-W, W + 1)}
+    top = {i: ra[i] - 1 for i in range(-W, W + 1)}
+    fill = {j: 0 for j in range(-W, W + 1)}
+    cap = {j: rb[j] - 1 for j in range(-W, W + 1)}
+    assignment = {}
+    for n in range(2 * W + 3):
+        for i in range(-W, W + 1):
+            if nxt[i] > top[i]:
+                continue
+            j = i + n
+            if j > W:
+                continue
+            while nxt[i] <= top[i] and fill[j] < cap[j]:
+                fill[j] += 1
+                assignment[(i, nxt[i])] = (j, fill[j])
+                nxt[i] += 1
+        if not any(
+            nxt[i] <= top[i] and i + n + 1 <= W for i in range(-W, W + 1)
+        ):
+            break
+    unplaced = [
+        (i, h) for i in range(-W, W + 1) for h in range(nxt[i], top[i] + 1)
+    ]
+    unfilled = [
+        (j, d) for j in range(-W, W + 1) for d in range(fill[j] + 1, cap[j] + 1)
+    ]
+    return assignment, unplaced, unfilled

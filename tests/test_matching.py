@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cutstack import matching
 from cutstack.digits import SeededDigits
 from cutstack.errors import InadmissiblePair, MarginViolation
@@ -82,6 +85,29 @@ def test_frame_conservation_and_injectivity():
             assert j >= i
 
 
+@st.composite
+def nested_windows(draw):
+    """Return-time dicts on -W'..W' (values 1..8) and windows W < W'."""
+    wide = draw(st.integers(min_value=1, max_value=16))
+    W = draw(st.integers(min_value=0, max_value=wide - 1))
+    times = st.lists(st.integers(min_value=1, max_value=8),
+                     min_size=2 * wide + 1, max_size=2 * wide + 1)
+    ra = dict(zip(range(-wide, wide + 1), draw(times)))
+    rb = dict(zip(range(-wide, wide + 1), draw(times)))
+    return ra, rb, W, wide
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_windows())
+def test_ballot_scan_is_the_deposit_machine_and_final(case):
+    ra, rb, W, wide = case
+    scan = matching._ballot_scan(ra, rb, W)
+    assert scan == oracles.deposit_frame(ra, rb, W)
+    # a slot placed at W is the same slot in every wider window
+    wider = matching._ballot_scan(ra, rb, wide)[0]
+    assert all(wider[item] == slot for item, slot in scan[0].items())
+
+
 def test_placed_assignments_survive_window_doubling():
     pair = dyadic()
     for s in range(6):
@@ -156,6 +182,10 @@ def test_stopping_time_finite_and_consistent():
         stream = SeededDigits(f"stop:{s}", pair.sys_x.cuts)
         n = matching.stopping_time(pair, stream)
         assert 0 <= n < 2**16
+        top = BaseOrbitWalker(pair.sys_x, stream).return_time() - 1
+        top_item = matching.even_match_formula(pair, stream, top,
+                                               strict=True, horizon=2**16)
+        assert n == top_item.n
 
 
 def test_cocycle_rows_are_window_sorted():

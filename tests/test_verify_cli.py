@@ -51,18 +51,6 @@ def test_report_render_and_json_shape():
     assert blob[0]["passed"] is True
 
 
-def test_shrink_reduces_window_and_prefix():
-    ce = {"window": 64, "digit_prefix": (0, 1, 2, 1, 0, 2)}
-
-    def still_fails(c):
-        return c.get("window", 0) >= 10 and len(c.get("digit_prefix", ())) >= 3
-
-    small = verify.shrink(ce, still_fails)
-    assert still_fails(small)
-    assert small["window"] < 64
-    assert len(small["digit_prefix"]) <= 6
-
-
 # -- command line -----------------------------------------------------------
 
 
