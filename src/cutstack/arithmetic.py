@@ -19,7 +19,7 @@ from .digits import DigitStream, OverlayDigits, zeros
 from .errors import BudgetExhausted, CutstackError, SpecInvalid
 from .quadratic import Surd, cf_convergents, surd_from_cf
 from .specs import q_adic_tower_spec
-from .towers import RankOnePoint, RankOneSystem
+from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,6 @@ class PrefixInduction:
     odometer: OdometerSpec
 
     def base_set(self):
-        from .towers import LevelSet
-
         return LevelSet(1, frozenset(range(self.p)))
 
     def to_odometer(self, point):

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .quadratic import Surd
 from .specs import builtin_spec, parse_spec, parse_spec_json, validate_spec
-from .towers import BaseOrbitWalker, RankOneSystem
+from .towers import BaseOrbitWalker, LevelSet, RankOneSystem
 
 
 class _Instability(CutstackError):
@@ -160,8 +160,6 @@ def cmd_induce(ctx):
     else:
         spec = load_spec(ctx, args.system)
         ad = induction.RankOneAdapter(RankOneSystem(spec))
-        from .towers import LevelSet
-
         base = LevelSet(1, frozenset({0}))
         dec = induction.column_decomposition(ad, base, args.stage)
         name = spec.name
@@ -398,6 +396,9 @@ def main(argv=None):
         status = f"instability: {e}"
         print(f"widespread instability: {e}", file=sys.stderr)
         return 5
+    except BaseException as e:
+        status = f"crash: {type(e).__name__}"
+        raise
     finally:
         ctx.manifest(status)
 

@@ -87,6 +87,7 @@ class SeededDigits(DigitStream):
         return (
             isinstance(other, SeededDigits)
             and self.seed == other.seed
+            and self.radix_fn == other.radix_fn
             and self.start == other.start
         )
 

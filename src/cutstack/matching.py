@@ -246,6 +246,28 @@ def build_frame(pair, digits, window, budget=256):
                         unfilled)
 
 
+def _frame_audit(f1, f2, interior=None):
+    """(fraction, edge items) of a frame and its doubled-window rebuild
+    over the interior piles; see frame_stability and edge_violations."""
+    window = f1.window
+    lim = interior if interior is not None else window // 2
+    max_r = max(max(f1.ra.values()), max(f1.rb.values()))
+    placed = 0
+    stable = 0
+    bad = []
+    for i in range(-lim, lim + 1):
+        for h in range(1, f1.ra[i]):
+            a1 = f1.assignment.get((i, h))
+            a2 = f2.assignment.get((i, h))
+            if a1 is not None:
+                placed += 1
+                stable += a1 == a2
+            elif a2 is not None and a2[0] <= window - max_r:
+                bad.append(((i, h), a2))
+    frac = Fraction(stable, placed) if placed else Fraction(1)
+    return frac, bad
+
+
 def frame_stability(pair, digits, window, interior=None, budget=256):
     """Fraction of placed interior assignments that survive window doubling.
 
@@ -257,19 +279,7 @@ def frame_stability(pair, digits, window, interior=None, budget=256):
     """
     f1 = build_frame(pair, digits, window, budget=budget)
     f2 = build_frame(pair, digits, 2 * window, budget=budget)
-    lim = interior if interior is not None else window // 2
-    placed = 0
-    stable = 0
-    for i in range(-lim, lim + 1):
-        for h in range(1, f1.ra[i]):
-            a1 = f1.assignment.get((i, h))
-            if a1 is None:
-                continue
-            placed += 1
-            if a1 == f2.assignment.get((i, h)):
-                stable += 1
-    frac = Fraction(stable, placed) if placed else Fraction(1)
-    return frac, f1, f2
+    return _frame_audit(f1, f2, interior)[0], f1, f2
 
 
 def edge_violations(pair, digits, window, interior=None, budget=256):
@@ -281,17 +291,7 @@ def edge_violations(pair, digits, window, interior=None, budget=256):
     """
     f1 = build_frame(pair, digits, window, budget=budget)
     f2 = build_frame(pair, digits, 2 * window, budget=budget)
-    lim = interior if interior is not None else window // 2
-    max_r = max(max(f1.ra.values()), max(f1.rb.values()))
-    bad = []
-    for i in range(-lim, lim + 1):
-        for h in range(1, f1.ra[i]):
-            if f1.assignment.get((i, h)) is not None:
-                continue
-            a2 = f2.assignment.get((i, h))
-            if a2 is not None and a2[0] <= window - max_r:
-                bad.append(((i, h), a2))
-    return bad
+    return _frame_audit(f1, f2, interior)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +322,38 @@ class InverseMatchRecord:
     stable: object = None
 
 
-def _forward_walk(pair, digits, h, slack, horizon, budget):
-    """The partial-sum walk of even_match_formula, up to the horizon.
-
-    Returns (n, d, margin, wy), margin being the right side minus the left
-    and wy the Y walker at the base of pit n.  Past the horizon n is None
-    and margin is the largest margin seen."""
+def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
+    """(n, d, margin, fw): n <= horizon least with h + r_1 + ... + r_n <=
+    f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... + f_{n-1}),
+    margin the right side minus the left, fw the f walker at step n.  r, f
+    are the X, Y return times along the matched base orbits, or backward
+    the Y, X ones.  Past the horizon n, d are None and margin is the best
+    seen.  step returns the time of the point it leaves, step_back of the
+    point it reaches."""
     wx = BaseOrbitWalker(pair.sys_x, digits)
     wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    rw, fw = (wx, wy) if forward else (wy, wx)
     reach = h
     psi = 0
+    f = fw.return_time()
     best = None
     for n in range(horizon + 1):
-        if n:
+        if n and forward:
             if n == 1:
-                wx.step(budget)  # skip a_0; the sums start at a_1
-            reach += wx.step(budget)
-            wy.step(budget)
-        b_n = wy.return_time()
-        psi += b_n
+                rw.step(budget)  # skip r_0; the sums start at r_1
+            reach += rw.step(budget)
+            fw.step(budget)
+            f = fw.return_time()
+        elif n:
+            f = fw.step_back(budget)
+            reach += rw.step_back(budget)
+        psi += f
         margin = psi - slack - reach
         if margin >= 0:
-            return n, reach - psi + b_n, margin, wy
+            return n, reach - psi + f, margin, fw
         if best is None or margin > best:
             best = margin
-    return None, None, best, wy
+    return None, None, best, fw
 
 
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
@@ -358,7 +365,8 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     a and b are the X and Y return times along the matched base orbits.
     """
     slack = 1 if strict else 0
-    n, d, margin, wy = _forward_walk(pair, digits, h, slack, horizon, budget)
+    n, d, margin, wy = _partial_sum_walk(pair, digits, True, h, slack,
+                                         horizon, budget)
     if n is None:
         raise WindowExhausted(
             f"no pit found within {horizon} shifts", window=horizon
@@ -401,34 +409,20 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
     `digits` addresses the X base point paired with the pit's base point.
     """
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
     slack = 1 if strict else 0
-    gamma = 0
-    psi_prev = 0
-    m = 0
-    a_cur = wx.return_time()
-    while True:
-        psi = psi_prev + a_cur
-        if D + gamma <= psi - slack:
-            H = D + gamma - psi_prev
-            boundary = D + gamma == psi
-            break
-        m += 1
-        if m > horizon:
-            raise WindowExhausted(
-                f"no source pile found within {horizon} shifts", window=horizon
-            )
-        psi_prev = psi
-        a_cur = wx.step_back(budget)
-        gamma += wy.step_back(budget)
+    m, H, margin, wx = _partial_sum_walk(pair, digits, False, D, slack,
+                                         horizon, budget)
+    if m is None:
+        raise WindowExhausted(
+            f"no source pile found within {horizon} shifts", window=horizon
+        )
     x_base = wx.point()
     x = pair.sys_x.apply(x_base, H) if H else x_base
     y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
     y = pair.sys_y.apply(y_base, D) if D else y_base
     return InverseMatchRecord(
         y, D, m, H, x, "formula_strict" if strict else "formula",
-        boundary=boundary,
+        boundary=margin == -slack,
     )
 
 
@@ -509,8 +503,8 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
     if h == 0:
         return 0
-    n, _, margin, _ = _forward_walk(pair, digits, h, 1 if strict else 0,
-                                    horizon, budget)
+    n, _, margin, _ = _partial_sum_walk(pair, digits, True, h,
+                                        1 if strict else 0, horizon, budget)
     if n is None:
         raise HorizonExhausted(
             f"pile not swallowed within {horizon} shifts",

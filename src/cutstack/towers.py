@@ -8,11 +8,10 @@ so the limiting total mass is 1 for periodic-tail specs.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .digits import (
     DigitStream,
-    OverlayDigits,
-    PeriodicDigits,
     SeededDigits,
     explicit_extent,
     streams_equal_beyond,
@@ -67,37 +66,48 @@ class RankOneSystem:
 
     def __init__(self, spec):
         self.spec = spec
-        self._heights = [None, spec.initial_height]  # 1-based
-        self._offsets = [None]  # _offsets[i]: column start offsets, stage i -> i+1
+        # Stage data, indexed by stage and grown together by _grow: the cut
+        # count and column offsets of stage k, the height h_k, and the carry
+        # term G_k = sum over t < k of offs_t[0] - offs_t[c_t - 1].
+        self._cuts = [None]
+        self._offsets = [None]  # _offsets[k]: column start offsets, k -> k+1
+        self._heights = [None, spec.initial_height]
+        self._carry = [None, 0]
         self._unit_width = None
         self._widths = [None]
 
     # -- stage data ---------------------------------------------------------
 
-    def height(self, i):
-        while len(self._heights) <= i:
-            k = len(self._heights) - 1
+    def _grow(self, i):
+        """Stage data through stage i, one spec.rule call per stage."""
+        if i < 1:
+            raise ValueError("stages are 1-based")
+        while len(self._cuts) <= i:
+            k = len(self._cuts)
             r = self.spec.rule(k)
             h = self._heights[k]
-            self._heights.append(r.spacers_below + r.cuts * h + sum(r.spacers_above))
+            offs = tuple(accumulate((h + s for s in r.spacers_above[:-1]),
+                                    initial=r.spacers_below))
+            self._cuts.append(r.cuts)
+            self._offsets.append(offs)
+            self._heights.append(offs[-1] + h + r.spacers_above[-1])
+            self._carry.append(self._carry[k] + offs[0] - offs[-1])
+
+    def height(self, i):
+        if i >= len(self._heights) or i < 1:
+            self._grow(i - 1)
         return self._heights[i]
 
     def offsets(self, i):
         """Start offset of each column copy when stage i embeds in stage i+1."""
-        while len(self._offsets) <= i:
-            k = len(self._offsets)
-            r = self.spec.rule(k)
-            h = self.height(k)
-            offs = []
-            pos = r.spacers_below
-            for a in range(r.cuts):
-                offs.append(pos)
-                pos += h + r.spacers_above[a]
-            self._offsets.append(tuple(offs))
+        if i >= len(self._offsets) or i < 1:
+            self._grow(i)
         return self._offsets[i]
 
     def cuts(self, i):
-        return self.spec.rule(i).cuts
+        if i >= len(self._cuts) or i < 1:
+            self._grow(i)
+        return self._cuts[i]
 
     def unit_width(self):
         """w1, normalized so the limiting total mass is 1."""
@@ -319,8 +329,10 @@ class BaseOrbitWalker:
     """Walks the induced map on the stage-1 base level (level 0) as an
     odometer on the column digits, producing exact return times.
 
-    The Birkhoff sum of the return time telescopes to a stack-position
-    difference, so each step costs O(carry length), amortized O(1).
+    A step that carries into stage s, raising its digit from d to d + 1,
+    returns R(s, d) = offs_s[d+1] - offs_s[d] + G_s, read off the system's
+    stage table (G_s is the carry term of the maximal digits below stage
+    s), so each step costs O(carry length), amortized O(1).
     """
 
     def __init__(self, system, digits_stream=None):
@@ -335,87 +347,80 @@ class BaseOrbitWalker:
             self.d.append(self.tail.digit(len(self.d) + 1))
         return self.d[j]
 
+    def _return_time(self, j, d):
+        """R(j + 1, d): a step's return time, raising digit j from d."""
+        offs = self.sys.offsets(j + 1)
+        return offs[d + 1] - offs[d] + self.sys._carry[j + 1]
+
+    def _carry_up(self, budget):
+        """Least j whose digit is not maximal: the carry of a forward step."""
+        cuts = self.sys.cuts
+        j = 0
+        while self._digit(j) == cuts(j + 1) - 1:
+            j += 1
+            if j > budget:
+                raise NeedMoreDepth("all digits maximal within budget", budget=budget)
+        return j
+
     def state(self):
         return tuple(self.d)
 
     def point(self):
-        prefix = tuple(self.d)
-        return RankOnePoint(
-            1, 0, OverlayDigits(self.tail, {j + 1: v for j, v in enumerate(prefix)})
-            if prefix
-            else self.tail,
-        )
-
-    def position(self, upto):
-        """Stack position (level index) at stage upto+1, folding the first
-        `upto` digits."""
-        idx = 0
-        for j in range(upto):
-            idx = self.sys.offsets(j + 1)[self._digit(j)] + idx
-        return idx
+        return RankOnePoint(1, 0, self.tail.with_overrides(
+            {j + 1: v for j, v in enumerate(self.d)}))
 
     def step(self, budget=256):
         """Advance one induced step; returns the return time r >= 1."""
-        sys = self.sys
-        j = 0
-        while self._digit(j) == sys.cuts(j + 1) - 1:
-            j += 1
-            if j > budget:
-                raise NeedMoreDepth("all digits maximal within budget", budget=budget)
-        old = self.position(j + 1)
-        for u in range(j):
-            self.d[u] = 0
-        self.d[j] += 1
-        new = self.position(j + 1)
-        return new - old
+        j = self._carry_up(budget)
+        d = self.d
+        r = self._return_time(j, d[j])
+        d[:j] = [0] * j
+        d[j] += 1
+        return r
 
     def step_back(self, budget=256):
         """Retreat one induced step; returns the return time of the
         predecessor (the pile height climbed over)."""
-        sys = self.sys
+        cuts = self.sys.cuts
         j = 0
         while self._digit(j) == 0:
             j += 1
             if j > budget:
                 raise NeedMoreDepth("all digits zero within budget", budget=budget)
-        old = self.position(j + 1)
-        for u in range(j):
-            self.d[u] = sys.cuts(u + 1) - 1
-        self.d[j] -= 1
-        new = self.position(j + 1)
-        return old - new
+        d = self.d
+        r = self._return_time(j, d[j] - 1)
+        d[:j] = [cuts(u + 1) - 1 for u in range(j)]
+        d[j] -= 1
+        return r
 
     def advance(self, n, budget=256):
         """Jump n induced steps (n may be negative); returns the signed total
         T-step count (sum of return times along the way), exact.
 
-        Mixed-radix addition with a signed carry, then a stack-position
-        difference at the first stage both endpoints share.
+        Mixed-radix addition with a signed carry, summing the offset change
+        of each digit the carry touches.
         """
-        if n == 0:
-            return 0
-        before = []
+        total = 0
         carry = n
         j = 0
         while carry:
             if j > budget:
                 raise NeedMoreDepth("carry ran past stage budget", budget=budget)
             b = self.sys.cuts(j + 1)
-            before.append(self._digit(j))
-            tot = self.d[j] + carry
-            self.d[j] = tot % b
-            carry = (tot - self.d[j]) // b
+            old = self._digit(j)
+            tot = old + carry
+            new = self.d[j] = tot % b
+            carry = (tot - new) // b
+            offs = self.sys._offsets[j + 1]
+            total += offs[new] - offs[old]
             j += 1
-        old_idx = 0
-        new_idx = 0
-        for u in range(j):
-            old_idx = self.sys.offsets(u + 1)[before[u]] + old_idx
-            new_idx = self.sys.offsets(u + 1)[self._digit(u)] + new_idx
-        return new_idx - old_idx
+        return total
 
     def return_time(self):
-        """Return time at the current state, without moving."""
-        saved = list(self.d)
-        r = self.step()
-        self.d = saved
+        """Return time at the current state, without moving (digits the
+        carry search reads are not kept, as if no step had been tried)."""
+        known = len(self.d)
+        j = self._carry_up(256)
+        r = self._return_time(j, self.d[j])
+        del self.d[known:]
         return r

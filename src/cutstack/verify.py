@@ -378,7 +378,7 @@ def _check_machine(cfg):
             stream = SeededDigits(f"mach:{cfg.seed}:{W}:{s}", pair.sys_x.cuts)
             frac, f1, f2 = matching.frame_stability(pair, stream, W)
             total += frac
-            bad = matching.edge_violations(pair, stream, W)
+            bad = matching._frame_audit(f1, f2)[1]
             if bad:
                 return Verdict("machine_bijectivity", False,
                                {"window": W, "kind": "interior_instability"},

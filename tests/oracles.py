@@ -6,6 +6,10 @@ cross-check, not a tautology.
 
 from fractions import Fraction
 
+from cutstack.digits import OverlayDigits, zeros
+from cutstack.errors import NeedMoreDepth
+from cutstack.towers import RankOnePoint
+
 SPACER = "spacer"
 
 
@@ -124,3 +128,113 @@ def deposit_frame(ra, rb, W):
         (j, d) for j in range(-W, W + 1) for d in range(fill[j] + 1, cap[j] + 1)
     ]
     return assignment, unplaced, unfilled
+
+
+# The base-orbit walker as it was before the return-time table: every step
+# folds two full stack positions.  Kept verbatim as the table walker's oracle.
+
+
+class PositionWalker:
+    """Walks the induced map on the stage-1 base level (level 0) as an
+    odometer on the column digits, producing exact return times.
+
+    The Birkhoff sum of the return time telescopes to a stack-position
+    difference, so each step costs O(carry length), amortized O(1).
+    """
+
+    def __init__(self, system, digits_stream=None):
+        self.sys = system
+        if digits_stream is None:
+            digits_stream = zeros()
+        self.tail = digits_stream
+        self.d = []  # materialized digits, d[j] = digit at stage j+1
+
+    def _digit(self, j):
+        while len(self.d) <= j:
+            self.d.append(self.tail.digit(len(self.d) + 1))
+        return self.d[j]
+
+    def state(self):
+        return tuple(self.d)
+
+    def point(self):
+        prefix = tuple(self.d)
+        return RankOnePoint(
+            1, 0, OverlayDigits(self.tail, {j + 1: v for j, v in enumerate(prefix)})
+            if prefix
+            else self.tail,
+        )
+
+    def position(self, upto):
+        """Stack position (level index) at stage upto+1, folding the first
+        `upto` digits."""
+        idx = 0
+        for j in range(upto):
+            idx = self.sys.offsets(j + 1)[self._digit(j)] + idx
+        return idx
+
+    def step(self, budget=256):
+        """Advance one induced step; returns the return time r >= 1."""
+        sys = self.sys
+        j = 0
+        while self._digit(j) == sys.cuts(j + 1) - 1:
+            j += 1
+            if j > budget:
+                raise NeedMoreDepth("all digits maximal within budget", budget=budget)
+        old = self.position(j + 1)
+        for u in range(j):
+            self.d[u] = 0
+        self.d[j] += 1
+        new = self.position(j + 1)
+        return new - old
+
+    def step_back(self, budget=256):
+        """Retreat one induced step; returns the return time of the
+        predecessor (the pile height climbed over)."""
+        sys = self.sys
+        j = 0
+        while self._digit(j) == 0:
+            j += 1
+            if j > budget:
+                raise NeedMoreDepth("all digits zero within budget", budget=budget)
+        old = self.position(j + 1)
+        for u in range(j):
+            self.d[u] = sys.cuts(u + 1) - 1
+        self.d[j] -= 1
+        new = self.position(j + 1)
+        return old - new
+
+    def advance(self, n, budget=256):
+        """Jump n induced steps (n may be negative); returns the signed total
+        T-step count (sum of return times along the way), exact.
+
+        Mixed-radix addition with a signed carry, then a stack-position
+        difference at the first stage both endpoints share.
+        """
+        if n == 0:
+            return 0
+        before = []
+        carry = n
+        j = 0
+        while carry:
+            if j > budget:
+                raise NeedMoreDepth("carry ran past stage budget", budget=budget)
+            b = self.sys.cuts(j + 1)
+            before.append(self._digit(j))
+            tot = self.d[j] + carry
+            self.d[j] = tot % b
+            carry = (tot - self.d[j]) // b
+            j += 1
+        old_idx = 0
+        new_idx = 0
+        for u in range(j):
+            old_idx = self.sys.offsets(u + 1)[before[u]] + old_idx
+            new_idx = self.sys.offsets(u + 1)[self._digit(u)] + new_idx
+        return new_idx - old_idx
+
+    def return_time(self):
+        """Return time at the current state, without moving."""
+        saved = list(self.d)
+        r = self.step()
+        self.d = saved
+        return r

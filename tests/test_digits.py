@@ -51,3 +51,16 @@ def test_streams_equal_beyond():
     assert streams_equal_beyond(a, b, 4)
     c = PeriodicDigits((0, 0, 0, 0, 5), (1,))
     assert not streams_equal_beyond(a, c, 4, guard=8)
+
+
+def test_seeded_digits_equal_only_over_the_same_radixes():
+    two = lambda k: 2
+    three = lambda k: 3
+    assert SeededDigits("s0", two) == SeededDigits("s0", two)
+    a = SeededDigits("s0", two)
+    b = SeededDigits("s0", three)
+    assert a != b
+    # the streams agree at stage 1 and differ later, so only a digit
+    # comparison past the stage (not a shared seed) can tell them apart
+    assert a.digit(1) == b.digit(1)
+    assert not streams_equal_beyond(a, b, 1)

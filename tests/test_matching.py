@@ -188,6 +188,26 @@ def test_stopping_time_finite_and_consistent():
         assert n == top_item.n
 
 
+def test_inverse_formula_is_the_inverse_machine():
+    # the mirrored walk (Y backward against X backward) must give the slot
+    # the machine fills, for every filled slot (0, D) of the pit at 0
+    pair = dyadic()
+    shifts = []
+    for s in range(20):
+        stream = SeededDigits(f"invf:{s}", pair.sys_x.cuts)
+        frame = matching.build_frame(pair, stream, 32)
+        for D in range(1, frame.rb[0]):
+            if (0, D) not in frame.inverse:
+                continue
+            mach = matching.even_match_inverse_machine(pair, stream, D, 32)
+            form = matching.even_match_inverse_formula(pair, stream, D,
+                                                       strict=True)
+            assert (form.m, form.H) == (mach.m, mach.H)
+            assert pair.sys_x.same_point(form.x, mach.x)
+            shifts.append(form.m)
+    assert len(shifts) >= 20 and max(shifts) >= 2
+
+
 def test_cocycle_rows_are_window_sorted():
     pair = dyadic()
     stream = SeededDigits("coc", pair.sys_x.cuts)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
-from cutstack.errors import NeedMoreDepth
-from cutstack.specs import builtin_spec, random_spec
+from cutstack.errors import ExhaustedRules, NeedMoreDepth
+from cutstack.specs import StackingSpec, builtin_spec, random_spec
 from cutstack.towers import (
     SPACER,
     BaseOrbitWalker,
@@ -214,3 +214,83 @@ def test_walker_return_time_peek_does_not_move():
     w = BaseOrbitWalker(sys, SeededDigits("peek", sys.cuts))
     r = w.return_time()
     assert w.step() == r
+
+
+# -- the return-time table walker against the two-position oracle ----------
+
+
+def _walker_pair(spec, stream):
+    return (BaseOrbitWalker(RankOneSystem(spec), stream),
+            oracles.PositionWalker(RankOneSystem(spec), stream))
+
+
+def _move(w, m):
+    """0 peeks, 1 steps, -1 steps back, anything else advances by m."""
+    if m == 0:
+        return w.return_time()
+    if m == 1:
+        return w.step()
+    if m == -1:
+        return w.step_back()
+    return w.advance(m)
+
+
+def _outcome(w, call):
+    try:
+        return call(w), w.state()
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "budget", None)), w.state()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), tail=st.integers(0, 10**6),
+       moves=st.lists(st.integers(-60, 60), min_size=1, max_size=40))
+def test_table_walker_is_the_position_walker(seed, tail, moves):
+    spec = random_spec(seed)
+    sys = RankOneSystem(spec)
+    new, old = _walker_pair(spec, SeededDigits(f"tw:{tail}", sys.cuts))
+    for m in moves:
+        assert _move(new, m) == _move(old, m)
+        assert new.state() == old.state()
+
+
+def _give_up_calls(spec, budget):
+    """(stream, call, error on a finite spec) for calls that carry through
+    every digit: maximal digits forward, zero digits backward.  A backward
+    carry over zeros never reads a cut count, so it never runs out of
+    rules."""
+    sys = RankOneSystem(spec)
+    top = PeriodicDigits([sys.cuts(k) - 1 for k in range(1, 12)],
+                         (sys.cuts(12) - 1,))
+    return [
+        (top, lambda w: w.step(budget), ExhaustedRules),
+        (top, lambda w: w.return_time(), ExhaustedRules),
+        (zeros(), lambda w: w.step_back(budget), NeedMoreDepth),
+        (top, lambda w: w.advance(1, budget), ExhaustedRules),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), budget=st.integers(0, 12))
+def test_table_walker_gives_up_where_the_position_walker_does(seed, budget):
+    spec = random_spec(seed)
+    for stream, call, _ in _give_up_calls(spec, budget):
+        new, old = _walker_pair(spec, stream)
+        got = _outcome(new, call)
+        assert got == _outcome(old, call)
+        assert got[0][0] is NeedMoreDepth
+    # a finite spec runs out of rules at the same stage
+    finite = StackingSpec(spec.name, spec.initial_height,
+                          spec.prefix + spec.tail, ())
+    for stream, call, error in _give_up_calls(spec, 256):
+        new, old = _walker_pair(finite, stream)
+        got = _outcome(new, call)
+        assert got == _outcome(old, call)
+        assert got[0][0] is error
+
+
+def test_stage_data_is_one_based():
+    sys = RankOneSystem(builtin_spec("chacon"))
+    for read in (sys.cuts, sys.offsets, sys.height):
+        with pytest.raises(ValueError):
+            read(0)

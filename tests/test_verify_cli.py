@@ -5,6 +5,7 @@ import pytest
 
 from cutstack import verify
 from cutstack.cli import main
+from cutstack.errors import NeedMoreDepth
 
 
 def small_config(seed=0):
@@ -139,3 +140,14 @@ def test_cli_ergodic_csv(tmp_path):
     assert rc == 0
     lines = (out / "ergodic_chacon.csv").read_text().splitlines()
     assert len(lines) == 6
+
+
+def test_cli_crash_is_recorded_and_reraised(tmp_path):
+    # a carry budget of 2 cannot resolve 50 induced steps of the Chacon
+    # odometer; the error is not one main maps to an exit code
+    out = tmp_path / "out"
+    with pytest.raises(NeedMoreDepth):
+        main(["--out-dir", str(out), "--budget", "2", "orbit",
+              "--system", "chacon", "--steps", "50"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "crash: NeedMoreDepth"
