@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import DigitStream, OverlayDigits, zeros
-from .errors import BudgetExhausted, CutstackError, SpecInvalid
+from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
 from .quadratic import Surd, cf_convergents, surd_from_cf
 from .specs import q_adic_tower_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
@@ -42,6 +42,7 @@ class RotationAngle:
             self.value = surd_from_cf(self.prefix, self.period)
             if not (Surd(0) < self.value < Surd(1)):
                 raise ValueError("angle must lie in (0,1)")
+            self.n = (1 / self.value).floor()  # floor(1/alpha)
         else:
             if not terms or len(terms) < 2:
                 raise ValueError("approximate mode needs at least two CF terms")
@@ -60,24 +61,30 @@ class RotationAngle:
         periodic tail; without a tail the angle is approximate-mode."""
         m = re.match(r"^cf:\[(\d+);([^\]]*)\]$", text.replace(" ", ""))
         if not m:
-            raise ValueError(f"cannot parse CF syntax: {text!r}")
+            raise DslError(f"cannot parse CF syntax: {text!r}")
         a0 = int(m.group(1))
         body = m.group(2)
         pm = re.search(r"\(([^)]*)\)$", body)
-        period = ()
-        if pm:
-            period = tuple(int(t) for t in pm.group(1).split(",") if t)
-            body = body[: pm.start()].rstrip(",")
-        pre = tuple(int(t) for t in body.split(",") if t)
-        if period:
-            return cls((a0,) + pre, period)
-        return cls((a0,), terms=pre)
+        try:
+            period = ()
+            if pm:
+                period = tuple(int(t) for t in pm.group(1).split(",") if t)
+                body = body[: pm.start()].rstrip(",")
+            pre = tuple(int(t) for t in body.split(",") if t)
+        except ValueError:
+            raise DslError(f"CF terms must be integers: {text!r}") from None
+        try:
+            if period:
+                return cls((a0,) + pre, period)
+            return cls((a0,), terms=pre)
+        except ValueError as e:
+            raise SpecInvalid(f"{e}: {text!r}") from None
 
     def frac_value(self, a, b):
         """frac(a + b*alpha) as a Surd (exact mode only)."""
         if not self.exact:
             raise BudgetExhausted("approximate-mode angle cannot give exact values")
-        return (Surd(a) + self.value * b).frac()
+        return (self.value * b + a).frac()
 
     def compare_points(self, p, q):
         """Sign of frac(p) - frac(q) for RotationPoints; exact, or bracketed
@@ -153,6 +160,7 @@ class ExchangeMap:
     angle: RotationAngle
     n: int
     cut: Surd  # 1 - n*alpha
+    upper_cut: Surd  # (n+1)*alpha - 1, where the image pieces meet
 
     def image(self, p):
         v = point_value(self.angle, p)
@@ -163,9 +171,7 @@ class ExchangeMap:
     def preimage(self, p):
         # inverse pieces: [(n+1)a-1, a) steps back n+1, [0, (n+1)a-1) back n
         v = point_value(self.angle, p)
-        alpha = self.angle.value
-        upper_cut = (self.n + 1) * alpha - 1
-        if v >= upper_cut:
+        if v >= self.upper_cut:
             return RotationPoint(p.a + 1, p.b - self.n - 1)
         return RotationPoint(p.a + 1, p.b - self.n)
 
@@ -174,10 +180,9 @@ def induced_exchange(angle):
     """The first-return map of the rotation to [0, alpha), as an exchange."""
     if not angle.exact:
         raise BudgetExhausted("induced exchange needs an exact angle")
-    alpha = angle.value
-    n = (Surd(1) / alpha).floor()
-    cut = Surd(1) - alpha * n
-    em = ExchangeMap(angle, n, cut)
+    alpha, n = angle.value, angle.n
+    cut = 1 - alpha * n
+    em = ExchangeMap(angle, n, cut, alpha * (n + 1) - 1)
     # piece lengths positive and tiling [0, alpha)
     assert cut.sign() > 0 and (alpha - cut).sign() > 0
     return em
@@ -187,13 +192,12 @@ def first_return_rotation(angle, p, max_steps=None):
     """Least r >= 1 with frac(p + r*alpha) in [0, alpha), plus the landing
     point.  For irrational alpha, r is n or n+1."""
     alpha = angle.value
-    if not in_interval(angle, p, Surd(0), alpha):
+    if not in_interval(angle, p, 0, alpha):
         raise ValueError("point must lie in [0, alpha)")
-    n = (Surd(1) / alpha).floor()
-    limit = max_steps if max_steps is not None else n + 2
+    limit = max_steps if max_steps is not None else angle.n + 2
     for r in range(1, limit + 1):
         q = rotate(angle, p, r)
-        if in_interval(angle, q, Surd(0), alpha):
+        if in_interval(angle, q, 0, alpha):
             return r, q
     raise BudgetExhausted(f"no return within {limit} steps")
 
@@ -231,11 +235,14 @@ class OdometerSpec:
         """Syntax od:[b1,b2,*]; the final starred base repeats."""
         m = re.match(r"^od:\[([^\]]*)\]$", text.replace(" ", ""))
         if not m:
-            raise ValueError(f"cannot parse odometer syntax: {text!r}")
+            raise DslError(f"cannot parse odometer syntax: {text!r}")
         toks = [t for t in m.group(1).split(",") if t]
         if not toks or toks[-1] != "*" or len(toks) < 2:
-            raise ValueError("odometer syntax needs bases then a trailing *")
-        bases = [int(t) for t in toks[:-1]]
+            raise DslError("odometer syntax needs bases then a trailing *")
+        try:
+            bases = [int(t) for t in toks[:-1]]
+        except ValueError:
+            raise DslError(f"bad odometer base in {text!r}") from None
         return cls(tuple(bases[:-1]), (bases[-1],))
 
 

@@ -8,6 +8,7 @@ running out raises BudgetExhausted or NeedMoreDepth rather than guessing.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import BudgetExhausted, NeedMoreDepth
 from .quadratic import Surd
@@ -71,7 +72,7 @@ class IntervalUnion:
     @staticmethod
     def _normalize(intervals):
         ivs = [(l, r) for l, r in intervals if (r - l).sign() > 0]
-        ivs.sort(key=lambda lr: lr[0].approx(96))
+        ivs.sort(key=cmp_to_key(lambda a, b: (a[0] - b[0]).sign()))
         out = []
         for l, r in ivs:
             if out and (l - out[-1][1]).sign() <= 0:

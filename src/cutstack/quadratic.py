@@ -2,10 +2,17 @@
 
 Backs the rotation systems: every comparison, floor, and fractional part of
 a number u + v*sqrt(d) is decided by integer arithmetic, never floats.
+
+A Surd holds Python integers x, y, q > 0 with gcd(x, y, q) = 1 and the
+value (x + y*sqrt(d)) / q, where d is reduced once, by the public
+constructor.  The sign of x + y*sqrt(d) is read from the signs of x and y,
+then x^2 against y^2 * d; floor is (x + floor(y*sqrt(d))) // q with
+floor(y*sqrt(d)) one isqrt of y^2 * d.  The rational parts u = x/q and
+v = y/q are Fraction properties for callers that want them.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def _reduce_root(n):
@@ -27,82 +34,130 @@ def _reduce_root(n):
     return s, d
 
 
-class Surd:
-    """u + v*sqrt(d) with rational u, v and a fixed non-square d > 1.
+def _make(x, y, q, d):
+    """(x + y*sqrt(d)) / q in normal form: q > 0, gcd(x, y, q) = 1, and
+    d None when y == 0.  The radicand must already be reduced."""
+    if q < 0:
+        x, y, q = -x, -y, -q
+    g = gcd(x, y, q)
+    if g != 1:
+        x //= g
+        y //= g
+        q //= g
+    s = object.__new__(Surd)
+    s.x, s.y, s.q, s.d = x, y, q, (d if y else None)
+    return s
 
-    Rationals are represented with v == 0 (d then irrelevant); mixing two
-    different irrational radicands is an error.
+
+def _parts(other):
+    """(x, y, q, d) of a Surd, or of a rational read through Fraction."""
+    if isinstance(other, Surd):
+        return other.x, other.y, other.q, other.d
+    if isinstance(other, int):
+        return other, 0, 1, None
+    f = Fraction(other)
+    return f.numerator, 0, f.denominator, None
+
+
+def _common_root(d1, d2):
+    if d1 is None:
+        return d2
+    if d2 is not None and d2 != d1:
+        raise ValueError(f"incompatible radicands {d1} and {d2}")
+    return d1
+
+
+def _sign(x, y, d):
+    """Sign of x + y*sqrt(d) for integers x, y (d unused when y == 0)."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x == 0 or (x > 0) == (y > 0):
+        return 1 if y > 0 else -1
+    # opposite signs: compare x^2 with y^2 * d
+    t = x * x - y * y * d
+    s = (t > 0) - (t < 0)
+    return s if x > 0 else -s
+
+
+class Surd:
+    """u + v*sqrt(d), held as (x + y*sqrt(d)) / q (see the module notes).
+
+    Rationals have y == 0 and d None; mixing two different irrational
+    radicands is an error.  Ring operations carry the reduced radicand and
+    gcd-normalise, so each value has one representation.
     """
 
-    __slots__ = ("u", "v", "d")
+    __slots__ = ("x", "y", "q", "d")
 
     def __init__(self, u, v=0, d=None):
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        if self.v != 0:
+        u = Fraction(u)
+        v = Fraction(v)
+        if v != 0:
             if d is None:
                 raise ValueError("irrational part needs a radicand")
-            s, d0 = _reduce_root(d)
-            if isqrt(d0) ** 2 == d0:
-                self.u += self.v * s * isqrt(d0)
-                self.v = Fraction(0)
-                self.d = None
+            s, d = _reduce_root(d)
+            if isqrt(d) ** 2 == d:
+                u += v * s * isqrt(d)
+                v = Fraction(0)
             else:
-                self.v *= s
-                self.d = d0
-        else:
-            self.d = None
+                v *= s
+        q = lcm(u.denominator, v.denominator)
+        self.x = u.numerator * (q // u.denominator)
+        self.y = v.numerator * (q // v.denominator)
+        self.q = q
+        self.d = d if self.y else None
 
     @classmethod
     def sqrt(cls, n):
         return cls(0, 1, n)
 
-    def _unify(self, other):
-        if not isinstance(other, Surd):
-            other = Surd(other)
-        if self.d is not None and other.d is not None and self.d != other.d:
-            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return other, self.d if self.d is not None else other.d
+    @property
+    def u(self):
+        return Fraction(self.x, self.q)
+
+    @property
+    def v(self):
+        return Fraction(self.y, self.q)
 
     # -- ring/field ops -----------------------------------------------------
 
     def __add__(self, other):
-        other, d = self._unify(other)
-        return Surd(self.u + other.u, self.v + other.v, d)
+        x, y, q, d = _parts(other)
+        return _make(self.x * q + x * self.q, self.y * q + y * self.q,
+                     self.q * q, _common_root(self.d, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.u, -self.v, self.d)
+        return _make(-self.x, -self.y, self.q, self.d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Surd) else Surd(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other, d = self._unify(other)
+        x, y, q, d = _parts(other)
+        d = _common_root(self.d, d)
         if d is None:
-            return Surd(self.u * other.u)
-        return Surd(
-            self.u * other.u + self.v * other.v * d,
-            self.u * other.v + self.v * other.u,
-            d,
-        )
+            return _make(self.x * x, 0, self.q * q, None)
+        return _make(self.x * x + self.y * y * d, self.x * y + self.y * x,
+                     self.q * q, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other, d = self._unify(other)
-        if other.u == 0 and other.v == 0:
+        x, y, q, d = _parts(other)
+        d = _common_root(self.d, d)
+        if x == 0 and y == 0:
             raise ZeroDivisionError
         if d is None:
-            return Surd(self.u / other.u)
-        norm = other.u * other.u - other.v * other.v * d
-        conj = Surd(other.u, -other.v, d)
-        prod = self * conj
-        return Surd(prod.u / norm, prod.v / norm, d)
+            return _make(self.x * q, 0, self.q * x, None)
+        # multiply through by the conjugate x - y*sqrt(d)
+        return _make((self.x * x - self.y * y * d) * q,
+                     (self.y * x - self.x * y) * q,
+                     self.q * (x * x - y * y * d), d)
 
     def __rtruediv__(self, other):
         return Surd(other) / self
@@ -110,72 +165,63 @@ class Surd:
     # -- order --------------------------------------------------------------
 
     def sign(self):
-        u, v, d = self.u, self.v, self.d
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare |u| with |v|sqrt(d)
-        t = u * u - v * v * d
-        s = (t > 0) - (t < 0)
-        return s if u > 0 else -s
+        return _sign(self.x, self.y, self.d)
+
+    def _cmp(self, other):
+        """Sign of self - other, without building the difference."""
+        x, y, q, d = _parts(other)
+        return _sign(self.x * q - x * self.q, self.y * q - y * self.q,
+                     _common_root(self.d, d))
 
     def __eq__(self, other):
         try:
-            diff = self - other
-        except ValueError:
+            return _parts(other) == (self.x, self.y, self.q, self.d)
+        except (TypeError, ValueError):
             return NotImplemented
-        return diff.u == 0 and diff.v == 0
 
     def __hash__(self):
-        if self.v == 0:
+        if self.y == 0:
             return hash(self.u)
         return hash((self.u, self.v, self.d))
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     # -- floor / frac / approx ---------------------------------------------
 
     def approx(self, bits=128):
         """Rational approximation within 2^-bits (for cross-checks only)."""
-        if self.v == 0:
+        if self.y == 0:
             return self.u
         scale = 1 << (bits + 8)
-        root = Fraction(isqrt(self.d * scale * scale), scale)
-        return self.u + self.v * root
+        root = isqrt(self.d * scale * scale)
+        return Fraction(self.x * scale + self.y * root, self.q * scale)
 
     def __float__(self):
         return float(self.approx(64))
 
     def floor(self):
-        if self.v == 0:
-            return self.u.numerator // self.u.denominator
-        n = int(self.approx(64))  # candidate, then exact adjustment
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        y = self.y
+        if y == 0:
+            return self.x // self.q
+        # floor(y*sqrt(d)) by one isqrt; y^2*d is never a square
+        r = isqrt(y * y * self.d)
+        return (self.x + (r if y > 0 else -r - 1)) // self.q
 
     def frac(self):
-        return self - self.floor()
+        return _make(self.x - self.floor() * self.q, self.y, self.q, self.d)
 
     def __repr__(self):
-        if self.v == 0:
+        if self.y == 0:
             return f"Surd({self.u})"
         return f"Surd({self.u} + {self.v}*sqrt({self.d}))"
 

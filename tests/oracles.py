@@ -5,9 +5,11 @@ cross-check, not a tautology.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from cutstack.digits import OverlayDigits, zeros
 from cutstack.errors import NeedMoreDepth
+from cutstack.quadratic import _reduce_root
 from cutstack.towers import RankOnePoint
 
 SPACER = "spacer"
@@ -238,3 +240,160 @@ class PositionWalker:
         r = self.step()
         self.d = saved
         return r
+
+
+class FractionSurd:
+    """u + v*sqrt(d) with rational u, v and a fixed non-square d > 1.
+
+    The Fraction-based Surd that the integer one replaced, kept as its
+    oracle; repr prints it as a Surd.
+
+    Rationals are represented with v == 0 (d then irrelevant); mixing two
+    different irrational radicands is an error.
+    """
+
+    __slots__ = ("u", "v", "d")
+
+    def __init__(self, u, v=0, d=None):
+        self.u = Fraction(u)
+        self.v = Fraction(v)
+        if self.v != 0:
+            if d is None:
+                raise ValueError("irrational part needs a radicand")
+            s, d0 = _reduce_root(d)
+            if isqrt(d0) ** 2 == d0:
+                self.u += self.v * s * isqrt(d0)
+                self.v = Fraction(0)
+                self.d = None
+            else:
+                self.v *= s
+                self.d = d0
+        else:
+            self.d = None
+
+    @classmethod
+    def sqrt(cls, n):
+        return cls(0, 1, n)
+
+    def _unify(self, other):
+        if not isinstance(other, FractionSurd):
+            other = FractionSurd(other)
+        if self.d is not None and other.d is not None and self.d != other.d:
+            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
+        return other, self.d if self.d is not None else other.d
+
+    # -- ring/field ops -----------------------------------------------------
+
+    def __add__(self, other):
+        other, d = self._unify(other)
+        return FractionSurd(self.u + other.u, self.v + other.v, d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionSurd(-self.u, -self.v, self.d)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, FractionSurd)
+                       else FractionSurd(-Fraction(other)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other, d = self._unify(other)
+        if d is None:
+            return FractionSurd(self.u * other.u)
+        return FractionSurd(
+            self.u * other.u + self.v * other.v * d,
+            self.u * other.v + self.v * other.u,
+            d,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other, d = self._unify(other)
+        if other.u == 0 and other.v == 0:
+            raise ZeroDivisionError
+        if d is None:
+            return FractionSurd(self.u / other.u)
+        norm = other.u * other.u - other.v * other.v * d
+        conj = FractionSurd(other.u, -other.v, d)
+        prod = self * conj
+        return FractionSurd(prod.u / norm, prod.v / norm, d)
+
+    def __rtruediv__(self, other):
+        return FractionSurd(other) / self
+
+    # -- order --------------------------------------------------------------
+
+    def sign(self):
+        u, v, d = self.u, self.v, self.d
+        if v == 0:
+            return (u > 0) - (u < 0)
+        if u == 0:
+            return 1 if v > 0 else -1
+        if u > 0 and v > 0:
+            return 1
+        if u < 0 and v < 0:
+            return -1
+        # opposite signs: compare |u| with |v|sqrt(d)
+        t = u * u - v * v * d
+        s = (t > 0) - (t < 0)
+        return s if u > 0 else -s
+
+    def __eq__(self, other):
+        try:
+            diff = self - other
+        except ValueError:
+            return NotImplemented
+        return diff.u == 0 and diff.v == 0
+
+    def __hash__(self):
+        if self.v == 0:
+            return hash(self.u)
+        return hash((self.u, self.v, self.d))
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    # -- floor / frac / approx ---------------------------------------------
+
+    def approx(self, bits=128):
+        """Rational approximation within 2^-bits (for cross-checks only)."""
+        if self.v == 0:
+            return self.u
+        scale = 1 << (bits + 8)
+        root = Fraction(isqrt(self.d * scale * scale), scale)
+        return self.u + self.v * root
+
+    def __float__(self):
+        return float(self.approx(64))
+
+    def floor(self):
+        if self.v == 0:
+            return self.u.numerator // self.u.denominator
+        n = int(self.approx(64))  # candidate, then exact adjustment
+        while self < n:
+            n -= 1
+        while self >= n + 1:
+            n += 1
+        return n
+
+    def frac(self):
+        return self - self.floor()
+
+    def __repr__(self):
+        if self.v == 0:
+            return f"Surd({self.u})"
+        return f"Surd({self.u} + {self.v}*sqrt({self.d}))"

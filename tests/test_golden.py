@@ -24,6 +24,16 @@ GOLDEN = {
 }
 
 
+# Taken from the Fraction-based Surd.  The histogram prints surd cell
+# masses through approx(96) and limit_denominator, so these bytes pin that
+# rounding as well.
+ROTATION = (
+    ("induce", "--angle", "cf:[0;(5,1,1,7)]", "--max-return", "40"),
+    "ee97cd92d8a638fc1ee042770acb7a4d4e3e3d7b29cc7d0948d9b73f2bd9bd1d",
+    "824284a78666edaab60c6535417683ee889e8fc9c994df4d8f8535a69f15af6b",
+)
+
+
 def test_golden_outputs_are_byte_identical(tmp_path):
     for n, (argv, digests) in enumerate(GOLDEN.items()):
         out = tmp_path / str(n)
@@ -31,3 +41,12 @@ def test_golden_outputs_are_byte_identical(tmp_path):
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in digests}
         assert got == digests, " ".join(argv)
+
+
+def test_golden_rotation_histogram(tmp_path, capsys):
+    argv, csv_digest, stdout_digest = ROTATION
+    assert main(["--out-dir", str(tmp_path)] + list(argv)) == 0
+    csv = (tmp_path / "induce_rotation.csv").read_bytes()
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(csv).hexdigest() == csv_digest
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest

@@ -55,6 +55,16 @@ def test_interval_union_algebra():
     assert not u.contains(Surd(Fraction(3, 4)))
 
 
+def test_interval_union_orders_close_endpoints_exactly():
+    # b lies within 2^-140 above a: closer than a 96-bit sort key can tell
+    a = 2 - Surd.sqrt(2)
+    b = Surd(a.approx(140))
+    assert a < b
+    u = induction.IntervalUnion([(b, Surd(1)), (a, Surd(1))])
+    assert u.measure() == 1 - a
+    assert u.contains(a)
+
+
 def test_interval_union_shift_mod1_wraps():
     alpha = sqrt2_minus_1().value
     u = induction.IntervalUnion([(Surd(Fraction(3, 4)), Surd(1))])

@@ -1,10 +1,12 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cutstack.quadratic import Surd, cf_convergents, cf_terms_of, surd_from_cf
 
 SQRT2 = Surd.sqrt(2)
@@ -109,3 +111,48 @@ def test_field_identities_random(a, b, c):
 @given(st.fractions(min_value=0, max_value=8))
 def test_floor_matches_rational_floor(q):
     assert Surd(q).floor() == q.numerator // q.denominator
+
+
+RADICANDS = (2, 3, 5, 7, 8, 12, 7221, 4, 9)  # 4 and 9 collapse to rationals
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def same(s, o):
+    """The integer Surd holds the oracle's value, in normal form."""
+    assert (s.u, s.v, s.d) == (o.u, o.v, o.d)
+    assert s.q > 0 and math.gcd(s.x, s.y, s.q) == 1
+    assert (s.d is None) == (s.y == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RADICANDS), RATIONALS, RATIONALS, RATIONALS, RATIONALS,
+       RATIONALS)
+def test_integer_surd_is_the_fraction_surd(d, a, b, c, e, k):
+    x, ox = Surd(a, b, d), oracles.FractionSurd(a, b, d)
+    y, oy = Surd(c, e, d), oracles.FractionSurd(c, e, d)
+    same(x, ox)
+    same(y, oy)
+    for op in (operator.add, operator.sub, operator.mul):
+        same(op(x, y), op(ox, oy))
+        same(op(x, k), op(ox, k))
+        same(op(k, x), op(k, ox))
+    same(-x, -ox)
+    for num, den, onum, oden in ((x, y, ox, oy), (k, x, k, ox),
+                                 (x, k, ox, k)):
+        if oden == 0:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            same(num / den, onum / oden)
+    for s, o in ((x, ox), (y, oy), (x - y, ox - oy)):
+        assert s.sign() == o.sign()
+        assert s.floor() == o.floor()
+        same(s.frac(), o.frac())
+        assert s.approx(96) == o.approx(96)
+        assert hash(s) == hash(o)
+        assert repr(s) == repr(o)
+    for cmp in (operator.eq, operator.lt, operator.le, operator.gt,
+                operator.ge):
+        assert cmp(x, y) == cmp(ox, oy)
+        assert cmp(x, k) == cmp(ox, k)
+    assert x == Surd(x.u, x.v, x.d) and x != x + 1

@@ -81,6 +81,20 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert manifest["status"].startswith("parse_error")
 
 
+@pytest.mark.parametrize("argv", [("induce", "--angle", "cf:bad"),
+                                  ("orbit", "--system", "od:[2,*")])
+def test_cli_angle_and_odometer_syntax_errors_exit_2(tmp_path, argv):
+    rc, _, manifest = run_cli(tmp_path, *argv)
+    assert rc == 2
+    assert manifest["status"].startswith("parse_error: cannot parse")
+
+
+def test_cli_angle_outside_unit_interval_exit_3(tmp_path):
+    rc, _, manifest = run_cli(tmp_path, "induce", "--angle", "cf:[1;(2)]")
+    assert rc == 3
+    assert manifest["status"].startswith("validation_error: angle must lie")
+
+
 def test_cli_validation_error_exit_3(tmp_path):
     div = tmp_path / "div.spec"
     div.write_text("system d\nstage * : cuts=1 above=[2] below=1\n")
