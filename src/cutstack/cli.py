@@ -7,7 +7,8 @@ manifest, so identical commands with identical seeds produce byte-identical
 output files.
 
 Exit codes: 0 success, 1 check failures, 2 parse error, 3 validation
-error, 4 inadmissible pair, 5 widespread window instability.
+error, 4 inadmissible pair, 5 widespread window instability, 6 any other
+typed error (unresolved: a search that ran out of depth, window or horizon).
 """
 
 import argparse
@@ -153,6 +154,8 @@ def cmd_induce(ctx):
     args = ctx.args
     if args.angle:
         angle = RotationAngle.parse(args.angle)
+        if not angle.exact:
+            raise SpecInvalid("induce needs an exact, periodic angle")
         ad = induction.RotationAdapter(angle)
         base = induction.IntervalUnion([(Surd(0), angle.value)])
         dec = induction.column_decomposition(ad, base, args.max_return)
@@ -396,6 +399,10 @@ def main(argv=None):
         status = f"instability: {e}"
         print(f"widespread instability: {e}", file=sys.stderr)
         return 5
+    except CutstackError as e:
+        status = f"unresolved: {type(e).__name__}: {e}"
+        print(status, file=sys.stderr)
+        return 6
     except BaseException as e:
         status = f"crash: {type(e).__name__}"
         raise

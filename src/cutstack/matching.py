@@ -177,16 +177,31 @@ def height_above_base(system, base, point, extra_depth=8):
 
 def return_window(system, digits, window, budget=256):
     """Return times r(i) of the induced base map at orbit indices
-    -window..window around the given base digit state."""
-    r = {}
-    w = BaseOrbitWalker(system, digits)
-    for i in range(window):
-        r[i] = w.step(budget)
-    r[window] = w.return_time()
-    w = BaseOrbitWalker(system, digits)
-    for i in range(1, window + 1):
-        r[-i] = w.step_back(budget)
-    return r
+    -window..window around the given base digit state.
+
+    r(i) is stage_word(K)[N + i], N the state's position in the least digit
+    block (stages 1..K <= budget + 1) of P > window positions.  A walker
+    takes only the steps out of the block's last position, at most one
+    each way, and gives up on them where a step-by-step walk would."""
+    N, P, K = 0, 1, 0
+    while P <= window and K <= budget:
+        K += 1
+        N += digits.digit(K) * P
+        P *= system.cuts(K)
+    word = system.stage_word(K)
+    last = P - 1
+    fwd = word[N:min(N + window + 1, last)]
+    if N + window >= last:
+        w = BaseOrbitWalker(system, digits)
+        w.advance(last - N, budget)
+        fwd.append(w.return_time() if N + window == last else w.step(budget))
+        fwd += word[:N + window - last]
+    bwd = word[max(N - window, 0):N]
+    if window > N:
+        w = BaseOrbitWalker(system, digits)
+        w.advance(-N, budget)
+        bwd = word[N + P - window:last] + [w.step_back(budget)] + bwd
+    return dict(zip(range(-window, window + 1), bwd + fwd))
 
 
 @dataclass

@@ -59,9 +59,9 @@ SPACER = object()  # residual symbol for read_names
 class RankOneSystem:
     """Exact evaluator for a cutting-and-stacking spec.
 
-    Stage data (heights, column offsets, widths) is cached lazily; all
-    queries are pure, so instances are safe to share across threads once
-    warmed, and cheap to rebuild otherwise.
+    Stage data (heights, column offsets, widths, the stage word of return
+    times) is cached lazily; all queries are pure, so instances are safe to
+    share across threads once warmed, and cheap to rebuild otherwise.
     """
 
     def __init__(self, spec):
@@ -75,6 +75,8 @@ class RankOneSystem:
         self._carry = [None, 0]
         self._unit_width = None
         self._widths = [None]
+        self._word = []  # stage_word(_word_stage)
+        self._word_stage = 0
 
     # -- stage data ---------------------------------------------------------
 
@@ -108,6 +110,21 @@ class RankOneSystem:
         if i >= len(self._cuts) or i < 1:
             self._grow(i)
         return self._cuts[i]
+
+    def stage_word(self, k):
+        """Return times of the induced base map from positions 0 .. P_k - 2
+        of the stage-1..k digit block (P_k = c_1 ... c_k) as the first
+        P_k - 1 entries of one list: word k-1, R(k, 0), word k-1, ...,
+        R(k, c_k - 2), word k-1, R the walker's table (see BaseOrbitWalker)."""
+        word = self._word
+        for s in range(self._word_stage + 1, k + 1):
+            offs = self.offsets(s)
+            block = word[:]
+            for d in range(len(offs) - 1):
+                word.append(offs[d + 1] - offs[d] + self._carry[s])
+                word += block
+            self._word_stage = s
+        return word
 
     def unit_width(self):
         """w1, normalized so the limiting total mass is 1."""

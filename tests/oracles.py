@@ -10,7 +10,7 @@ from math import isqrt
 from cutstack.digits import OverlayDigits, zeros
 from cutstack.errors import NeedMoreDepth
 from cutstack.quadratic import _reduce_root
-from cutstack.towers import RankOnePoint
+from cutstack.towers import BaseOrbitWalker, RankOnePoint
 
 SPACER = "spacer"
 
@@ -130,6 +130,21 @@ def deposit_frame(ra, rb, W):
         (j, d) for j in range(-W, W + 1) for d in range(fill[j] + 1, cap[j] + 1)
     ]
     return assignment, unplaced, unfilled
+
+
+def walker_return_window(system, digits, window, budget=256):
+    """Return times r(i) of the induced base map at orbit indices
+    -window..window around the given base digit state, walked one step at
+    a time (matching.return_window before the stage word)."""
+    r = {}
+    w = BaseOrbitWalker(system, digits)
+    for i in range(window):
+        r[i] = w.step(budget)
+    r[window] = w.return_time()
+    w = BaseOrbitWalker(system, digits)
+    for i in range(1, window + 1):
+        r[-i] = w.step_back(budget)
+    return r
 
 
 # The base-orbit walker as it was before the return-time table: every step

@@ -4,6 +4,8 @@ return-time table walker; a change that alters any of these bytes is a
 change of behaviour and must say so."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 from cutstack.cli import main
 
@@ -50,3 +52,45 @@ def test_golden_rotation_histogram(tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(csv).hexdigest() == csv_digest
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+
+
+# The seed-0 digests of the four benchmark workloads (perfbench/results/
+# baseline), hashed over each workload's first trace_ops ops the way
+# perfbench/child.py does.
+BENCHMARK_SEED0 = {
+    "even_roundtrip":
+        "f249354096cda72b3568327f2b1670341a5b53eb2fd7e1dffb6e9dd0f155153e",
+    "frame_audit":
+        "4db37b8678021968811542c26c388e57341e5f15c5c92f6250e15aa3a1d76b5a",
+    "orbit_formula":
+        "d881923f28ac666cd062d76a2cec2d9adb2ef6ba342697ceeecace9a37a68abb",
+    "rotation_exact":
+        "daa2b1d45be38a106b0d5f7396afd905bf81231a2e82c28b7ddfe19f91d25071",
+}
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_benchmark_seed0_digests():
+    got = {}
+    for name, workload in _benchmark_workloads().items():
+        wl = workload(0)
+        digest = hashlib.sha256()
+        for i in range(wl.trace_ops):
+            inp = wl.make_input(i)
+            try:
+                out = wl.op(inp)
+            except Exception:
+                item = ("failed", i)
+            else:
+                wl.record(i, inp, out)
+                item = wl.digest_items(out)
+            digest.update(repr(item).encode())
+        got[name] = digest.hexdigest()
+    assert got == BENCHMARK_SEED0

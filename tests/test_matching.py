@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cutstack import matching
-from cutstack.digits import SeededDigits
+from cutstack.digits import PeriodicDigits, SeededDigits, zeros
 from cutstack.errors import InadmissiblePair, MarginViolation
-from cutstack.specs import builtin_spec
+from cutstack.specs import StackingSpec, builtin_spec, random_spec
 from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
 
 
@@ -64,6 +64,51 @@ def test_return_window_matches_walker():
     assert win[0] == w.return_time()
     fwd = [w.step() for _ in range(8)]
     assert [win[i] for i in range(8)] == fwd
+
+
+def _window_outcome(system, stream, window, budget, read):
+    try:
+        return read(system, stream, window, budget)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "budget", None)
+
+
+@st.composite
+def window_cases(draw):
+    """(spec, stream, window, budget): a random spec or its finite version,
+    and a seeded stream or low digits over an all-maximal or all-zero tail,
+    which push the window across block ends and past the budget; small
+    windows often end exactly on a block's last position."""
+    spec = random_spec(draw(st.integers(0, 10**6)))
+    cuts = RankOneSystem(spec).cuts
+    if draw(st.booleans()):
+        spec = StackingSpec(spec.name, spec.initial_height,
+                            spec.prefix + spec.tail, ())
+    kind = draw(st.sampled_from(("seeded", "top", "zero")))
+    if kind == "seeded":
+        stream = SeededDigits(f"rw:{draw(st.integers(0, 10**6))}",
+                              RankOneSystem(spec).cuts)
+    else:
+        tail = (PeriodicDigits([cuts(k) - 1 for k in range(1, 12)],
+                               (cuts(12) - 1,))
+                if kind == "top" else zeros())
+        low = draw(st.lists(st.integers(0, 3), max_size=10))
+        stream = tail.with_overrides(
+            {k: v % cuts(k) for k, v in enumerate(low, 1)})
+    window = draw(st.one_of(st.integers(0, 8), st.integers(0, 600)))
+    budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
+    return spec, stream, window, budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+def test_return_window_is_the_step_by_step_walk(case):
+    spec, stream, window, budget = case
+    got = _window_outcome(RankOneSystem(spec), stream, window, budget,
+                          matching.return_window)
+    want = _window_outcome(RankOneSystem(spec), stream, window, budget,
+                           oracles.walker_return_window)
+    assert got == want
 
 
 def test_frame_conservation_and_injectivity():

@@ -3,9 +3,8 @@ import os
 
 import pytest
 
-from cutstack import verify
+from cutstack import cli, verify
 from cutstack.cli import main
-from cutstack.errors import NeedMoreDepth
 
 
 def small_config(seed=0):
@@ -50,6 +49,17 @@ def test_report_render_and_json_shape():
     blob = json.loads(verify.report_json(verdicts))
     assert blob[0]["name"] == "heights_widths"
     assert blob[0]["passed"] is True
+
+
+def test_suite_turns_any_exception_into_a_failing_verdict(monkeypatch):
+    def broken(cfg):
+        raise AssertionError("broken check")
+
+    monkeypatch.setitem(verify.CHECKS, "broken", (broken, ()))
+    (v,) = verify.run_suite(small_config(), names=["broken"])
+    assert not v.passed
+    assert v.stats == {"error": "AssertionError"}
+    assert v.counterexample == {"message": "broken check"}
 
 
 # -- command line -----------------------------------------------------------
@@ -156,12 +166,32 @@ def test_cli_ergodic_csv(tmp_path):
     assert len(lines) == 6
 
 
-def test_cli_crash_is_recorded_and_reraised(tmp_path):
+def test_cli_approximate_angle_exit_3(tmp_path):
+    rc, _, manifest = run_cli(tmp_path, "induce", "--angle", "cf:[0;1,2]")
+    assert rc == 3
+    assert manifest["status"].startswith(
+        "validation_error: induce needs an exact, periodic angle")
+
+
+def test_cli_unresolved_error_exit_6(tmp_path, capsys):
     # a carry budget of 2 cannot resolve 50 induced steps of the Chacon
-    # odometer; the error is not one main maps to an exit code
+    # odometer
+    rc, _, manifest = run_cli(tmp_path, "--budget", "2", "orbit",
+                              "--system", "chacon", "--steps", "50")
+    assert rc == 6
+    assert manifest["status"] == (
+        "unresolved: NeedMoreDepth: all digits maximal within budget")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_crash_is_recorded_and_reraised(tmp_path, monkeypatch):
+    # an exception that is not a CutstackError is a bug, not an outcome
+    def crash(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_orbit", crash)
     out = tmp_path / "out"
-    with pytest.raises(NeedMoreDepth):
-        main(["--out-dir", str(out), "--budget", "2", "orbit",
-              "--system", "chacon", "--steps", "50"])
+    with pytest.raises(RuntimeError):
+        main(["--out-dir", str(out), "orbit", "--system", "chacon"])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "crash: NeedMoreDepth"
+    assert manifest["status"] == "crash: RuntimeError"
