@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitStream, OverlayDigits, zeros
+from .digits import DigitStream, zeros
 from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
 from .quadratic import Surd, cf_convergents, surd_from_cf
 from .specs import q_adic_tower_spec
@@ -255,48 +255,34 @@ class OdometerPoint:
 
 
 class NeedMoreDigits(CutstackError):
-    """Successor/predecessor carry ran past the digit budget."""
+    """An odometer carry ran past the digit budget."""
 
 
 def odometer_zero(spec):
     return OdometerPoint(zeros())
 
 
-def odometer_successor(spec, point, budget=256):
-    """Add one with carry; exact cylinder-mass preserving."""
-    k = 1
+def odometer_apply(spec, point, steps, budget=256):
+    """Add `steps` (either sign) in one mixed-radix add with a signed
+    carry; exact cylinder-mass preserving.  Base-1 digits stay 0."""
     overrides = {}
-    while k <= budget:
-        d = point.digit(k)
-        if d + 1 < spec.base(k):
-            overrides[k] = d + 1
-            return OdometerPoint(point.digits.with_overrides(overrides))
-        overrides[k] = 0
-        k += 1
-    raise NeedMoreDigits(f"all digits maximal through {budget}")
+    carry = steps
+    for k in range(1, budget + 1):
+        if not carry:
+            break
+        carry, overrides[k] = divmod(point.digit(k) + carry, spec.base(k))
+    if carry:
+        edge = "maximal" if carry > 0 else "zero"
+        raise NeedMoreDigits(f"all digits {edge} through {budget}")
+    return OdometerPoint(point.digits.with_overrides(overrides))
+
+
+def odometer_successor(spec, point, budget=256):
+    return odometer_apply(spec, point, 1, budget)
 
 
 def odometer_predecessor(spec, point, budget=256):
-    k = 1
-    overrides = {}
-    while k <= budget:
-        d = point.digit(k)
-        if d > 0:
-            overrides[k] = d - 1
-            return OdometerPoint(point.digits.with_overrides(overrides))
-        overrides[k] = spec.base(k) - 1
-        k += 1
-    raise NeedMoreDigits(f"all digits zero through {budget}")
-
-
-def odometer_apply(spec, point, steps, budget=256):
-    for _ in range(abs(steps)):
-        point = (
-            odometer_successor(spec, point, budget)
-            if steps > 0
-            else odometer_predecessor(spec, point, budget)
-        )
-    return point
+    return odometer_apply(spec, point, -1, budget)
 
 
 def cylinder_mass(spec, depth):
@@ -367,11 +353,6 @@ class _ShiftedDigits(DigitStream):
             return self.level
         return self.src.digit(k - 1)
 
-    def with_overrides(self, overrides):
-        if not overrides:
-            return self
-        return OverlayDigits(self, dict(overrides))
-
     def __eq__(self, other):
         return (
             isinstance(other, _ShiftedDigits)
@@ -393,11 +374,6 @@ class _UnshiftedDigits(DigitStream):
 
     def digit(self, k):
         return self.src.digit(k + 1)
-
-    def with_overrides(self, overrides):
-        if not overrides:
-            return self
-        return OverlayDigits(self, dict(overrides))
 
     def __eq__(self, other):
         return isinstance(other, _UnshiftedDigits) and self.src == other.src

@@ -189,6 +189,10 @@ def _build_pair(ctx):
 
 def cmd_match(ctx):
     args = ctx.args
+    for opt in ("window", "samples"):
+        value = getattr(args, opt)
+        if value < 0:
+            raise SpecInvalid(f"--{opt} must be >= 0, got {value}")
     pair = _build_pair(ctx)
     matching.validate_pair(pair, even=(args.mode == "even"))
     if args.mode == "even":

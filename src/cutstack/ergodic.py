@@ -121,20 +121,20 @@ class PushforwardReport:
         return self.max_abs_dev <= self.tolerance
 
 
-def pushforward_check(pair, samples, stage=6, seed=0, sample_stage=12,
-                      tolerance=None, mode="formula", horizon=2**15):
-    """Push sampled X points through the even matching and compare the
-    stage-level distribution of the images with the exact Y masses.
+def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None,
+                      horizon=2**15):
+    """Push sampled X points through the strict even formula and compare
+    the stage-level distribution of the images with the exact Y masses.
 
-    Samples are uniform over the stage-`sample_stage` X stack; keep that
-    stage well above `stage`, since the unsampled residual mass (and its
-    image) is concentrated on specific Y levels.  Buckets are
-    the Y stage levels plus one residual bucket for images born later; the
-    default tolerance is 3 / sqrt(samples).  The matching shift has a heavy
-    tail, so samples unresolved within the horizon are skipped and counted;
-    empirical frequencies keep the full sample count as denominator.
+    Samples are uniform over the stage-12 X stack; keep `stage` well below
+    that, since the unsampled residual mass (and its image) is
+    concentrated on specific Y levels.  Buckets are the Y stage levels plus
+    one residual bucket for images born later; the default tolerance is
+    3 / sqrt(samples).  The matching shift has a heavy tail, so samples
+    unresolved within the horizon are skipped and counted; empirical
+    frequencies keep the full sample count as denominator.
     """
-    from .errors import WindowEdge, WindowExhausted
+    from .errors import WindowExhausted
     from .matching import phi_hat
 
     import random
@@ -146,10 +146,10 @@ def pushforward_check(pair, samples, stage=6, seed=0, sample_stage=12,
     residual = 0
     skipped = 0
     for s in range(samples):
-        x = pair.sys_x.random_point(rng, sample_stage, seed=f"push:{seed}:{s}")
+        x = pair.sys_x.random_point(rng, 12, seed=f"push:{seed}:{s}")
         try:
-            y = phi_hat(pair, x, mode=mode, budget=512, horizon=horizon).y
-        except (WindowEdge, WindowExhausted):
+            y = phi_hat(pair, x, mode="formula", budget=512, horizon=horizon).y
+        except WindowExhausted:
             skipped += 1
             continue
         if y.birth_stage > stage:

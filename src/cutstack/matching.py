@@ -80,17 +80,19 @@ class PairSpec:
         return mx == my
 
 
-def validate_pair(pair, depth=24, samples=16, seed=0, even=None):
-    """Admissibility: matching digit radixes, phi intertwines the induced
-    odometers, and (when `even` is set) equal base masses."""
+def validate_pair(pair, even=None):
+    """Admissibility: matching digit radixes through stage 24, phi
+    intertwines the induced odometers on 16 seeded streams, and (when
+    `even` is set) equal base masses."""
+    depth = 24
     for k in range(1, depth + 1):
         if pair.sys_x.cuts(k) != pair.sys_y.cuts(k):
             raise InadmissiblePair(
                 f"cut counts differ at stage {k}: "
                 f"{pair.sys_x.cuts(k)} vs {pair.sys_y.cuts(k)}"
             )
-    for s in range(samples):
-        stream = SeededDigits(f"paircheck:{seed}:{s}", pair.sys_x.cuts)
+    for s in range(16):
+        stream = SeededDigits(f"paircheck:0:{s}", pair.sys_x.cuts)
         wx = BaseOrbitWalker(pair.sys_x, stream)
         wx.step()
         stepped_then_phi = pair.phi.forward(wx.point().digits)
@@ -261,11 +263,12 @@ def build_frame(pair, digits, window, budget=256):
                         unfilled)
 
 
-def _frame_audit(f1, f2, interior=None):
+def _frame_audit(f1, f2):
     """(fraction, edge items) of a frame and its doubled-window rebuild
-    over the interior piles; see frame_stability and edge_violations."""
+    over the interior piles (half the window); see frame_stability and
+    edge_violations."""
     window = f1.window
-    lim = interior if interior is not None else window // 2
+    lim = window // 2
     max_r = max(max(f1.ra.values()), max(f1.rb.values()))
     placed = 0
     stable = 0
@@ -283,21 +286,21 @@ def _frame_audit(f1, f2, interior=None):
     return frac, bad
 
 
-def frame_stability(pair, digits, window, interior=None, budget=256):
+def frame_stability(pair, digits, window, budget=256):
     """Fraction of placed interior assignments that survive window doubling.
 
     An item unplaced at the smaller window has no assignment yet (its pit
     lies past the edge), so it does not enter the fraction.  A placed slot
     never moves when the window grows (see _ballot_scan), so the fraction
     is 1; the audit recomputes it from both frames.  Returns (fraction,
-    frame, doubled_frame); interior defaults to half the window.
+    frame, doubled_frame); the interior is half the window.
     """
     f1 = build_frame(pair, digits, window, budget=budget)
     f2 = build_frame(pair, digits, 2 * window, budget=budget)
-    return _frame_audit(f1, f2, interior)[0], f1, f2
+    return _frame_audit(f1, f2)[0], f1, f2
 
 
-def edge_violations(pair, digits, window, interior=None, budget=256):
+def edge_violations(pair, digits, window, budget=256):
     """Interior items unplaced at `window` whose doubled-window pit is not
     past the edge region (window minus the largest visible return time).
 
@@ -306,7 +309,7 @@ def edge_violations(pair, digits, window, interior=None, budget=256):
     """
     f1 = build_frame(pair, digits, window, budget=budget)
     f2 = build_frame(pair, digits, 2 * window, budget=budget)
-    return _frame_audit(f1, f2, interior)[1]
+    return _frame_audit(f1, f2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,6 @@ class MatchRecord:
     y: object  # the matched Y point
     mode: str
     boundary: bool = False  # chosen shift tied pile top to pit capacity
-    stable: object = None  # machine mode: True, a placed slot is final
 
 
 @dataclass
@@ -334,20 +336,25 @@ class InverseMatchRecord:
     x: object
     mode: str
     boundary: bool = False
-    stable: object = None
 
 
-def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
+def _sides(pair, digits, forward):
+    """(system, base digits) of the source side, then of the image side:
+    X over `digits` and Y over its phi image, swapped backward."""
+    x = (pair.sys_x, digits)
+    y = (pair.sys_y, pair.phi.forward(digits))
+    return (x, y) if forward else (y, x)
+
+
+def _partial_sum_walk(sides, forward, h, slack, horizon, budget):
     """(n, d, margin, fw): n <= horizon least with h + r_1 + ... + r_n <=
     f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... + f_{n-1}),
     margin the right side minus the left, fw the f walker at step n.  r, f
-    are the X, Y return times along the matched base orbits, or backward
-    the Y, X ones.  Past the horizon n, d are None and margin is the best
-    seen.  step returns the time of the point it leaves, step_back of the
-    point it reaches."""
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
-    rw, fw = (wx, wy) if forward else (wy, wx)
+    are the return times along the base orbits of the two sides (X, Y
+    forward; Y, X backward).  Past the horizon n, d are None and margin is
+    the best seen.  step returns the time of the point it leaves,
+    step_back of the point it reaches."""
+    rw, fw = (BaseOrbitWalker(system, digits) for system, digits in sides)
     reach = h
     psi = 0
     f = fw.return_time()
@@ -371,6 +378,54 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     return None, None, best, fw
 
 
+def _record(sides, forward, k, shift, depth, image_base, mode,
+            boundary=False):
+    """Item k over the source base point matched `depth` steps above
+    `image_base`, as a MatchRecord forward, an InverseMatchRecord backward."""
+    (src_sys, src_digits), (img_sys, _) = sides
+    src_base = RankOnePoint(1, 0, src_digits)
+    src = src_sys.apply(src_base, k) if k else src_base
+    img = img_sys.apply(image_base, depth) if depth else image_base
+    cls = MatchRecord if forward else InverseMatchRecord
+    return cls(src, k, shift, depth, img, mode, boundary)
+
+
+def _match_formula(pair, digits, forward, k, strict, horizon, budget):
+    """even_match_formula forward, even_match_inverse_formula backward."""
+    sides = _sides(pair, digits, forward)
+    slack = 1 if strict else 0
+    n, depth, margin, fw = _partial_sum_walk(sides, forward, k, slack,
+                                             horizon, budget)
+    if n is None:
+        target = "pit" if forward else "source pile"
+        raise WindowExhausted(f"no {target} found within {horizon} shifts",
+                              window=horizon)
+    return _record(sides, forward, k, n, depth, fw.point(),
+                   "formula_strict" if strict else "formula",
+                   boundary=margin == -slack)
+
+
+def _match_machine(pair, digits, forward, k, window, budget):
+    """even_match_machine forward (item (0, k) of the frame's assignment),
+    even_match_inverse_machine backward (slot (0, k) of its inverse)."""
+    sides = _sides(pair, digits, forward)
+    img_sys, img_digits = sides[1]
+    if k == 0:
+        return _record(sides, forward, 0, 0, 0,
+                       RankOnePoint(1, 0, img_digits), "machine")
+    frame = build_frame(pair, digits, window, budget=budget)
+    hit = (frame.assignment if forward else frame.inverse).get((0, k))
+    if hit is None:
+        what, done = ("item", "placed") if forward else ("slot", "filled")
+        raise WindowEdge(f"{what} (0, {k}) not {done} within window {window}",
+                         window=window)
+    j, depth = hit
+    w = BaseOrbitWalker(img_sys, img_digits)
+    w.advance(j, budget)
+    return _record(sides, forward, k, j if forward else -j, depth,
+                   w.point(), "machine")
+
+
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     """Shift and slot by partial sums of return times.
 
@@ -379,41 +434,14 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     slot capacities), and d = h + (a_1 + ... + a_n) - (b_0 + ... + b_{n-1});
     a and b are the X and Y return times along the matched base orbits.
     """
-    slack = 1 if strict else 0
-    n, d, margin, wy = _partial_sum_walk(pair, digits, True, h, slack,
-                                         horizon, budget)
-    if n is None:
-        raise WindowExhausted(
-            f"no pit found within {horizon} shifts", window=horizon
-        )
-    y_base = wy.point()
-    y = pair.sys_y.apply(y_base, d) if d else y_base
-    x_base = RankOnePoint(1, 0, digits)
-    x = pair.sys_x.apply(x_base, h) if h else x_base
-    return MatchRecord(x, h, n, d, y, "formula_strict" if strict else "formula",
-                       boundary=margin == -slack)
+    return _match_formula(pair, digits, True, h, strict, horizon, budget)
 
 
 def even_match_machine(pair, digits, h, window=32, budget=256):
     """The same assignment read off a machine frame centered at the base
     point; raises WindowEdge if the item's pit lies past the window.  A
-    placed slot is final (see _ballot_scan), so the record is stable."""
-    x_base = RankOnePoint(1, 0, digits)
-    if h == 0:
-        y = RankOnePoint(1, 0, pair.phi.forward(digits))
-        return MatchRecord(x_base, 0, 0, 0, y, "machine", stable=True)
-    frame = build_frame(pair, digits, window, budget=budget)
-    slot = frame.assignment.get((0, h))
-    if slot is None:
-        raise WindowEdge(
-            f"item (0, {h}) not placed within window {window}", window=window
-        )
-    j, d = slot
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
-    wy.advance(j, budget)
-    y = pair.sys_y.apply(wy.point(), d)
-    x = pair.sys_x.apply(x_base, h)
-    return MatchRecord(x, h, j, d, y, "machine", stable=True)
+    placed slot is final (see _ballot_scan)."""
+    return _match_machine(pair, digits, True, h, window, budget)
 
 
 def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
@@ -424,41 +452,12 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
     `digits` addresses the X base point paired with the pit's base point.
     """
-    slack = 1 if strict else 0
-    m, H, margin, wx = _partial_sum_walk(pair, digits, False, D, slack,
-                                         horizon, budget)
-    if m is None:
-        raise WindowExhausted(
-            f"no source pile found within {horizon} shifts", window=horizon
-        )
-    x_base = wx.point()
-    x = pair.sys_x.apply(x_base, H) if H else x_base
-    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
-    y = pair.sys_y.apply(y_base, D) if D else y_base
-    return InverseMatchRecord(
-        y, D, m, H, x, "formula_strict" if strict else "formula",
-        boundary=margin == -slack,
-    )
+    return _match_formula(pair, digits, False, D, strict, horizon, budget)
 
 
 def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     """Inverse assignment read off the machine frame (table inversion)."""
-    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
-    if D == 0:
-        x = RankOnePoint(1, 0, digits)
-        return InverseMatchRecord(y_base, 0, 0, 0, x, "machine", stable=True)
-    frame = build_frame(pair, digits, window, budget=budget)
-    item = frame.inverse.get((0, D))
-    if item is None:
-        raise WindowEdge(
-            f"slot (0, {D}) not filled within window {window}", window=window
-        )
-    i, H = item
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wx.advance(i, budget)
-    x = pair.sys_x.apply(wx.point(), H)
-    y = pair.sys_y.apply(y_base, D)
-    return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
+    return _match_machine(pair, digits, False, D, window, budget)
 
 
 def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
@@ -488,7 +487,7 @@ def phi_hat_stable(pair, x, windows=(16, 64, 256), budget=256,
     """Machine matching at growing windows until one places the item.  The
     matching shift has a heavy tail, so a few points outrun every window;
     those fall back to the strict closed form, which reproduces the
-    machine wherever it resolves (mode "formula_strict", stable None)."""
+    machine wherever it resolves (mode "formula_strict")."""
     return _escalate(phi_hat, pair, x, windows, budget, horizon)
 
 
@@ -518,7 +517,7 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
     if h == 0:
         return 0
-    n, _, margin, _ = _partial_sum_walk(pair, digits, True, h,
+    n, _, margin, _ = _partial_sum_walk(_sides(pair, digits, True), True, h,
                                         1 if strict else 0, horizon, budget)
     if n is None:
         raise HorizonExhausted(
@@ -572,7 +571,8 @@ TRACE_HEADER = "x_id,h,n,d,y_id,mode,stable_window"
 def trace_rows(pair, records):
     lines = [TRACE_HEADER]
     for r in records:
-        stable = "" if r.stable is None else str(bool(r.stable)).lower()
+        # a placed machine slot is final; formula records leave it empty
+        stable = "true" if r.mode == "machine" else ""
         lines.append(
             f"{point_id(pair.sys_x, r.x)},{r.h},{r.n},{r.d},"
             f"{point_id(pair.sys_y, r.y)},{r.mode},{stable}"
@@ -674,19 +674,19 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
     )
 
 
-def noneven_match(plan, x, check_margin=True, budget=256):
+def noneven_match(plan, x, budget=256):
     """Embed x into the Y skyscraper: descend to the cylinder point below,
-    hop to its phi image, climb the same number of steps."""
+    hop to its phi image, climb the same number of steps.  Raises
+    MarginViolation where the pile outgrows its pit."""
     pair = plan.pair
     h, base = height_above_base(pair.sys_x, plan.a_set, x)
     digits = base.digits
-    if check_margin:
-        pile = pile_height(plan, digits, budget)
-        pit = pit_depth(plan, digits, budget)
-        if pile > pit:
-            raise MarginViolation(
-                f"pile {pile} exceeds pit {pit} at this cylinder point"
-            )
+    pile = pile_height(plan, digits, budget)
+    pit = pit_depth(plan, digits, budget)
+    if pile > pit:
+        raise MarginViolation(
+            f"pile {pile} exceeds pit {pit} at this cylinder point"
+        )
     y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
     y = pair.sys_y.apply(y_base, h) if h else y_base
     return y, h, base

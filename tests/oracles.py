@@ -4,11 +4,14 @@ that agreement with the package's recursive/arithmetic code is a real
 cross-check, not a tautology.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
 from cutstack.digits import OverlayDigits, zeros
-from cutstack.errors import NeedMoreDepth
+from cutstack.errors import NeedMoreDepth, WindowEdge, WindowExhausted
+from cutstack.matching import build_frame
 from cutstack.quadratic import _reduce_root
 from cutstack.towers import BaseOrbitWalker, RankOnePoint
 
@@ -412,3 +415,199 @@ class FractionSurd:
         if self.v == 0:
             return f"Surd({self.u})"
         return f"Surd({self.u} + {self.v}*sqrt({self.d}))"
+
+
+# The even matching as it was before one reader served both directions:
+# mirrored forward and inverse readers, their record types (with the
+# constant `stable` field) and the partial-sum walk they called.  Kept
+# verbatim as the two-way readers' oracle.
+
+
+@dataclass
+class MatchRecord:
+    x: object  # the matched X point
+    h: int  # height above its base point
+    n: int  # pit shift
+    d: int  # slot depth in the target pit
+    y: object  # the matched Y point
+    mode: str
+    boundary: bool = False  # chosen shift tied pile top to pit capacity
+    stable: object = None  # machine mode: True, a placed slot is final
+
+
+@dataclass
+class InverseMatchRecord:
+    y: object
+    D: int  # slot depth above the Y base point
+    m: int  # backward shift to the source pile
+    H: int  # item height in that pile
+    x: object
+    mode: str
+    boundary: bool = False
+    stable: object = None
+
+
+def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
+    """(n, d, margin, fw): n <= horizon least with h + r_1 + ... + r_n <=
+    f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... + f_{n-1}),
+    margin the right side minus the left, fw the f walker at step n.  r, f
+    are the X, Y return times along the matched base orbits, or backward
+    the Y, X ones.  Past the horizon n, d are None and margin is the best
+    seen.  step returns the time of the point it leaves, step_back of the
+    point it reaches."""
+    wx = BaseOrbitWalker(pair.sys_x, digits)
+    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    rw, fw = (wx, wy) if forward else (wy, wx)
+    reach = h
+    psi = 0
+    f = fw.return_time()
+    best = None
+    for n in range(horizon + 1):
+        if n and forward:
+            if n == 1:
+                rw.step(budget)  # skip r_0; the sums start at r_1
+            reach += rw.step(budget)
+            fw.step(budget)
+            f = fw.return_time()
+        elif n:
+            f = fw.step_back(budget)
+            reach += rw.step_back(budget)
+        psi += f
+        margin = psi - slack - reach
+        if margin >= 0:
+            return n, reach - psi + f, margin, fw
+        if best is None or margin > best:
+            best = margin
+    return None, None, best, fw
+
+
+def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
+    """Shift and slot by partial sums of return times.
+
+    n is the least shift with h + (a_1 + ... + a_n) <= b_0 + ... + b_n
+    (strict mode subtracts one from the right side, matching the machine's
+    slot capacities), and d = h + (a_1 + ... + a_n) - (b_0 + ... + b_{n-1});
+    a and b are the X and Y return times along the matched base orbits.
+    """
+    slack = 1 if strict else 0
+    n, d, margin, wy = _partial_sum_walk(pair, digits, True, h, slack,
+                                         horizon, budget)
+    if n is None:
+        raise WindowExhausted(
+            f"no pit found within {horizon} shifts", window=horizon
+        )
+    y_base = wy.point()
+    y = pair.sys_y.apply(y_base, d) if d else y_base
+    x_base = RankOnePoint(1, 0, digits)
+    x = pair.sys_x.apply(x_base, h) if h else x_base
+    return MatchRecord(x, h, n, d, y, "formula_strict" if strict else "formula",
+                       boundary=margin == -slack)
+
+
+def even_match_machine(pair, digits, h, window=32, budget=256):
+    """The same assignment read off a machine frame centered at the base
+    point; raises WindowEdge if the item's pit lies past the window.  A
+    placed slot is final (see _ballot_scan), so the record is stable."""
+    x_base = RankOnePoint(1, 0, digits)
+    if h == 0:
+        y = RankOnePoint(1, 0, pair.phi.forward(digits))
+        return MatchRecord(x_base, 0, 0, 0, y, "machine", stable=True)
+    frame = build_frame(pair, digits, window, budget=budget)
+    slot = frame.assignment.get((0, h))
+    if slot is None:
+        raise WindowEdge(
+            f"item (0, {h}) not placed within window {window}", window=window
+        )
+    j, d = slot
+    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    wy.advance(j, budget)
+    y = pair.sys_y.apply(wy.point(), d)
+    x = pair.sys_x.apply(x_base, h)
+    return MatchRecord(x, h, j, d, y, "machine", stable=True)
+
+
+def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
+                               budget=256):
+    """Invert by mirrored sums: m is the least backward shift with
+    D + (b_{-1} + ... + b_{-m}) <= a_0 + ... + a_{-m} (minus one when
+    strict), and H = D + (b_{-1} + ... + b_{-m}) - (a_0 + ... + a_{-(m-1)}).
+
+    `digits` addresses the X base point paired with the pit's base point.
+    """
+    slack = 1 if strict else 0
+    m, H, margin, wx = _partial_sum_walk(pair, digits, False, D, slack,
+                                         horizon, budget)
+    if m is None:
+        raise WindowExhausted(
+            f"no source pile found within {horizon} shifts", window=horizon
+        )
+    x_base = wx.point()
+    x = pair.sys_x.apply(x_base, H) if H else x_base
+    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
+    y = pair.sys_y.apply(y_base, D) if D else y_base
+    return InverseMatchRecord(
+        y, D, m, H, x, "formula_strict" if strict else "formula",
+        boundary=margin == -slack,
+    )
+
+
+def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
+    """Inverse assignment read off the machine frame (table inversion)."""
+    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
+    if D == 0:
+        x = RankOnePoint(1, 0, digits)
+        return InverseMatchRecord(y_base, 0, 0, 0, x, "machine", stable=True)
+    frame = build_frame(pair, digits, window, budget=budget)
+    item = frame.inverse.get((0, D))
+    if item is None:
+        raise WindowEdge(
+            f"slot (0, {D}) not filled within window {window}", window=window
+        )
+    i, H = item
+    wx = BaseOrbitWalker(pair.sys_x, digits)
+    wx.advance(i, budget)
+    x = pair.sys_x.apply(wx.point(), H)
+    y = pair.sys_y.apply(y_base, D)
+    return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
+
+
+# The odometer as it was before the signed carry: one carry loop for each
+# direction, and apply as a loop of single steps.  Kept verbatim as the
+# one-add odometer_apply's oracle.
+
+
+def odometer_successor(spec, point, budget=256):
+    """Add one with carry; exact cylinder-mass preserving."""
+    k = 1
+    overrides = {}
+    while k <= budget:
+        d = point.digit(k)
+        if d + 1 < spec.base(k):
+            overrides[k] = d + 1
+            return OdometerPoint(point.digits.with_overrides(overrides))
+        overrides[k] = 0
+        k += 1
+    raise NeedMoreDigits(f"all digits maximal through {budget}")
+
+
+def odometer_predecessor(spec, point, budget=256):
+    k = 1
+    overrides = {}
+    while k <= budget:
+        d = point.digit(k)
+        if d > 0:
+            overrides[k] = d - 1
+            return OdometerPoint(point.digits.with_overrides(overrides))
+        overrides[k] = spec.base(k) - 1
+        k += 1
+    raise NeedMoreDigits(f"all digits zero through {budget}")
+
+
+def odometer_apply(spec, point, steps, budget=256):
+    for _ in range(abs(steps)):
+        point = (
+            odometer_successor(spec, point, budget)
+            if steps > 0
+            else odometer_predecessor(spec, point, budget)
+        )
+    return point

@@ -1,8 +1,12 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from cutstack import arithmetic
 from cutstack.arithmetic import (
+    NeedMoreDigits,
     OdometerPoint,
     OdometerSpec,
     RotationAngle,
@@ -22,6 +26,7 @@ from cutstack.arithmetic import (
     sqrt2_minus_1,
     truncated_value,
 )
+from cutstack.digits import PeriodicDigits, SeededDigits, zeros
 from cutstack.errors import BudgetExhausted
 from cutstack.quadratic import Surd
 
@@ -117,6 +122,51 @@ def test_odometer_predecessor_inverts_successor():
     assert all(q.digit(k) == 0 for k in range(1, 12))
     assert odometer_predecessor(spec, odometer_successor(spec, p)).digit(1) \
         == p.digit(1)
+
+
+@st.composite
+def odometer_cases(draw):
+    """(spec, point): random bases 1..4 with a tail holding a base >= 2,
+    and seeded digits or low digits over an all-maximal or all-zero tail,
+    so long carries reach the budget."""
+    prefix = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    tail = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    if max(tail) < 2:
+        tail += (2,)
+    spec = OdometerSpec(prefix, tail)
+    kind = draw(st.sampled_from(("seeded", "top", "zero")))
+    if kind == "seeded":
+        return spec, OdometerPoint(SeededDigits(
+            f"odo:{draw(st.integers(0, 10**6))}", spec.base))
+    base = (PeriodicDigits([b - 1 for b in prefix], [b - 1 for b in tail])
+            if kind == "top" else zeros())
+    low = draw(st.lists(st.integers(0, 3), max_size=8))
+    return spec, OdometerPoint(base.with_overrides(
+        {k: v % spec.base(k) for k, v in enumerate(low, 1)}))
+
+
+def _odometer_outcome(move, spec, point, *args):
+    try:
+        out = move(spec, point, *args)
+    except NeedMoreDigits as e:
+        return type(e), str(e)
+    return [out.digit(k) for k in range(1, 20)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(odometer_cases(), st.integers(-300, 300),
+       st.one_of(st.integers(0, 12), st.just(256)))
+def test_one_add_odometer_is_the_step_loop(case, steps, budget):
+    # the same digits, or the same NeedMoreDigits message, as the loops
+    spec, point = case
+    assert (_odometer_outcome(odometer_apply, spec, point, steps, budget)
+            == _odometer_outcome(oracles.odometer_apply, spec, point, steps,
+                                 budget))
+    for name in ("odometer_successor", "odometer_predecessor"):
+        assert (_odometer_outcome(getattr(arithmetic, name), spec, point,
+                                  budget)
+                == _odometer_outcome(getattr(oracles, name), spec, point,
+                                     budget))
 
 
 def test_cylinder_mass_mixed_radix():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,113 @@ def test_inverse_formula_is_the_inverse_machine():
             assert pair.sys_x.same_point(form.x, mach.x)
             shifts.append(form.m)
     assert len(shifts) >= 20 and max(shifts) >= 2
+
+
+PAIRS = {
+    "dyadic": matching.dyadic_even_pair(),
+    "chacon_triple": matching.chacon_triple_noneven_pair(),
+    "identity_chacon": matching.identity_pair("chacon"),
+}
+
+READERS = {  # (forward?, mode) -> (reader, mirrored oracle reader)
+    (True, "formula"): (matching.even_match_formula,
+                        oracles.even_match_formula),
+    (False, "formula"): (matching.even_match_inverse_formula,
+                         oracles.even_match_inverse_formula),
+    (True, "machine"): (matching.even_match_machine,
+                        oracles.even_match_machine),
+    (False, "machine"): (matching.even_match_inverse_machine,
+                         oracles.even_match_inverse_machine),
+}
+
+
+def _match_outcome(read, *args, **kwargs):
+    """A record as (type name, fields without `stable`), or a failure as
+    (type, message, window, budget)."""
+    try:
+        rec = read(*args, **kwargs)
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "window", None),
+                getattr(e, "budget", None))
+    return type(rec).__name__, tuple(
+        getattr(rec, f.name) for f in fields(rec) if f.name != "stable")
+
+
+@st.composite
+def match_cases(draw):
+    """(pair, stream, forward, mode, k, options): k mostly inside the
+    source pile or pit, where the matched shift can be nonzero; small
+    horizons, windows and budgets make the readers give up."""
+    pair = PAIRS[draw(st.sampled_from(("dyadic",) * 2 + tuple(PAIRS)))]
+    stream = SeededDigits(f"two:{draw(st.integers(0, 10**6))}",
+                          pair.sys_x.cuts)
+    forward = draw(st.booleans())
+    mode = draw(st.sampled_from(("formula", "machine")))
+    src_sys, src_digits = ((pair.sys_x, stream) if forward
+                           else (pair.sys_y, pair.phi.forward(stream)))
+    top = BaseOrbitWalker(src_sys, src_digits).return_time() - 1
+    k = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 12)))
+    budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
+    if mode == "formula":
+        opts = {"strict": draw(st.booleans()),
+                "horizon": draw(st.one_of(st.integers(0, 40),
+                                          st.just(4096)))}
+    else:
+        opts = {"window": draw(st.integers(0, 40))}
+    return pair, stream, forward, mode, k, dict(opts, budget=budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_two_way_readers_are_the_mirrored_readers(case):
+    # equal records, or the same exception type, message and window, in
+    # both directions and both modes
+    pair, stream, forward, mode, k, opts = case
+    new, old = READERS[(forward, mode)]
+    assert (_match_outcome(new, pair, stream, k, **opts)
+            == _match_outcome(old, pair, stream, k, **opts))
+
+
+def test_two_way_readers_on_whole_columns():
+    # every item of a pile and every slot of a pit, read both ways, with
+    # nonzero shifts and boundary-flagged inverse records among them
+    pair = dyadic()
+    shifted = flagged = 0
+    for s in range(30):
+        stream = SeededDigits(f"cols:{s}", pair.sys_x.cuts)
+        for (forward, mode), (new, old) in READERS.items():
+            src = pair.sys_x if forward else pair.sys_y
+            top = BaseOrbitWalker(src, stream).return_time()
+            for opts in ([{"strict": False}, {"strict": True}]
+                         if mode == "formula" else [{"window": 64}]):
+                for k in range(top):
+                    got = _match_outcome(new, pair, stream, k, **opts)
+                    assert got == _match_outcome(old, pair, stream, k, **opts)
+                    if got[0] == "InverseMatchRecord":
+                        shifted += mode == "machine" and got[1][2] > 0
+                        flagged += got[1][-1]
+    assert shifted > 0 and flagged > 0
+
+
+def test_phi_hat_reaches_the_readers_through_the_module(monkeypatch):
+    # the benchmark's per-layer phi_hat and formula metrics count spans of
+    # the module attributes; a direct call to a private reader reads 0
+    names = ("even_match_formula", "even_match_machine",
+             "even_match_inverse_formula", "even_match_inverse_machine")
+    calls = {}
+    for name in names:
+        def counted(*args, _name=name, _read=getattr(matching, name),
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(matching, name, counted)
+    pair = dyadic()
+    x = pair.sys_x.random_point(random.Random(8), 6, seed="reach")
+    for mode in ("machine", "formula"):
+        y = matching.phi_hat(pair, x, mode=mode, window=256).y
+        matching.phi_hat_inverse(pair, y, mode=mode, window=256)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_cocycle_rows_are_window_sorted():

@@ -126,6 +126,26 @@ def test_cli_instability_exit_5(tmp_path):
     assert rc == 5
 
 
+@pytest.mark.parametrize("option,value", [("--window", "-3"),
+                                          ("--samples", "-1")])
+def test_cli_match_negative_count_exit_3(tmp_path, option, value):
+    rc, _, manifest = run_cli(tmp_path, "match", "--pair", "dyadic",
+                              option, value)
+    assert rc == 3
+    assert manifest["status"] == (
+        f"validation_error: {option} must be >= 0, got {value}")
+
+
+def test_cli_check_failure_exit_1(tmp_path, monkeypatch):
+    failing = [verify.Verdict("broken", False, {"trial": 0})]
+    monkeypatch.setattr(verify, "run_suite", lambda cfg: failing)
+    rc, out, manifest = run_cli(tmp_path, "verify")
+    assert rc == 1
+    assert manifest["status"] == "exit:1"
+    assert (out / "verify_report.txt").read_text() == (
+        "FAIL broken | trial=0\n0/1 checks passed\n")
+
+
 def test_cli_match_outputs_are_deterministic(tmp_path):
     outs = []
     for sub in ("a", "b"):
