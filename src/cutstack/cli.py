@@ -184,7 +184,7 @@ def _build_pair(ctx):
         return matching.identity_pair(args.pair)
     left = RankOneSystem(load_spec(ctx, args.left))
     right = RankOneSystem(load_spec(ctx, args.right))
-    return matching.PairSpec("cli_pair", left, right, matching.IdentityPhi())
+    return matching.PairSpec("cli_pair", left, right)
 
 
 def cmd_match(ctx):

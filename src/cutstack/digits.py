@@ -115,13 +115,6 @@ class OverlayDigits(DigitStream):
             return self.overrides[k]
         return self.base.digit(k)
 
-    def with_overrides(self, overrides):
-        if not overrides:
-            return self
-        merged = dict(self.overrides)
-        merged.update(overrides)
-        return OverlayDigits(self.base, merged)
-
     def max_override(self):
         return max(self.overrides)
 

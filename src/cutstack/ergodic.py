@@ -68,14 +68,14 @@ class ErgodicReport:
         return lines
 
 
-def kac_check(system, n, samples, seed=0, fast=True, budget=512):
+def kac_check(system, n, samples, seed=0, budget=512):
     """Sampled return-time averages against the exact expectation
     1 / mass(base level); the expectation equals the spec's total mass."""
     target = system.spec.total_mass()
     rows = []
     for s in range(samples):
         digits = SeededDigits(f"kac:{seed}:{s}", system.cuts)
-        avg = return_time_average(system, digits, n, fast=fast, budget=budget)
+        avg = return_time_average(system, digits, n, budget=budget)
         rows.append(ErgodicRow(f"kac:{seed}:{s}", n, avg, target))
     return ErgodicReport(f"kac:{system.spec.name}", n, target, rows)
 

@@ -50,9 +50,8 @@ class ExhaustedRules(CutstackError):
 class BudgetExhausted(CutstackError):
     """An orbit search (return time, height, depth) ran out of budget."""
 
-    def __init__(self, message, budget=None, progress=None):
+    def __init__(self, message, budget=None):
         self.budget = budget
-        self.progress = progress
         super().__init__(message)
 
 
@@ -67,9 +66,8 @@ class WindowExhausted(CutstackError):
 class WindowEdge(CutstackError):
     """A machine item or slot lies past the frame window."""
 
-    def __init__(self, message, window=None, detail=None):
+    def __init__(self, message, window=None):
         self.window = window
-        self.detail = detail
         super().__init__(message)
 
 
@@ -84,8 +82,8 @@ class HorizonExhausted(CutstackError):
 
 class InadmissiblePair(CutstackError):
     """A system pair fails the preconditions of the requested matching
-    (base measures unequal for an even match, or the base isomorphism does
-    not intertwine the induced maps)."""
+    (cut counts differ, so the induced maps are not one odometer, or base
+    measures are unequal for an even match)."""
 
 
 class MarginViolation(CutstackError):

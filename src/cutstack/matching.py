@@ -1,8 +1,10 @@
 """Return-time matchings between two rank-one systems over isomorphic bases.
 
-Given systems X and Y with distinguished base levels A and B and a digit
-isomorphism phi of the induced maps, the even matcher assigns each point of
-an X column (a pile over a base point) to a slot in a Y column (a pit), by
+Both systems of a pair cut every stage into the same number of columns, so
+the maps they induce on their base levels A and B are one odometer on
+shared column digits, and a pair is that odometer with two return-time
+tables.  The even matcher assigns each point of an X column (a pile over a
+base point) to a slot in the Y column over the same digits (a pit), by
 sliding piles over pits and dropping items into free slots.  The machine,
 computed on a finite window by one left-to-right scan, is authoritative,
 and a slot it places never moves when the window grows.  The strict
@@ -32,23 +34,6 @@ from .towers import BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem
 
 
 # ---------------------------------------------------------------------------
-# Base isomorphisms (digit maps)
-
-
-class IdentityPhi:
-    """The identity on column digits; intertwines the induced maps whenever
-    the two systems cut every stage into the same number of columns."""
-
-    name = "identity"
-
-    def forward(self, stream):
-        return stream
-
-    def backward(self, stream):
-        return stream
-
-
-# ---------------------------------------------------------------------------
 # System pairs
 
 
@@ -56,15 +41,15 @@ class IdentityPhi:
 class PairSpec:
     """Two rank-one systems matched over their bottom base levels.
 
-    The base sets are the stage-1 level 0 of each system; phi carries X
-    column digits to Y column digits and must intertwine the induced maps
-    (which act on digits as mixed-radix odometers).
+    The base sets are the stage-1 level 0 of each system.  With equal cut
+    counts (see validate_pair) the induced maps are one mixed-radix odometer
+    on the column digits, and a base point of X and one of Y with the same
+    digits correspond.
     """
 
     name: str
     sys_x: RankOneSystem
     sys_y: RankOneSystem
-    phi: object
 
     def base_x(self):
         return LevelSet(1, frozenset({0}))
@@ -79,37 +64,25 @@ class PairSpec:
         mx, my = self.base_measures()
         return mx == my
 
+    def require_even(self):
+        """Raise InadmissiblePair unless the base masses are equal."""
+        if not self.is_even():
+            mx, my = self.base_measures()
+            raise InadmissiblePair(f"base masses differ: {mx} vs {my}")
+
 
 def validate_pair(pair, even=None):
-    """Admissibility: matching digit radixes through stage 24, phi
-    intertwines the induced odometers on 16 seeded streams, and (when
-    `even` is set) equal base masses."""
-    depth = 24
-    for k in range(1, depth + 1):
+    """Admissibility: matching digit radixes through stage 24, so a walker
+    moves the digits of both systems alike, and (when `even` is set) equal
+    base masses."""
+    for k in range(1, 25):
         if pair.sys_x.cuts(k) != pair.sys_y.cuts(k):
             raise InadmissiblePair(
                 f"cut counts differ at stage {k}: "
                 f"{pair.sys_x.cuts(k)} vs {pair.sys_y.cuts(k)}"
             )
-    for s in range(16):
-        stream = SeededDigits(f"paircheck:0:{s}", pair.sys_x.cuts)
-        wx = BaseOrbitWalker(pair.sys_x, stream)
-        wx.step()
-        stepped_then_phi = pair.phi.forward(wx.point().digits)
-        wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(stream))
-        wy.step()
-        phi_then_stepped = wy.point().digits
-        if any(
-            stepped_then_phi.digit(k) != phi_then_stepped.digit(k)
-            for k in range(1, depth + 1)
-        ):
-            raise InadmissiblePair(
-                "phi does not intertwine the induced maps "
-                f"(sample {s} diverges within {depth} digits)"
-            )
-    if even is True and not pair.is_even():
-        mx, my = pair.base_measures()
-        raise InadmissiblePair(f"base masses differ: {mx} vs {my}")
+    if even is True:
+        pair.require_even()
     return True
 
 
@@ -119,14 +92,13 @@ def dyadic_even_pair():
         "dyadic_even",
         RankOneSystem(builtin_spec("dyadic_pair_left")),
         RankOneSystem(builtin_spec("dyadic_pair_right")),
-        IdentityPhi(),
     )
 
 
 def identity_pair(spec_name):
     """A system matched with itself; every matching must be trivial."""
     sys = RankOneSystem(builtin_spec(spec_name))
-    return PairSpec(f"identity_{spec_name}", sys, sys, IdentityPhi())
+    return PairSpec(f"identity_{spec_name}", sys, sys)
 
 
 def chacon_triple_noneven_pair():
@@ -135,7 +107,6 @@ def chacon_triple_noneven_pair():
         "chacon_triple_noneven",
         RankOneSystem(builtin_spec("chacon")),
         RankOneSystem(builtin_spec("triple_heavy")),
-        IdentityPhi(),
     )
 
 
@@ -256,7 +227,7 @@ def _ballot_scan(ra, rb, W):
 
 def build_frame(pair, digits, window, budget=256):
     ra = return_window(pair.sys_x, digits, window, budget)
-    rb = return_window(pair.sys_y, pair.phi.forward(digits), window, budget)
+    rb = return_window(pair.sys_y, digits, window, budget)
     assignment, unplaced, unfilled = _ballot_scan(ra, rb, window)
     inverse = {v: k for k, v in assignment.items()}
     return PilePitFrame(window, ra, rb, assignment, inverse, unplaced,
@@ -338,52 +309,47 @@ class InverseMatchRecord:
     boundary: bool = False
 
 
-def _sides(pair, digits, forward):
-    """(system, base digits) of the source side, then of the image side:
-    X over `digits` and Y over its phi image, swapped backward."""
-    x = (pair.sys_x, digits)
-    y = (pair.sys_y, pair.phi.forward(digits))
-    return (x, y) if forward else (y, x)
+def _sides(pair, forward):
+    """(source system, image system): X, Y forward and Y, X backward."""
+    return (pair.sys_x, pair.sys_y) if forward else (pair.sys_y, pair.sys_x)
 
 
-def _partial_sum_walk(sides, forward, h, slack, horizon, budget):
-    """(n, d, margin, fw): n <= horizon least with h + r_1 + ... + r_n <=
-    f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... + f_{n-1}),
-    margin the right side minus the left, fw the f walker at step n.  r, f
-    are the return times along the base orbits of the two sides (X, Y
-    forward; Y, X backward).  Past the horizon n, d are None and margin is
-    the best seen.  step returns the time of the point it leaves,
-    step_back of the point it reaches."""
-    rw, fw = (BaseOrbitWalker(system, digits) for system, digits in sides)
+def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
+    """(n, d, margin, image base): n <= horizon least with h + r_1 + ... +
+    r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
+    f_{n-1}), margin the right side minus the left, and the base point at
+    orbit index n (-n backward).  r, f are the source and image return times
+    along the shared base orbit of `digits`, forward or backward: one walker
+    moves, and the carry (s, e) of the step from each point gives r =
+    R_src(s, e) and f = R_img(s, e).  Past the horizon n, d and the point
+    are None and margin is the best seen."""
+    src, img = _sides(pair, forward)
+    w = BaseOrbitWalker(src, digits)
+    move = w.step if forward else w.step_back
     reach = h
-    psi = 0
-    f = fw.return_time()
+    f = psi = img.return_time(*w.carry(256))  # return_time's limit
     best = None
     for n in range(horizon + 1):
-        if n and forward:
-            if n == 1:
-                rw.step(budget)  # skip r_0; the sums start at r_1
-            reach += rw.step(budget)
-            fw.step(budget)
-            f = fw.return_time()
-        elif n:
-            f = fw.step_back(budget)
-            reach += rw.step_back(budget)
-        psi += f
+        if n:
+            move(budget)
+            s, e = w.carry(budget)
+            reach += src.return_time(s, e)
+            f = img.return_time(s, e)
+            psi += f
         margin = psi - slack - reach
         if margin >= 0:
-            return n, reach - psi + f, margin, fw
+            return n, reach - psi + f, margin, w.point()
         if best is None or margin > best:
             best = margin
-    return None, None, best, fw
+    return None, None, best, None
 
 
-def _record(sides, forward, k, shift, depth, image_base, mode,
+def _record(pair, digits, forward, k, shift, depth, image_base, mode,
             boundary=False):
     """Item k over the source base point matched `depth` steps above
     `image_base`, as a MatchRecord forward, an InverseMatchRecord backward."""
-    (src_sys, src_digits), (img_sys, _) = sides
-    src_base = RankOnePoint(1, 0, src_digits)
+    src_sys, img_sys = _sides(pair, forward)
+    src_base = RankOnePoint(1, 0, digits)
     src = src_sys.apply(src_base, k) if k else src_base
     img = img_sys.apply(image_base, depth) if depth else image_base
     cls = MatchRecord if forward else InverseMatchRecord
@@ -392,15 +358,14 @@ def _record(sides, forward, k, shift, depth, image_base, mode,
 
 def _match_formula(pair, digits, forward, k, strict, horizon, budget):
     """even_match_formula forward, even_match_inverse_formula backward."""
-    sides = _sides(pair, digits, forward)
     slack = 1 if strict else 0
-    n, depth, margin, fw = _partial_sum_walk(sides, forward, k, slack,
-                                             horizon, budget)
+    n, depth, margin, image_base = _partial_sum_walk(
+        pair, digits, forward, k, slack, horizon, budget)
     if n is None:
         target = "pit" if forward else "source pile"
         raise WindowExhausted(f"no {target} found within {horizon} shifts",
                               window=horizon)
-    return _record(sides, forward, k, n, depth, fw.point(),
+    return _record(pair, digits, forward, k, n, depth, image_base,
                    "formula_strict" if strict else "formula",
                    boundary=margin == -slack)
 
@@ -408,11 +373,9 @@ def _match_formula(pair, digits, forward, k, strict, horizon, budget):
 def _match_machine(pair, digits, forward, k, window, budget):
     """even_match_machine forward (item (0, k) of the frame's assignment),
     even_match_inverse_machine backward (slot (0, k) of its inverse)."""
-    sides = _sides(pair, digits, forward)
-    img_sys, img_digits = sides[1]
     if k == 0:
-        return _record(sides, forward, 0, 0, 0,
-                       RankOnePoint(1, 0, img_digits), "machine")
+        return _record(pair, digits, forward, 0, 0, 0,
+                       RankOnePoint(1, 0, digits), "machine")
     frame = build_frame(pair, digits, window, budget=budget)
     hit = (frame.assignment if forward else frame.inverse).get((0, k))
     if hit is None:
@@ -420,9 +383,9 @@ def _match_machine(pair, digits, forward, k, window, budget):
         raise WindowEdge(f"{what} (0, {k}) not {done} within window {window}",
                          window=window)
     j, depth = hit
-    w = BaseOrbitWalker(img_sys, img_digits)
+    w = BaseOrbitWalker(pair.sys_x, digits)  # moves the shared digits
     w.advance(j, budget)
-    return _record(sides, forward, k, j if forward else -j, depth,
+    return _record(pair, digits, forward, k, j if forward else -j, depth,
                    w.point(), "machine")
 
 
@@ -432,7 +395,9 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     n is the least shift with h + (a_1 + ... + a_n) <= b_0 + ... + b_n
     (strict mode subtracts one from the right side, matching the machine's
     slot capacities), and d = h + (a_1 + ... + a_n) - (b_0 + ... + b_{n-1});
-    a and b are the X and Y return times along the matched base orbits.
+    a and b are the X and Y return times along the shared base orbit.  Like
+    every even_match_* reader, this is plain arithmetic on the two
+    return-time tables and does not check the base masses; phi_hat does.
     """
     return _match_formula(pair, digits, True, h, strict, horizon, budget)
 
@@ -440,7 +405,7 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
 def even_match_machine(pair, digits, h, window=32, budget=256):
     """The same assignment read off a machine frame centered at the base
     point; raises WindowEdge if the item's pit lies past the window.  A
-    placed slot is final (see _ballot_scan)."""
+    placed slot is final (see _ballot_scan).  No base-mass check."""
     return _match_machine(pair, digits, True, h, window, budget)
 
 
@@ -450,20 +415,23 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
     D + (b_{-1} + ... + b_{-m}) <= a_0 + ... + a_{-m} (minus one when
     strict), and H = D + (b_{-1} + ... + b_{-m}) - (a_0 + ... + a_{-(m-1)}).
 
-    `digits` addresses the X base point paired with the pit's base point.
+    `digits` addresses the pit's base point.  No base-mass check.
     """
     return _match_formula(pair, digits, False, D, strict, horizon, budget)
 
 
 def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
-    """Inverse assignment read off the machine frame (table inversion)."""
+    """Inverse assignment read off the machine frame (table inversion).
+    No base-mass check."""
     return _match_machine(pair, digits, False, D, window, budget)
 
 
 def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
             horizon=2**15):
     """The full point matching X -> Y: locate the pile item for x, then
-    match it.  Base points (h = 0) map straight through phi."""
+    match it.  Base points (h = 0) map to the Y base point with the same
+    digits.  Raises InadmissiblePair unless the base masses are equal."""
+    pair.require_even()
     h, base = height_above_base(pair.sys_x, pair.base_x(), x)
     digits = base.digits
     if mode == "machine":
@@ -498,8 +466,9 @@ def phi_hat_inverse_stable(pair, y, windows=(16, 64, 256), budget=256,
 
 def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
                     budget=256, horizon=2**15):
-    D, y_base = height_above_base(pair.sys_y, pair.base_y(), y)
-    digits = pair.phi.backward(y_base.digits)
+    pair.require_even()
+    D, base = height_above_base(pair.sys_y, pair.base_y(), y)
+    digits = base.digits
     if mode == "machine":
         return even_match_inverse_machine(pair, digits, D, window,
                                           budget=budget)
@@ -517,7 +486,7 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
     if h == 0:
         return 0
-    n, _, margin, _ = _partial_sum_walk(_sides(pair, digits, True), True, h,
+    n, _, margin, _ = _partial_sum_walk(pair, digits, True, h,
                                         1 if strict else 0, horizon, budget)
     if n is None:
         raise HorizonExhausted(
@@ -530,8 +499,8 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
 
 def cocycle_rows(pair, digits, window, budget=256):
     """Orbit-position pairs (t_x, t_y) for every matched item around the
-    base point: t_x indexes the X orbit of the base point, t_y the Y orbit
-    of its phi image.  Sorted by t_x; base points appear with slot 0."""
+    base point: t_x indexes its X orbit, t_y the Y orbit of the base point
+    with the same digits.  Sorted by t_x; base points appear with slot 0."""
     frame = build_frame(pair, digits, window, budget=budget)
     W = frame.window
     pos_x = {0: 0}
@@ -622,8 +591,8 @@ def pile_height(plan, digits, budget=256):
 
 
 def pit_depth(plan, digits, budget=256):
-    """Base steps in Y across the same induced block, under phi."""
-    w = BaseOrbitWalker(plan.pair.sys_y, plan.pair.phi.forward(digits))
+    """Base steps in Y across the same induced block of digits."""
+    w = BaseOrbitWalker(plan.pair.sys_y, digits)
     return w.advance(plan.block, budget)
 
 
@@ -676,8 +645,8 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
 
 def noneven_match(plan, x, budget=256):
     """Embed x into the Y skyscraper: descend to the cylinder point below,
-    hop to its phi image, climb the same number of steps.  Raises
-    MarginViolation where the pile outgrows its pit."""
+    hop to the Y point with the same digits, climb the same number of
+    steps.  Raises MarginViolation where the pile outgrows its pit."""
     pair = plan.pair
     h, base = height_above_base(pair.sys_x, plan.a_set, x)
     digits = base.digits
@@ -687,7 +656,7 @@ def noneven_match(plan, x, budget=256):
         raise MarginViolation(
             f"pile {pile} exceeds pit {pit} at this cylinder point"
         )
-    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
+    y_base = RankOnePoint(1, 0, digits)
     y = pair.sys_y.apply(y_base, h) if h else y_base
     return y, h, base
 
@@ -697,17 +666,15 @@ def noneven_in_image(plan, y, budget=256):
     cylinder point must fall short of the corresponding pile height."""
     pair = plan.pair
     D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    digits = pair.phi.backward(y_base.digits)
-    return D < pile_height(plan, digits, budget)
+    return D < pile_height(plan, y_base.digits, budget)
 
 
 def noneven_inverse(plan, y, budget=256):
     pair = plan.pair
     D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    digits = pair.phi.backward(y_base.digits)
-    if D >= pile_height(plan, digits, budget):
+    if D >= pile_height(plan, y_base.digits, budget):
         raise ValueError("point lies outside the embedded image")
-    x_base = RankOnePoint(1, 0, digits)
+    x_base = RankOnePoint(1, 0, y_base.digits)
     return pair.sys_x.apply(x_base, D) if D else x_base
 
 

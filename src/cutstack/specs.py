@@ -298,20 +298,9 @@ def parse_spec_json(text):
 
 
 @dataclass
-class StageReportRow:
-    stage: int
-    height: int
-    width_rel: Fraction  # width in units of w1
-    cumulative_spacer_mass: Fraction  # units of w1
-
-
-@dataclass
 class ValidationReport:
     accepted: bool
     reason: str
-    rows: list
-    spacer_mass: Fraction | None  # exact (units of w1) when tail is periodic
-    spacer_mass_ratio: Fraction | None  # spacer mass / total mass
 
     def __bool__(self):
         return self.accepted
@@ -323,7 +312,7 @@ _DIVERGENCE_RUN = 8
 
 
 def validate_spec(spec, horizon):
-    """Check the summability invariant and report per-stage height/width/mass.
+    """Check the summability invariant.
 
     Periodic tails are decided exactly via the geometric series; otherwise a
     conservative heuristic rejects specs whose cumulative spacer mass keeps
@@ -331,8 +320,12 @@ def validate_spec(spec, horizon):
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows = []
-    h = spec.initial_height
+    if spec.is_infinite:
+        try:
+            spec.spacer_mass()
+        except SpecInvalid as e:
+            return ValidationReport(False, str(e))
+        return ValidationReport(True, "ok")
     c_prod = 1
     cum = Fraction(0)
     growth_run = 0
@@ -341,7 +334,6 @@ def validate_spec(spec, horizon):
             r = spec.rule(i)
         except ExhaustedRules:
             break
-        rows.append(StageReportRow(i, h, Fraction(1, c_prod), cum))
         c_prod *= r.cuts
         added = Fraction(r.total_spacers, c_prod)
         if cum > 0 and added / cum > _DIVERGENCE_REL_TOL:
@@ -349,25 +341,13 @@ def validate_spec(spec, horizon):
         elif added == 0:
             growth_run = 0
         cum += added
-        h = r.spacers_below + r.cuts * h + sum(r.spacers_above)
-
-    if spec.is_infinite:
-        try:
-            mass = spec.spacer_mass()
-        except SpecInvalid as e:
-            return ValidationReport(False, str(e), rows, None, None)
-        total = spec.initial_height + mass
-        return ValidationReport(True, "ok", rows, mass, mass / total)
     if growth_run >= _DIVERGENCE_RUN:
         return ValidationReport(
             False,
             f"spacer mass still growing by > {float(_DIVERGENCE_REL_TOL)} per stage "
             f"for {growth_run} consecutive stages at horizon {horizon}",
-            rows,
-            None,
-            None,
         )
-    return ValidationReport(True, "ok (finite spec)", rows, None, None)
+    return ValidationReport(True, "ok (finite spec)")
 
 
 # ---------------------------------------------------------------------------

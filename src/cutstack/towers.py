@@ -115,16 +115,22 @@ class RankOneSystem:
         """Return times of the induced base map from positions 0 .. P_k - 2
         of the stage-1..k digit block (P_k = c_1 ... c_k) as the first
         P_k - 1 entries of one list: word k-1, R(k, 0), word k-1, ...,
-        R(k, c_k - 2), word k-1, R the walker's table (see BaseOrbitWalker)."""
+        R(k, c_k - 2), word k-1 (R is return_time)."""
         word = self._word
         for s in range(self._word_stage + 1, k + 1):
-            offs = self.offsets(s)
             block = word[:]
-            for d in range(len(offs) - 1):
-                word.append(offs[d + 1] - offs[d] + self._carry[s])
+            for d in range(self.cuts(s) - 1):
+                word.append(self.return_time(s, d))
                 word += block
             self._word_stage = s
         return word
+
+    def return_time(self, s, d):
+        """R(s, d) = offs_s[d+1] - offs_s[d] + G_s: the base steps of an
+        induced step whose carry raises the stage-s digit from d to d + 1
+        (G_s is the carry term of the maximal digits below stage s)."""
+        offs = self.offsets(s)
+        return offs[d + 1] - offs[d] + self._carry[s]
 
     def unit_width(self):
         """w1, normalized so the limiting total mass is 1."""
@@ -347,9 +353,8 @@ class BaseOrbitWalker:
     odometer on the column digits, producing exact return times.
 
     A step that carries into stage s, raising its digit from d to d + 1,
-    returns R(s, d) = offs_s[d+1] - offs_s[d] + G_s, read off the system's
-    stage table (G_s is the carry term of the maximal digits below stage
-    s), so each step costs O(carry length), amortized O(1).
+    returns the system's R(s, d) (see RankOneSystem.return_time), so each
+    step costs O(carry length), amortized O(1).
     """
 
     def __init__(self, system, digits_stream=None):
@@ -363,11 +368,6 @@ class BaseOrbitWalker:
         while len(self.d) <= j:
             self.d.append(self.tail.digit(len(self.d) + 1))
         return self.d[j]
-
-    def _return_time(self, j, d):
-        """R(j + 1, d): a step's return time, raising digit j from d."""
-        offs = self.sys.offsets(j + 1)
-        return offs[d + 1] - offs[d] + self.sys._carry[j + 1]
 
     def _carry_up(self, budget):
         """Least j whose digit is not maximal: the carry of a forward step."""
@@ -390,7 +390,7 @@ class BaseOrbitWalker:
         """Advance one induced step; returns the return time r >= 1."""
         j = self._carry_up(budget)
         d = self.d
-        r = self._return_time(j, d[j])
+        r = self.sys.return_time(j + 1, d[j])
         d[:j] = [0] * j
         d[j] += 1
         return r
@@ -405,7 +405,7 @@ class BaseOrbitWalker:
             if j > budget:
                 raise NeedMoreDepth("all digits zero within budget", budget=budget)
         d = self.d
-        r = self._return_time(j, d[j] - 1)
+        r = self.sys.return_time(j + 1, d[j] - 1)
         d[:j] = [cuts(u + 1) - 1 for u in range(j)]
         d[j] -= 1
         return r
@@ -433,11 +433,17 @@ class BaseOrbitWalker:
             j += 1
         return total
 
-    def return_time(self):
-        """Return time at the current state, without moving (digits the
-        carry search reads are not kept, as if no step had been tried)."""
+    def carry(self, budget=256):
+        """(s, d): a step from the current state carries into stage s,
+        raising its digit from d, and takes R(s, d) base steps.  Nothing
+        moves, and digits the carry search reads are not kept, as if no
+        step had been tried."""
         known = len(self.d)
-        j = self._carry_up(256)
-        r = self._return_time(j, self.d[j])
+        j = self._carry_up(budget)
+        d = self.d[j]
         del self.d[known:]
-        return r
+        return j + 1, d
+
+    def return_time(self):
+        """Return time at the current state, without moving."""
+        return self.sys.return_time(*self.carry(256))

@@ -456,7 +456,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     seen.  step returns the time of the point it leaves, step_back of the
     point it reaches."""
     wx = BaseOrbitWalker(pair.sys_x, digits)
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    wy = BaseOrbitWalker(pair.sys_y, digits)
     rw, fw = (wx, wy) if forward else (wy, wx)
     reach = h
     psi = 0
@@ -510,7 +510,7 @@ def even_match_machine(pair, digits, h, window=32, budget=256):
     placed slot is final (see _ballot_scan), so the record is stable."""
     x_base = RankOnePoint(1, 0, digits)
     if h == 0:
-        y = RankOnePoint(1, 0, pair.phi.forward(digits))
+        y = RankOnePoint(1, 0, digits)
         return MatchRecord(x_base, 0, 0, 0, y, "machine", stable=True)
     frame = build_frame(pair, digits, window, budget=budget)
     slot = frame.assignment.get((0, h))
@@ -519,7 +519,7 @@ def even_match_machine(pair, digits, h, window=32, budget=256):
             f"item (0, {h}) not placed within window {window}", window=window
         )
     j, d = slot
-    wy = BaseOrbitWalker(pair.sys_y, pair.phi.forward(digits))
+    wy = BaseOrbitWalker(pair.sys_y, digits)
     wy.advance(j, budget)
     y = pair.sys_y.apply(wy.point(), d)
     x = pair.sys_x.apply(x_base, h)
@@ -543,7 +543,7 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
         )
     x_base = wx.point()
     x = pair.sys_x.apply(x_base, H) if H else x_base
-    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
+    y_base = RankOnePoint(1, 0, digits)
     y = pair.sys_y.apply(y_base, D) if D else y_base
     return InverseMatchRecord(
         y, D, m, H, x, "formula_strict" if strict else "formula",
@@ -553,7 +553,7 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
 def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     """Inverse assignment read off the machine frame (table inversion)."""
-    y_base = RankOnePoint(1, 0, pair.phi.forward(digits))
+    y_base = RankOnePoint(1, 0, digits)
     if D == 0:
         x = RankOnePoint(1, 0, digits)
         return InverseMatchRecord(y_base, 0, 0, 0, x, "machine", stable=True)

@@ -229,7 +229,7 @@ def test_criterion_07_base_conjugacy():
             # restriction to the base: the matching is phi alone
             rec = matching.phi_hat_stable(pair, x)
             assert (rec.h, rec.n, rec.d) == (0, 0, 0)
-            y_phi = pair.sys_y.base_point(pair.phi.forward(stream))
+            y_phi = pair.sys_y.base_point(stream)
             assert pair.sys_y.same_point(rec.y, y_phi)
             # conjugacy of the induced maps through the matching
             x_next = induction.induced_apply(ax, base_x, x)

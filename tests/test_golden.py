@@ -36,6 +36,20 @@ ROTATION = (
 )
 
 
+# Taken before a pair became one odometer (the identity digit map `phi`
+# and the second walker were still there).
+NONEVEN = (
+    ("--seed", "0", "match", "--mode", "noneven", "--pair", "chacon_triple"),
+    {
+        "match_noneven_trace.csv":
+            "a4f43055dec6a583b743b4561489ef345b64b2dac29981f5c4db8dd811323fff",
+        "noneven_plan.json":
+            "af5eaeac62f846ef8f6f272d7c251cf028f015d6063239a4d55f7c360484fec2",
+    },
+    "74b04069d5222456226c0da75f6b32aa97585957025d40da4c35bef3315309a2",
+)
+
+
 def test_golden_outputs_are_byte_identical(tmp_path):
     for n, (argv, digests) in enumerate(GOLDEN.items()):
         out = tmp_path / str(n)
@@ -51,6 +65,16 @@ def test_golden_rotation_histogram(tmp_path, capsys):
     csv = (tmp_path / "induce_rotation.csv").read_bytes()
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(csv).hexdigest() == csv_digest
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+
+
+def test_golden_noneven_match(tmp_path, capsys):
+    argv, digests, stdout_digest = NONEVEN
+    assert main(["--out-dir", str(tmp_path)] + list(argv)) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in digests}
+    stdout = capsys.readouterr().out.encode()
+    assert got == digests
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
 
 

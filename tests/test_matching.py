@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack import matching
+from cutstack import ergodic, matching
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
-from cutstack.errors import InadmissiblePair, MarginViolation
+from cutstack.errors import (
+    HorizonExhausted,
+    InadmissiblePair,
+    MarginViolation,
+    NeedMoreDepth,
+)
 from cutstack.specs import StackingSpec, builtin_spec, random_spec
 from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
 
@@ -295,7 +300,7 @@ def match_cases(draw):
     forward = draw(st.booleans())
     mode = draw(st.sampled_from(("formula", "machine")))
     src_sys, src_digits = ((pair.sys_x, stream) if forward
-                           else (pair.sys_y, pair.phi.forward(stream)))
+                           else (pair.sys_y, stream))
     top = BaseOrbitWalker(src_sys, src_digits).return_time() - 1
     k = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 12)))
     budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
@@ -338,6 +343,116 @@ def test_two_way_readers_on_whole_columns():
                         shifted += mode == "machine" and got[1][2] > 0
                         flagged += got[1][-1]
     assert shifted > 0 and flagged > 0
+
+
+@st.composite
+def walk_cases(draw):
+    """(pair, stream, forward, h, slack, horizon, budget): a seeded stream,
+    or low digits over an all-maximal or all-zero tail, which run the
+    carries of either direction past small budgets.  Only the dyadic pair
+    has positive backward shifts, so it is drawn more often."""
+    pair = PAIRS[draw(st.sampled_from(("dyadic",) * 3 + tuple(PAIRS)))]
+    cuts = pair.sys_x.cuts
+    kind = draw(st.sampled_from(("seeded", "seeded", "top", "zero")))
+    if kind == "seeded":
+        stream = SeededDigits(f"walk:{draw(st.integers(0, 10**6))}", cuts)
+    else:
+        # every pair cuts each stage alike, so one tail digit is all-maximal
+        tail = PeriodicDigits((), (cuts(1) - 1,)) if kind == "top" else zeros()
+        low = draw(st.lists(st.integers(0, 2), max_size=10))
+        stream = tail.with_overrides(
+            {k: v % cuts(k) for k, v in enumerate(low, 1)})
+    forward = draw(st.booleans())
+    src, img = ((pair.sys_x, pair.sys_y) if forward
+                else (pair.sys_y, pair.sys_x))
+    try:
+        top = BaseOrbitWalker(src, stream).return_time() - 1
+        pit = BaseOrbitWalker(img, stream).return_time()
+    except NeedMoreDepth:
+        top = pit = 0
+    # heights past the pile are arithmetic too; past the pit at shift 0
+    # they need a positive shift
+    h = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 12),
+                       st.integers(pit, pit + 24), st.integers(0, 300)))
+    slack = draw(st.sampled_from((0, 1)))
+    horizon = draw(st.one_of(st.integers(0, 40), st.just(4096)))
+    budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
+    return pair, stream, forward, h, slack, horizon, budget
+
+
+def _walk_outcome(walk, image_point, *args):
+    """(n, d, margin, boundary, the image point's overrides and base
+    stream), (margin,) past the horizon, or a failure as (type, message,
+    budget)."""
+    try:
+        n, d, margin, image = walk(*args)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "budget", None)
+    if n is None:
+        return (margin,)
+    digits = image_point(image).digits
+    return (n, d, margin, margin == -args[4],
+            getattr(digits, "overrides", {}), getattr(digits, "base", digits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_one_walker_walk_is_the_two_walker_walk(case):
+    # the image point's overrides are compared too: point_id reads them
+    got = _walk_outcome(matching._partial_sum_walk, lambda p: p, *case)
+    want = _walk_outcome(oracles._partial_sum_walk, BaseOrbitWalker.point,
+                         *case)
+    assert got == want
+
+
+def _oracle_stopping_time(pair, digits, horizon, strict, budget):
+    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
+    if h == 0:
+        return 0
+    n, _, margin, _ = oracles._partial_sum_walk(
+        pair, digits, True, h, 1 if strict else 0, horizon, budget)
+    if n is None:
+        raise HorizonExhausted(f"pile not swallowed within {horizon} shifts",
+                               horizon=horizon, running_min=margin)
+    return n
+
+
+def _stop_outcome(stop, *args):
+    try:
+        return stop(*args)
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "budget", None),
+                getattr(e, "horizon", None), getattr(e, "running_min", None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_stopping_time_is_the_two_walker_walk(case):
+    pair, stream, _, _, slack, horizon, budget = case
+    args = (pair, stream, horizon, bool(slack), budget)
+    assert (_stop_outcome(matching.stopping_time, *args)
+            == _stop_outcome(_oracle_stopping_time, *args))
+
+
+def test_point_matchings_refuse_unequal_base_masses():
+    # the even_match_* readers are plain arithmetic on the two tables, but a
+    # point matching between bases of unequal mass cannot preserve measure
+    pair = matching.chacon_triple_noneven_pair()
+    x = pair.sys_x.random_point(random.Random(10), 6, seed="uneven:x")
+    y = pair.sys_y.random_point(random.Random(11), 6, seed="uneven:y")
+    calls = (
+        lambda: matching.phi_hat(pair, x),
+        lambda: matching.phi_hat(pair, x, mode="formula"),
+        lambda: matching.phi_hat_inverse(pair, y),
+        lambda: matching.phi_hat_inverse(pair, y, mode="formula"),
+        lambda: matching.phi_hat_stable(pair, x),
+        lambda: matching.phi_hat_inverse_stable(pair, y),
+        lambda: ergodic.pushforward_check(pair, 10),
+    )
+    for call in calls:
+        with pytest.raises(InadmissiblePair,
+                           match="^base masses differ: 2/3 vs 2/5$"):
+            call()
 
 
 def test_phi_hat_reaches_the_readers_through_the_module(monkeypatch):

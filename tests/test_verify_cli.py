@@ -119,6 +119,16 @@ def test_cli_inadmissible_pair_exit_4(tmp_path):
     assert manifest["status"].startswith("inadmissible_pair")
 
 
+def test_cli_pair_with_different_cut_counts_exit_4(tmp_path, capsys):
+    rc, _, manifest = run_cli(tmp_path, "match", "--left", "chacon",
+                              "--right", "odometer(2)")
+    assert rc == 4
+    assert manifest["status"] == (
+        "inadmissible_pair: cut counts differ at stage 1: 3 vs 2")
+    assert capsys.readouterr().err == (
+        "inadmissible pair: cut counts differ at stage 1: 3 vs 2\n")
+
+
 def test_cli_instability_exit_5(tmp_path):
     rc, _, _ = run_cli(tmp_path, "match", "--mode", "even",
                        "--pair", "dyadic", "--samples", "80",
