@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitStream, zeros
+from .digits import DigitStream, OverlayDigits, zeros
 from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
 from .quadratic import Surd, cf_convergents, surd_from_cf
 from .specs import q_adic_tower_spec
@@ -333,9 +333,22 @@ class PrefixInduction:
         return OdometerPoint(_ShiftedDigits(point.digits, point.birth_level))
 
     def from_odometer(self, opoint):
+        """OdometerPoint -> RankOnePoint.  A stream made by to_odometer
+        (a _ShiftedDigits, bare or under an overlay) gives back its source
+        stream, with the overlay's digits moved down one stage, so the
+        point compares exactly with the points of that stream."""
         level = opoint.digit(1)
         if not 0 <= level < self.p:
             raise ValueError("first digit out of range")
+        digits = opoint.digits
+        overrides = {}
+        if isinstance(digits, OverlayDigits):
+            overrides = {k - 1: v for k, v in digits.overrides.items()
+                         if k > 1}
+            digits = digits.base
+        if isinstance(digits, _ShiftedDigits):
+            return RankOnePoint(1, level,
+                                digits.src.with_overrides(overrides))
         return RankOnePoint(1, level, _UnshiftedDigits(opoint.digits))
 
 

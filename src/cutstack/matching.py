@@ -3,7 +3,9 @@
 Both systems of a pair cut every stage into the same number of columns, so
 the maps they induce on their base levels A and B are one odometer on
 shared column digits, and a pair is that odometer with two return-time
-tables.  The even matcher assigns each point of an X column (a pile over a
+tables (validate_pair compares the cut counts; for two periodic tails it
+checks the longer prefix plus one lcm of the tail periods, which is
+exact).  The even matcher assigns each point of an X column (a pile over a
 base point) to a slot in the Y column over the same digits (a pit), by
 sliding piles over pits and dropping items into free slots.  The machine,
 computed on a finite window by one left-to-right scan, is authoritative,
@@ -11,13 +13,23 @@ and a slot it places never moves when the window grows.  The strict
 closed-form sum reproduces it; the non-strict sum differs exactly on the
 boundary cells where a pile height ties a pit capacity.
 
+The closed form's shift is a first passage: the margin changes by
+Delta(s, e) = R_Y(s, e) - R_X(s, e) per shift, (s, e) the shift's carry,
+and these values form a stage word like the return times do.  Each pair
+keeps, per direction, the Delta rows and each word's sum, largest prefix
+sum and length, so the search climbs from the start digits block by
+block, skips a block whose largest prefix stays short, and descends into
+the one that reaches the target: O(sum of c_k) over the stages the shift
+spans, not O(shift).  Backward searches read the mirrored word.
+
 The non-even matcher handles bases of different mass by first inducing on a
 deep common cylinder so that every pile fits strictly inside its pit.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .digits import OverlayDigits, SeededDigits, explicit_extent
 from .errors import (
@@ -50,6 +62,17 @@ class PairSpec:
     name: str
     sys_x: RankOneSystem
     sys_y: RankOneSystem
+    _words: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _delta_words(self, forward):
+        """The Delta stage tables (see _DeltaWords), X to Y forward and Y
+        to X backward, grown lazily."""
+        words = self._words.get(forward)
+        if words is None:
+            words = self._words[forward] = _DeltaWords(
+                *_sides(self, forward), forward)
+        return words
 
     def base_x(self):
         return LevelSet(1, frozenset({0}))
@@ -72,10 +95,18 @@ class PairSpec:
 
 
 def validate_pair(pair, even=None):
-    """Admissibility: matching digit radixes through stage 24, so a walker
-    moves the digits of both systems alike, and (when `even` is set) equal
-    base masses."""
-    for k in range(1, 25):
+    """Admissibility: equal cut counts at every stage, so a walker moves the
+    digits of both systems alike, and (when `even` is set) equal base
+    masses.  When both specs have periodic tails, the cut counts past the
+    longer prefix repeat with period lcm(tail lengths), so comparing the
+    stages up to that prefix plus one period is exact; any other pair is
+    compared through stage 24."""
+    spec_x, spec_y = pair.sys_x.spec, pair.sys_y.spec
+    last = 24
+    if spec_x.tail and spec_y.tail:
+        last = (max(len(spec_x.prefix), len(spec_y.prefix))
+                + lcm(len(spec_x.tail), len(spec_y.tail)))
+    for k in range(1, last + 1):
         if pair.sys_x.cuts(k) != pair.sys_y.cuts(k):
             raise InadmissiblePair(
                 f"cut counts differ at stage {k}: "
@@ -319,29 +350,145 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
     f_{n-1}), margin the right side minus the left, and the base point at
     orbit index n (-n backward).  r, f are the source and image return times
-    along the shared base orbit of `digits`, forward or backward: one walker
-    moves, and the carry (s, e) of the step from each point gives r =
-    R_src(s, e) and f = R_img(s, e).  Past the horizon n, d and the point
-    are None and margin is the best seen."""
+    along the shared base orbit of `digits`, forward or backward; h None
+    means the top item of the source pile over the base point.  Past the
+    horizon n, d and the point are None and margin is the best seen.
+
+    f_i - r_i is the Delta of the carry from orbit index i, so n is the
+    first passage of the Delta partial sums to need = h + slack - f_0,
+    found block by block (_first_passage).  One advance then gives the
+    image base point, with the digits a walk of n steps would have kept."""
     src, img = _sides(pair, forward)
+    s, e = BaseOrbitWalker(src, digits).carry(256)  # return_time's limit
+    if h is None:
+        h = src.return_time(s, e) - 1
+    f = img.return_time(s, e)
+    need = h + slack - f
+    if need <= 0:
+        return 0, h, -need, RankOnePoint(1, 0, digits)
+    words = pair._delta_words(forward)
+    n, acc, s, t = _first_passage(words, digits, need, horizon, budget)
+    margin = acc - need
+    if n is None:
+        return None, None, margin, None
+    e = t if forward else len(words.delta[s]) - 1 - t
     w = BaseOrbitWalker(src, digits)
-    move = w.step if forward else w.step_back
-    reach = h
-    f = psi = img.return_time(*w.carry(256))  # return_time's limit
-    best = None
-    for n in range(horizon + 1):
-        if n:
-            move(budget)
-            s, e = w.carry(budget)
-            reach += src.return_time(s, e)
-            f = img.return_time(s, e)
-            psi += f
-        margin = psi - slack - reach
-        if margin >= 0:
-            return n, reach - psi + f, margin, w.point()
-        if best is None or margin > best:
-            best = margin
-    return None, None, best, None
+    w.advance(n if forward else -n, max(budget, 0))  # carries checked
+    return n, img.return_time(s, e) - slack - margin, margin, w.point()
+
+
+def _first_passage(words, digits, need, horizon, budget):
+    """(n, acc, s, t): the least n <= horizon at which the prefix sum acc
+    of the Delta sequence along the orbit reaches `need` > 0, and the
+    carry (s, t) of its last shift, in the words' orientation; past the
+    horizon (None, best, None, None), best the largest prefix sum within
+    it, the empty prefix counting as 0.
+
+    A step carries into the least stage whose digit (complemented
+    backward) is not maximal.  In a k-block (the positions that share
+    their digits above stage k) the sequence is word k - 1, then
+    delta[k][u] for the carry out of (k-1)-block u, u = 0 .. c_k - 2.  So
+    after a carry (k, t) come the blocks t + 1 .. c_k - 1, each with its
+    carry, then the carry out of the k-block, at the next stage whose
+    digit is not maximal.  A block that ends within the horizon with acc +
+    its largest prefix below need is skipped whole; the first one that
+    does not holds the answer, so the search descends into it and never
+    climbs again.  Forward, the carry from the start itself is left out of
+    the sums.  A carry past stage max(budget, 0) + 1 raises NeedMoreDepth
+    at the shift that would take it, as a step there would."""
+    delta, sums, peaks, lengths = (words.delta, words.sums, words.peaks,
+                                   words.lengths)
+    n = acc = best = k = 0
+    skip = words.forward
+    u = None  # None: climb to the next carry
+    while True:
+        if u is None:
+            if n >= horizon:
+                return None, best, None, None
+            while True:
+                k += 1
+                if k > max(budget, 0) + 1:  # a step always reaches stage 1
+                    edge = "maximal" if words.forward else "zero"
+                    raise NeedMoreDepth(f"all digits {edge} within budget",
+                                        budget=budget)
+                if k >= len(delta):
+                    words._grow(k)
+                t = digits.digit(k)
+                if not words.forward:
+                    t = len(delta[k]) - t
+                if t < len(delta[k]):
+                    break
+            if skip:
+                skip = False
+            else:
+                n += 1
+                acc += delta[k][t]
+                if acc >= need:
+                    return n, acc, k, t
+                best = max(best, acc)
+            u = t + 1
+        row = delta[k]
+        w = k - 1
+        size, peak = lengths[w], peaks[w]
+        while u <= len(row):  # block u of word w, then carry (k, u)
+            if size:
+                if n + size > horizon or acc + peak >= need:
+                    break
+                best = max(best, acc + peak)
+                acc += sums[w]
+                n += size
+            if u < len(row):
+                if n >= horizon:
+                    return None, best, None, None
+                n += 1
+                acc += row[u]
+                if acc >= need:
+                    return n, acc, k, u
+                best = max(best, acc)
+            u += 1
+        else:
+            u = None  # only a climb gets here: a descent always ends inside
+            continue
+        k, u = w, 0
+
+
+class _DeltaWords:
+    """The Delta stage tables of a pair read in one direction.
+
+    delta[s][e] = R_img(s, e) - R_src(s, e) is the margin's change across a
+    shift whose carry raises the stage-s digit from e (R is
+    RankOneSystem.return_time); word k is the sequence of these over
+    the positions 0 .. P_k - 2 of a stage-1..k digit block,
+    word k - 1, delta[k][0], word k - 1, ..., delta[k][c_k - 2], word k - 1,
+    with sum sums[k], largest non-empty prefix sum peaks[k] (None for an
+    empty word) and length lengths[k] = P_k - 1.  Backward walks read the
+    mirrored word, which is this recurrence on complemented digits with
+    each row reversed: delta[s][e] = Delta(s, c_s - 2 - e)."""
+
+    def __init__(self, src, img, forward):
+        self.src, self.img, self.forward = src, img, forward
+        self.delta = [None]
+        self.sums = [0]
+        self.peaks = [None]
+        self.lengths = [0]
+
+    def _grow(self, k):
+        while len(self.delta) <= k:
+            s = len(self.delta)
+            row = [self.img.return_time(s, e) - self.src.return_time(s, e)
+                   for e in range(self.src.cuts(s) - 1)]
+            if not self.forward:
+                row.reverse()
+            total, peak, size = self.sums[-1], self.peaks[-1], self.lengths[-1]
+            acc, best = 0, peak
+            for v in row:
+                acc += total + v
+                top = acc if peak is None else max(acc, acc + peak)
+                best = top if best is None else max(best, top)
+            self.delta.append(row)
+            self.sums.append(acc + total)
+            self.peaks.append(best)
+            self.lengths.append((len(row) + 1) * (size + 1) - 1)
 
 
 def _record(pair, digits, forward, k, shift, depth, image_base, mode,
@@ -483,10 +630,7 @@ def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
 def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     """Shift at which the whole pile over this base point is swallowed:
     the matching shift of the topmost item h = r_A - 1."""
-    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
-    if h == 0:
-        return 0
-    n, _, margin, _ = _partial_sum_walk(pair, digits, True, h,
+    n, _, margin, _ = _partial_sum_walk(pair, digits, True, None,
                                         1 if strict else 0, horizon, budget)
     if n is None:
         raise HorizonExhausted(

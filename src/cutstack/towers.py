@@ -160,10 +160,11 @@ class RankOneSystem:
 
         Returns ("copy", column, inner_level) or ("spacer",).
         """
-        offs = self.offsets(k - 1)
-        h = self.height(k - 1)
+        if not 1 < k <= len(self._offsets):
+            self._grow(k - 1)
+        offs = self._offsets[k - 1]
         a = bisect_right(offs, idx) - 1
-        if a >= 0 and idx < offs[a] + h:
+        if a >= 0 and idx < offs[a] + self._heights[k - 1]:
             return ("copy", a, idx - offs[a])
         return ("spacer",)
 
@@ -191,28 +192,40 @@ class RankOneSystem:
     def point_at(self, k, idx, stream):
         """The point whose stage-k level is idx, using `stream` for digits
         at stages >= k.  Descends provenance to the birth stage."""
+        if k > len(self._offsets):
+            self._grow(k - 1)
+        offsets, heights = self._offsets, self._heights
         overrides = {}
         while k > 1:
-            step = self.decompose(k, idx)
-            if step[0] == "spacer":
-                break
-            overrides[k - 1] = step[1]
-            idx = step[2]
+            offs = offsets[k - 1]
+            a = bisect_right(offs, idx) - 1
+            if a < 0 or idx >= offs[a] + heights[k - 1]:
+                break  # a spacer born at stage k
+            overrides[k - 1] = a
+            idx -= offs[a]
             k -= 1
         return RankOnePoint(k, idx, stream.with_overrides(overrides))
+
+    # level_index and apply grow the tables one stage at a time, after
+    # reading that stage's digit, so a finite spec runs out of rules at the
+    # same stage, and after the same digit reads, as cuts() and offsets().
 
     def level_index(self, point, k):
         """Index of the point in the stage-k stack, 0..h_k - 1."""
         if k < point.birth_stage:
             raise ValueError("point not yet born at this stage")
+        digit = point.digits.digit
+        cuts, offsets = self._cuts, self._offsets
         idx = point.birth_level
         for j in range(point.birth_stage, k):
-            a = point.digits.digit(j)
-            if not 0 <= a < self.cuts(j):
+            a = digit(j)
+            if not 0 < j < len(cuts):
+                self._grow(j)
+            if not 0 <= a < cuts[j]:
                 raise ExhaustedDigits(
-                    f"digit {a} out of range at stage {j} (cuts={self.cuts(j)})"
+                    f"digit {a} out of range at stage {j} (cuts={cuts[j]})"
                 )
-            idx = self.offsets(j)[a] + idx
+            idx = offsets[j][a] + idx
         return idx
 
     def apply(self, point, steps, budget=64):
@@ -220,18 +233,24 @@ class RankOneSystem:
         inside the stack.  Exact inverse: apply(apply(p, n), -n) == p."""
         if steps == 0:
             return point
+        digit = point.digits.digit
+        cuts, offsets, heights = self._cuts, self._offsets, self._heights
         k = point.birth_stage
         idx = point.birth_level
         while k <= budget:
+            if not 0 < k < len(heights):
+                self._grow(k - 1)
             t = idx + steps
-            if 0 <= t < self.height(k):
+            if 0 <= t < heights[k]:
                 return self.point_at(k, t, point.digits)
-            a = point.digits.digit(k)
-            if not 0 <= a < self.cuts(k):
+            a = digit(k)
+            if not 0 < k < len(cuts):
+                self._grow(k)
+            if not 0 <= a < cuts[k]:
                 raise ExhaustedDigits(
-                    f"digit {a} out of range at stage {k} (cuts={self.cuts(k)})"
+                    f"digit {a} out of range at stage {k} (cuts={cuts[k]})"
                 )
-            idx = self.offsets(k)[a] + idx
+            idx = offsets[k][a] + idx
             k += 1
         raise NeedMoreDepth(
             f"T^{steps} unresolved within stage budget {budget}", budget=budget

@@ -4,13 +4,19 @@ that agreement with the package's recursive/arithmetic code is a real
 cross-check, not a tautology.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
 from cutstack.digits import OverlayDigits, zeros
-from cutstack.errors import NeedMoreDepth, WindowEdge, WindowExhausted
+from cutstack.errors import (
+    ExhaustedDigits,
+    NeedMoreDepth,
+    WindowEdge,
+    WindowExhausted,
+)
 from cutstack.matching import build_frame
 from cutstack.quadratic import _reduce_root
 from cutstack.towers import BaseOrbitWalker, RankOnePoint
@@ -148,6 +154,77 @@ def walker_return_window(system, digits, window, budget=256):
     for i in range(1, window + 1):
         r[-i] = w.step_back(budget)
     return r
+
+
+# The point layer as it was before it read the stage tables: every stage
+# goes through the public cuts / offsets / height readers, with their
+# bounds checks.  Kept verbatim, as functions of the system, as the
+# table-read point layer's oracle.
+
+
+def decompose(system, k, idx):
+    """One provenance step for stage-k level idx (k >= 2).
+
+    Returns ("copy", column, inner_level) or ("spacer",).
+    """
+    offs = system.offsets(k - 1)
+    h = system.height(k - 1)
+    a = bisect_right(offs, idx) - 1
+    if a >= 0 and idx < offs[a] + h:
+        return ("copy", a, idx - offs[a])
+    return ("spacer",)
+
+
+def point_at(system, k, idx, stream):
+    """The point whose stage-k level is idx, using `stream` for digits
+    at stages >= k.  Descends provenance to the birth stage."""
+    overrides = {}
+    while k > 1:
+        step = decompose(system, k, idx)
+        if step[0] == "spacer":
+            break
+        overrides[k - 1] = step[1]
+        idx = step[2]
+        k -= 1
+    return RankOnePoint(k, idx, stream.with_overrides(overrides))
+
+
+def level_index(system, point, k):
+    """Index of the point in the stage-k stack, 0..h_k - 1."""
+    if k < point.birth_stage:
+        raise ValueError("point not yet born at this stage")
+    idx = point.birth_level
+    for j in range(point.birth_stage, k):
+        a = point.digits.digit(j)
+        if not 0 <= a < system.cuts(j):
+            raise ExhaustedDigits(
+                f"digit {a} out of range at stage {j} (cuts={system.cuts(j)})"
+            )
+        idx = system.offsets(j)[a] + idx
+    return idx
+
+
+def apply(system, point, steps, budget=64):
+    """T^steps, resolved at the smallest stage where the move stays
+    inside the stack.  Exact inverse: apply(apply(p, n), -n) == p."""
+    if steps == 0:
+        return point
+    k = point.birth_stage
+    idx = point.birth_level
+    while k <= budget:
+        t = idx + steps
+        if 0 <= t < system.height(k):
+            return point_at(system, k, t, point.digits)
+        a = point.digits.digit(k)
+        if not 0 <= a < system.cuts(k):
+            raise ExhaustedDigits(
+                f"digit {a} out of range at stage {k} (cuts={system.cuts(k)})"
+            )
+        idx = system.offsets(k)[a] + idx
+        k += 1
+    raise NeedMoreDepth(
+        f"T^{steps} unresolved within stage budget {budget}", budget=budget
+    )
 
 
 # The base-orbit walker as it was before the return-time table: every step
@@ -569,6 +646,42 @@ def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     x = pair.sys_x.apply(wx.point(), H)
     y = pair.sys_y.apply(y_base, D)
     return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
+
+
+# The partial-sum walk as it was before block descent: one walker moves a
+# shift at a time and reads both return times off each carry.  Kept as the
+# descent's oracle.
+
+
+def one_walker_walk(pair, digits, forward, h, slack, horizon, budget):
+    """(n, d, margin, image base): n <= horizon least with h + r_1 + ... +
+    r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
+    f_{n-1}), margin the right side minus the left, and the base point at
+    orbit index n (-n backward).  r, f are the source and image return times
+    along the shared base orbit of `digits`, forward or backward: one walker
+    moves, and the carry (s, e) of the step from each point gives r =
+    R_src(s, e) and f = R_img(s, e).  Past the horizon n, d and the point
+    are None and margin is the best seen."""
+    src, img = ((pair.sys_x, pair.sys_y) if forward
+                else (pair.sys_y, pair.sys_x))
+    w = BaseOrbitWalker(src, digits)
+    move = w.step if forward else w.step_back
+    reach = h
+    f = psi = img.return_time(*w.carry(256))  # return_time's limit
+    best = None
+    for n in range(horizon + 1):
+        if n:
+            move(budget)
+            s, e = w.carry(budget)
+            reach += src.return_time(s, e)
+            f = img.return_time(s, e)
+            psi += f
+        margin = psi - slack - reach
+        if margin >= 0:
+            return n, reach - psi + f, margin, w.point()
+        if best is None or margin > best:
+            best = margin
+    return None, None, best, None
 
 
 # The odometer as it was before the signed carry: one carry loop for each

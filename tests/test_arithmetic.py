@@ -29,6 +29,7 @@ from cutstack.arithmetic import (
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
 from cutstack.errors import BudgetExhausted
 from cutstack.quadratic import Surd
+from cutstack.towers import RankOnePoint
 
 ANGLES = [sqrt2_minus_1, golden_minus_1]
 
@@ -213,6 +214,34 @@ def test_prefix_induction_roundtrip_addressing():
         o = ind.to_odometer(p)
         assert o.digit(1) == level
         assert sys.same_point(ind.from_odometer(o), p)
+
+
+def test_prefix_induction_gives_back_the_source_stream():
+    # from_odometer undoes to_odometer on the stream itself, so same_point
+    # compares the bases exactly instead of over a 64-digit guard
+    from cutstack import induction
+
+    ind = induce_odometer_prefix(3, 2)
+    sys = ind.system
+    seeded = SeededDigits("pi:0", sys.cuts)
+    x = sys.base_point(seeded)
+    o = ind.to_odometer(x)
+    assert ind.from_odometer(o).digits is seeded
+    ad = induction.RankOneAdapter(sys)
+    for _ in range(200):
+        x = induction.induced_apply(ad, ind.base_set(), x)
+        o = odometer_successor(ind.odometer, o)
+        y = ind.from_odometer(o)
+        assert getattr(y.digits, "base", y.digits) is seeded
+        assert getattr(x.digits, "base", x.digits) is seeded
+        assert sys.same_point(y, x)
+        shifted = arithmetic._UnshiftedDigits(o.digits)
+        assert [y.digits.digit(k) for k in range(1, 40)] == [
+            shifted.digit(k) for k in range(1, 40)]
+    # any other stream is still read through the level digit
+    other = OdometerPoint(PeriodicDigits((1, 2), (0,)))
+    assert ind.from_odometer(other) == RankOnePoint(
+        1, 1, arithmetic._UnshiftedDigits(other.digits))
 
 
 def test_prefix_induction_measure_bookkeeping():

@@ -118,3 +118,33 @@ def test_benchmark_seed0_digests():
             digest.update(repr(item).encode())
         got[name] = digest.hexdigest()
     assert got == BENCHMARK_SEED0
+
+
+# Seed-1 digests of the two workloads that run the even formula, taken
+# before block descent replaced the shift-by-shift partial-sum walk.
+BENCHMARK_SEED1 = {
+    "orbit_formula":
+        "b2e477a32efbdce49baf589f97cae9cdefeedcd1d171e34f9433ae7f3f2f5527",
+    "even_roundtrip":
+        "dcc7e65f7079ebb4ccb6a5eba208728c00a9c1865db40a51699218faf84f5159",
+}
+
+
+def test_benchmark_seed1_digests():
+    workloads = _benchmark_workloads()
+    got = {}
+    for name in BENCHMARK_SEED1:
+        wl = workloads[name](1)
+        digest = hashlib.sha256()
+        for i in range(wl.trace_ops):
+            inp = wl.make_input(i)
+            try:
+                out = wl.op(inp)
+            except Exception:
+                item = ("failed", i)
+            else:
+                wl.record(i, inp, out)
+                item = wl.digest_items(out)
+            digest.update(repr(item).encode())
+        got[name] = digest.hexdigest()
+    assert got == BENCHMARK_SEED1

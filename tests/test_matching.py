@@ -1,9 +1,10 @@
+import json
 import random
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,7 +16,12 @@ from cutstack.errors import (
     MarginViolation,
     NeedMoreDepth,
 )
-from cutstack.specs import StackingSpec, builtin_spec, random_spec
+from cutstack.specs import (
+    StackingSpec,
+    builtin_spec,
+    parse_spec_json,
+    random_spec,
+)
 from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
 
 
@@ -33,6 +39,34 @@ def test_validate_pair_rejects_unequal_masses_as_even():
         matching.validate_pair(pair, even=True)
     # but the same pair is fine when evenness is not demanded
     matching.validate_pair(pair, even=False)
+
+
+def test_validate_pair_compares_periodic_cut_counts_exactly():
+    # both cut in two for 24 stages, then 2 vs 3 from stage 25 on
+    rule = {"cuts": 2, "above": [0, 1]}
+    two = parse_spec_json(json.dumps({"stages": [rule] * 24,
+                                      "tail": [rule]}))
+    three = parse_spec_json(json.dumps(
+        {"stages": [rule] * 24, "tail": [{"cuts": 3, "above": [0, 1, 0]}]}))
+    pair = matching.PairSpec("late", RankOneSystem(two), RankOneSystem(three))
+    with pytest.raises(InadmissiblePair,
+                       match="^cut counts differ at stage 25: 2 vs 3$"):
+        matching.validate_pair(pair)
+    # tails of periods 5 and 7 after 20 stages in two: 3 cuts first at
+    # stage 25 on the left, at stage 27 on the right
+    b = {"cuts": 3, "above": [0, 1, 0]}
+    five = parse_spec_json(json.dumps({"stages": [rule] * 20,
+                                       "tail": [rule] * 4 + [b]}))
+    seven = parse_spec_json(json.dumps({"stages": [rule] * 20,
+                                        "tail": [rule] * 6 + [b]}))
+    pair = matching.PairSpec("periods", RankOneSystem(five),
+                             RankOneSystem(seven))
+    with pytest.raises(InadmissiblePair,
+                       match="^cut counts differ at stage 25: 3 vs 2$"):
+        matching.validate_pair(pair)
+    left = RankOneSystem(builtin_spec("dyadic_pair_left"))
+    assert matching.validate_pair(
+        matching.PairSpec("same", RankOneSystem(two), left))
 
 
 def test_base_measures_and_evenness():
@@ -432,6 +466,69 @@ def test_stopping_time_is_the_two_walker_walk(case):
     args = (pair, stream, horizon, bool(slack), budget)
     assert (_stop_outcome(matching.stopping_time, *args)
             == _stop_outcome(_oracle_stopping_time, *args))
+
+
+@st.composite
+def tail_cases(draw):
+    """walk_cases' (pair, stream, forward, h, slack, horizon, budget) for
+    the heavy tail: a seeded stream whose lowest 0..20 digits are maximal
+    forward or zero backward, so the start sits at the far end of a long
+    block, heights up to 14 past the pit, and horizons up to 2^16."""
+    pair = PAIRS[draw(st.sampled_from(("dyadic",) * 3 + tuple(PAIRS)))]
+    cuts = pair.sys_x.cuts
+    forward = draw(st.booleans())
+    stream = SeededDigits(f"tail:{draw(st.integers(0, 10**6))}", cuts)
+    low = draw(st.integers(0, 20))
+    stream = stream.with_overrides(
+        {k: cuts(k) - 1 if forward else 0 for k in range(1, low + 1)})
+    src, img = ((pair.sys_x, pair.sys_y) if forward
+                else (pair.sys_y, pair.sys_x))
+    top = BaseOrbitWalker(src, stream).return_time() - 1
+    pit = BaseOrbitWalker(img, stream).return_time()
+    # past the pit by j the sums must climb about j stages backward, to
+    # shifts near 2^j, and a few forward, so most heights are drawn there
+    past_pit = st.integers(pit + 1, pit + 14)
+    h = draw(st.one_of(st.integers(0, top), past_pit, past_pit, past_pit))
+    slack = draw(st.sampled_from((0, 1)))
+    horizon = draw(st.one_of(st.integers(0, 40),
+                             st.sampled_from((4096, 2**15, 2**16))))
+    budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
+    return pair, stream, forward, h, slack, horizon, budget
+
+
+def _walk_stopping_time(pair, digits, horizon, strict, budget):
+    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
+    n, _, margin, _ = oracles.one_walker_walk(
+        pair, digits, True, h, 1 if strict else 0, horizon, budget)
+    if n is None:
+        raise HorizonExhausted(f"pile not swallowed within {horizon} shifts",
+                               horizon=horizon, running_min=margin)
+    return n
+
+
+def _long_shift(horizon, budget):
+    """A dyadic item whose strict forward shift is 8191, the largest seen
+    over criterion 11's sampler."""
+    pair = PAIRS["dyadic"]
+    return (pair, SeededDigits("tail:6835", pair.sys_x.cuts), True, 1, 1,
+            horizon, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(walk_cases(), tail_cases()))
+@example(_long_shift(2**16, 256))
+@example(_long_shift(8190, 256))  # one short: the best margin within it
+@example(_long_shift(2**16, 12))  # the stage-14 carry is past the budget
+def test_block_descent_is_the_shift_by_shift_walk(case):
+    # equal n, d, margin, boundary and image point (overrides and base),
+    # or the same exception, message and budget; the stopping time of the
+    # same column, or the same HorizonExhausted horizon and running_min
+    got = _walk_outcome(matching._partial_sum_walk, lambda p: p, *case)
+    assert got == _walk_outcome(oracles.one_walker_walk, lambda p: p, *case)
+    pair, stream, _, _, slack, horizon, budget = case
+    args = (pair, stream, horizon, bool(slack), budget)
+    assert (_stop_outcome(matching.stopping_time, *args)
+            == _stop_outcome(_walk_stopping_time, *args))
 
 
 def test_point_matchings_refuse_unequal_base_masses():

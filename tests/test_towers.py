@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,6 +13,7 @@ from cutstack.towers import (
     SPACER,
     BaseOrbitWalker,
     LevelSet,
+    RankOnePoint,
     RankOneSystem,
     build_towers,
 )
@@ -294,3 +295,80 @@ def test_stage_data_is_one_based():
     for read in (sys.cuts, sys.offsets, sys.height):
         with pytest.raises(ValueError):
             read(0)
+
+
+def _point_outcome(call):
+    """A point as (birth stage, birth level, overrides, base stream), any
+    other value as itself, or a failure as (type, message, budget)."""
+    try:
+        got = call()
+    except Exception as e:
+        return type(e), str(e), getattr(e, "budget", None)
+    if isinstance(got, RankOnePoint):
+        digits = got.digits
+        return (got.birth_stage, got.birth_level,
+                getattr(digits, "overrides", {}),
+                getattr(digits, "base", digits))
+    return got
+
+
+@st.composite
+def point_layer_cases(draw):
+    """(spec, stage, level, stream, steps, budget): a builtin spec, or a
+    finite one that runs out of rules; a stack level, sometimes just
+    outside the stack; a seeded tail from that stage, sometimes with a
+    digit past its cut count."""
+    name = draw(st.sampled_from(NAMES + ["finite"]))
+    if name == "finite":
+        spec = random_spec(draw(st.integers(0, 10**6)))
+        spec = StackingSpec(spec.name, spec.initial_height, spec.prefix, ())
+        k = draw(st.integers(1, len(spec.prefix) + 1))
+    else:
+        spec = builtin_spec(name)
+        k = draw(st.integers(1, 12))
+    sys = RankOneSystem(spec)
+    idx = draw(st.integers(-2, sys.height(k) + 1))
+    stream = SeededDigits(f"pl:{draw(st.integers(0, 10**6))}", sys.cuts,
+                          start=k)
+    if draw(st.booleans()):
+        bad = draw(st.integers(k, k + 6))
+        stream = stream.with_overrides({bad: 5})
+    steps = draw(st.one_of(st.integers(-40, 40), st.integers(-4000, 4000)))
+    budget = draw(st.one_of(st.integers(0, 12), st.just(64)))
+    return spec, k, idx, stream, steps, budget
+
+
+def _finite_bad_digit():
+    """A finite spec, a point at its last stage whose digit there is out of
+    range: reading its level past the spec must fail on the digit first."""
+    spec = random_spec(0)
+    finite = StackingSpec(spec.name, spec.initial_height, spec.prefix, ())
+    last = len(spec.prefix)
+    cuts = RankOneSystem(spec).cuts
+    stream = SeededDigits("pl:bad", cuts, start=last).with_overrides(
+        {last: 5})
+    return finite, last, 0, stream, 40, 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_layer_cases())
+@example(_finite_bad_digit())
+def test_point_layer_reads_the_stage_tables_like_the_stage_readers(case):
+    # equal points, levels and provenance steps, or the same exception
+    # (ExhaustedDigits, NeedMoreDepth, ValueError for an unborn point or a
+    # stage below 1, ExhaustedRules past a finite spec) with the same
+    # message, each system grown only by the calls themselves
+    spec, k, idx, stream, steps, budget = case
+    new, old = RankOneSystem(spec), RankOneSystem(spec)
+    calls = [
+        (new.point_at, oracles.point_at, (k, idx, stream)),
+        (new.decompose, oracles.decompose, (k, idx)),
+        (new.decompose, oracles.decompose, (k + 1, idx)),
+    ]
+    point = oracles.point_at(RankOneSystem(spec), k, idx, stream)
+    for j in range(point.birth_stage - 1, k + 4):
+        calls.append((new.level_index, oracles.level_index, (point, j)))
+    calls.append((new.apply, oracles.apply, (point, steps, budget)))
+    for read, oracle, args in calls:
+        assert (_point_outcome(lambda: read(*args))
+                == _point_outcome(lambda: oracle(old, *args)))
