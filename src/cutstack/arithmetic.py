@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitStream, OverlayDigits, zeros
+from .digits import DigitStream, OverlayDigits, mixed_radix_add, zeros
 from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
 from .quadratic import Surd, cf_convergents, surd_from_cf
 from .specs import q_adic_tower_spec
@@ -265,16 +265,11 @@ def odometer_zero(spec):
 def odometer_apply(spec, point, steps, budget=256):
     """Add `steps` (either sign) in one mixed-radix add with a signed
     carry; exact cylinder-mass preserving.  Base-1 digits stay 0."""
-    overrides = {}
-    carry = steps
-    for k in range(1, budget + 1):
-        if not carry:
-            break
-        carry, overrides[k] = divmod(point.digit(k) + carry, spec.base(k))
+    new, carry = mixed_radix_add(point.digit, spec.base, steps, 1, budget)
     if carry:
         edge = "maximal" if carry > 0 else "zero"
         raise NeedMoreDigits(f"all digits {edge} through {budget}")
-    return OdometerPoint(point.digits.with_overrides(overrides))
+    return OdometerPoint(point.digits.with_overrides(dict(enumerate(new, 1))))
 
 
 def odometer_successor(spec, point, budget=256):

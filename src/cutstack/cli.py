@@ -383,6 +383,8 @@ def main(argv=None):
     ctx = RunContext(args)
     status = "ok"
     try:
+        if args.budget < 0:
+            raise SpecInvalid(f"--budget must be >= 0, got {args.budget}")
         rc = args.func(ctx)
         if rc:
             status = f"exit:{rc}"

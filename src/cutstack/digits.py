@@ -8,8 +8,9 @@ not accumulate indirection.
 """
 
 import random
+from math import lcm
 
-from .errors import ExhaustedDigits
+from .errors import BudgetExhausted, ExhaustedDigits
 
 
 class DigitStream:
@@ -151,16 +152,40 @@ def explicit_extent(stream):
     return stream.start - 1
 
 
-def streams_equal_beyond(s1, s2, stage, guard=64):
+def mixed_radix_add(digit, radix, steps, start, stop):
+    """Add `steps` (either sign) at stage `start` of the mixed-radix number
+    whose stage-k digit is digit(k) < radix(k): (new digits of stages
+    start, start + 1, ... as far as the carry reached, carry left past
+    stage `stop`, 0 once it settles).  Each stage's digit is read before
+    its radix, and nothing is written back."""
+    new = []
+    k = start
+    while steps and k <= stop:
+        steps, d = divmod(digit(k) + steps, radix(k))
+        new.append(d)
+        k += 1
+    return new, steps
+
+
+def streams_equal_beyond(s1, s2, stage):
     """Decide whether two streams agree at every stage >= `stage`.
 
-    Exact when both reduce to comparable bases; otherwise falls back to a
-    bounded digit-by-digit comparison over `guard` stages (sufficient for
-    every workbench flow, where tails are shared objects).
+    Exact when the bases are equal, or both periodic: past the last
+    explicit digit the pair repeats with period lcm(tail lengths).  Any
+    other pair is compared over 64 stages past the explicit digits; a
+    difference there is an exact False, and no difference raises
+    BudgetExhausted rather than guessing.
     """
     b1 = s1.base if isinstance(s1, OverlayDigits) else s1
     b2 = s2.base if isinstance(s2, OverlayDigits) else s2
     hi = max(explicit_extent(s1), explicit_extent(s2), stage)
     if b1 is b2 or b1 == b2:
         return all(s1.digit(k) == s2.digit(k) for k in range(stage, hi + 1))
-    return all(s1.digit(k) == s2.digit(k) for k in range(stage, hi + guard + 1))
+    periodic = isinstance(b1, PeriodicDigits) and isinstance(b2, PeriodicDigits)
+    span = lcm(len(b1.tail), len(b2.tail)) if periodic else 64
+    if any(s1.digit(k) != s2.digit(k) for k in range(stage, hi + span + 1)):
+        return False
+    if periodic:
+        return True
+    raise BudgetExhausted(f"streams agree through stage {hi + span} "
+                          f"and have different bases")

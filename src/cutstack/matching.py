@@ -3,8 +3,8 @@
 Both systems of a pair cut every stage into the same number of columns, so
 the maps they induce on their base levels A and B are one odometer on
 shared column digits, and a pair is that odometer with two return-time
-tables (validate_pair compares the cut counts; for two periodic tails it
-checks the longer prefix plus one lcm of the tail periods, which is
+tables (validate_pair refuses a finite spec, and compares the cut counts
+over the longer prefix plus one lcm of the tail periods, which is
 exact).  The even matcher assigns each point of an X column (a pile over a
 base point) to a slot in the Y column over the same digits (a pit), by
 sliding piles over pits and dropping items into free slots.  The machine,
@@ -42,7 +42,8 @@ from .errors import (
 )
 from .induction import lift
 from .specs import builtin_spec
-from .towers import BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem
+from .towers import (BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem,
+                     odometer_add)
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +96,19 @@ class PairSpec:
 
 
 def validate_pair(pair, even=None):
-    """Admissibility: equal cut counts at every stage, so a walker moves the
-    digits of both systems alike, and (when `even` is set) equal base
-    masses.  When both specs have periodic tails, the cut counts past the
-    longer prefix repeat with period lcm(tail lengths), so comparing the
-    stages up to that prefix plus one period is exact; any other pair is
-    compared through stage 24."""
+    """Admissibility: two infinite specs, with equal cut counts at every
+    stage, so a walker moves the digits of both systems alike, and (when
+    `even` is set) equal base masses.  A finite spec has no odometer to
+    match on.  Past the longer prefix the cut counts repeat with period
+    lcm(tail lengths), so comparing the stages up to that prefix plus one
+    period is exact."""
     spec_x, spec_y = pair.sys_x.spec, pair.sys_y.spec
-    last = 24
-    if spec_x.tail and spec_y.tail:
-        last = (max(len(spec_x.prefix), len(spec_y.prefix))
-                + lcm(len(spec_x.tail), len(spec_y.tail)))
+    for spec in (spec_x, spec_y):
+        if not spec.tail:
+            raise InadmissiblePair(f"spec {spec.name!r} is finite: "
+                                   f"no odometer to match on")
+    last = (max(len(spec_x.prefix), len(spec_y.prefix))
+            + lcm(len(spec_x.tail), len(spec_y.tail)))
     for k in range(1, last + 1):
         if pair.sys_x.cuts(k) != pair.sys_y.cuts(k):
             raise InadmissiblePair(
@@ -184,9 +187,10 @@ def return_window(system, digits, window, budget=256):
     -window..window around the given base digit state.
 
     r(i) is stage_word(K)[N + i], N the state's position in the least digit
-    block (stages 1..K <= budget + 1) of P > window positions.  A walker
-    takes only the steps out of the block's last position, at most one
-    each way, and gives up on them where a step-by-step walk would."""
+    block (stages 1..K <= budget + 1) of P > window positions.  The steps
+    out of the block's last position, at most one each way, are each one
+    carry from stage K + 1, and give up where a step-by-step walk would
+    (r(window) itself is a return_time peek, at its limit 256)."""
     N, P, K = 0, 1, 0
     while P <= window and K <= budget:
         K += 1
@@ -196,15 +200,15 @@ def return_window(system, digits, window, budget=256):
     last = P - 1
     fwd = word[N:min(N + window + 1, last)]
     if N + window >= last:
-        w = BaseOrbitWalker(system, digits)
-        w.advance(last - N, budget)
-        fwd.append(w.return_time() if N + window == last else w.step(budget))
+        limit = 256 if N + window == last else budget
+        new = odometer_add(digits.digit, system.cuts, 1, K + 1, limit)
+        fwd.append(system.return_time(K + len(new), new[-1] - 1))
         fwd += word[:N + window - last]
     bwd = word[max(N - window, 0):N]
     if window > N:
-        w = BaseOrbitWalker(system, digits)
-        w.advance(-N, budget)
-        bwd = word[N + P - window:last] + [w.step_back(budget)] + bwd
+        new = odometer_add(digits.digit, system.cuts, -1, K + 1, budget)
+        bwd = (word[N + P - window:last]
+               + [system.return_time(K + len(new), new[-1])] + bwd)
     return dict(zip(range(-window, window + 1), bwd + fwd))
 
 
@@ -373,7 +377,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
         return None, None, margin, None
     e = t if forward else len(words.delta[s]) - 1 - t
     w = BaseOrbitWalker(src, digits)
-    w.advance(n if forward else -n, max(budget, 0))  # carries checked
+    w.advance(n if forward else -n, budget)  # carries checked
     return n, img.return_time(s, e) - slack - margin, margin, w.point()
 
 
@@ -394,8 +398,9 @@ def _first_passage(words, digits, need, horizon, budget):
     its largest prefix below need is skipped whole; the first one that
     does not holds the answer, so the search descends into it and never
     climbs again.  Forward, the carry from the start itself is left out of
-    the sums.  A carry past stage max(budget, 0) + 1 raises NeedMoreDepth
-    at the shift that would take it, as a step there would."""
+    the sums.  Each climb is one carry from stage k + 1 (odometer_add), so
+    a carry past stage budget + 1 raises NeedMoreDepth at the shift that
+    would take it, as a step there would."""
     delta, sums, peaks, lengths = (words.delta, words.sums, words.peaks,
                                    words.lengths)
     n = acc = best = k = 0
@@ -405,19 +410,12 @@ def _first_passage(words, digits, need, horizon, budget):
         if u is None:
             if n >= horizon:
                 return None, best, None, None
-            while True:
-                k += 1
-                if k > max(budget, 0) + 1:  # a step always reaches stage 1
-                    edge = "maximal" if words.forward else "zero"
-                    raise NeedMoreDepth(f"all digits {edge} within budget",
-                                        budget=budget)
-                if k >= len(delta):
-                    words._grow(k)
-                t = digits.digit(k)
-                if not words.forward:
-                    t = len(delta[k]) - t
-                if t < len(delta[k]):
-                    break
+            new = odometer_add(digits.digit, words.src.cuts,
+                               1 if words.forward else -1, k + 1, budget)
+            k += len(new)
+            if k >= len(delta):
+                words._grow(k)
+            t = new[-1] - 1 if words.forward else len(delta[k]) - 1 - new[-1]
             if skip:
                 skip = False
             else:

@@ -14,6 +14,7 @@ from .digits import (
     DigitStream,
     SeededDigits,
     explicit_extent,
+    mixed_radix_add,
     streams_equal_beyond,
     zeros,
 )
@@ -141,6 +142,8 @@ class RankOneSystem:
         return self._unit_width
 
     def width(self, i):
+        if i < 1:
+            raise ValueError("stages are 1-based")
         if len(self._widths) == 1:
             self._widths.append(self.unit_width())
         while len(self._widths) <= i:
@@ -263,12 +266,12 @@ class RankOneSystem:
             return False
         return self.level_index(point, lset.stage) in lset.level_indices
 
-    def same_point(self, p, q, guard=64):
+    def same_point(self, p, q):
         """Point equality across representations.
 
         Compares stack position at the deepest explicitly-addressed stage
-        and digit streams beyond; exact whenever the streams share a tail
-        (always true for engine-produced images of a common point).
+        and digit streams beyond (see streams_equal_beyond): exact, or
+        BudgetExhausted when two unrelated streams agree as far as read.
         """
         k = max(
             p.birth_stage,
@@ -278,7 +281,7 @@ class RankOneSystem:
         )
         if self.level_index(p, k) != self.level_index(q, k):
             return False
-        return streams_equal_beyond(p.digits, q.digits, k, guard=guard)
+        return streams_equal_beyond(p.digits, q.digits, k)
 
     # -- names and spacer recovery -----------------------------------------
 
@@ -367,6 +370,17 @@ def build_towers(spec, depth):
 # Fast induced-orbit walker over the base level
 
 
+def odometer_add(digit, cuts, steps, start, budget):
+    """New base digits of stages start, start + 1, ... after adding `steps`
+    at stage `start` (mixed_radix_add); every induced move goes through it.
+    A carry past stage budget + 1 raises NeedMoreDepth."""
+    new, carry = mixed_radix_add(digit, cuts, steps, start, budget + 1)
+    if carry:
+        edge = "maximal" if carry > 0 else "zero"
+        raise NeedMoreDepth(f"all digits {edge} within budget", budget=budget)
+    return new
+
+
 class BaseOrbitWalker:
     """Walks the induced map on the stage-1 base level (level 0) as an
     odometer on the column digits, producing exact return times.
@@ -383,20 +397,12 @@ class BaseOrbitWalker:
         self.tail = digits_stream
         self.d = []  # materialized digits, d[j] = digit at stage j+1
 
-    def _digit(self, j):
-        while len(self.d) <= j:
-            self.d.append(self.tail.digit(len(self.d) + 1))
-        return self.d[j]
-
-    def _carry_up(self, budget):
-        """Least j whose digit is not maximal: the carry of a forward step."""
-        cuts = self.sys.cuts
-        j = 0
-        while self._digit(j) == cuts(j + 1) - 1:
-            j += 1
-            if j > budget:
-                raise NeedMoreDepth("all digits maximal within budget", budget=budget)
-        return j
+    def _digit(self, k):
+        """The stage-k digit, materializing the digits up to it."""
+        d = self.d
+        while len(d) < k:
+            d.append(self.tail.digit(len(d) + 1))
+        return d[k - 1]
 
     def state(self):
         return tuple(self.d)
@@ -407,61 +413,36 @@ class BaseOrbitWalker:
 
     def step(self, budget=256):
         """Advance one induced step; returns the return time r >= 1."""
-        j = self._carry_up(budget)
-        d = self.d
-        r = self.sys.return_time(j + 1, d[j])
-        d[:j] = [0] * j
-        d[j] += 1
-        return r
+        return self.advance(1, budget)
 
     def step_back(self, budget=256):
         """Retreat one induced step; returns the return time of the
         predecessor (the pile height climbed over)."""
-        cuts = self.sys.cuts
-        j = 0
-        while self._digit(j) == 0:
-            j += 1
-            if j > budget:
-                raise NeedMoreDepth("all digits zero within budget", budget=budget)
-        d = self.d
-        r = self.sys.return_time(j + 1, d[j] - 1)
-        d[:j] = [cuts(u + 1) - 1 for u in range(j)]
-        d[j] -= 1
-        return r
+        return -self.advance(-1, budget)
 
     def advance(self, n, budget=256):
         """Jump n induced steps (n may be negative); returns the signed total
-        T-step count (sum of return times along the way), exact.
-
-        Mixed-radix addition with a signed carry, summing the offset change
-        of each digit the carry touches.
-        """
+        T-step count (sum of return times along the way), exact: one signed
+        add, summing the offset change of each digit the carry touches,
+        and committed only once the carry settles."""
+        new = odometer_add(self._digit, self.sys.cuts, n, 1, budget)
+        d, offsets = self.d, self.sys._offsets
         total = 0
-        carry = n
-        j = 0
-        while carry:
-            if j > budget:
-                raise NeedMoreDepth("carry ran past stage budget", budget=budget)
-            b = self.sys.cuts(j + 1)
-            old = self._digit(j)
-            tot = old + carry
-            new = self.d[j] = tot % b
-            carry = (tot - new) // b
-            offs = self.sys._offsets[j + 1]
-            total += offs[new] - offs[old]
-            j += 1
+        for j, v in enumerate(new):
+            offs = offsets[j + 1]
+            total += offs[v] - offs[d[j]]
+        d[:len(new)] = new
         return total
 
     def carry(self, budget=256):
         """(s, d): a step from the current state carries into stage s,
         raising its digit from d, and takes R(s, d) base steps.  Nothing
-        moves, and digits the carry search reads are not kept, as if no
-        step had been tried."""
+        moves, and digits the carry reads are not kept, as if no step had
+        been tried."""
         known = len(self.d)
-        j = self._carry_up(budget)
-        d = self.d[j]
+        new = odometer_add(self._digit, self.sys.cuts, 1, 1, budget)
         del self.d[known:]
-        return j + 1, d
+        return len(new), new[-1] - 1
 
     def return_time(self):
         """Return time at the current state, without moving."""

@@ -12,6 +12,7 @@ from math import isqrt
 from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
 from cutstack.digits import OverlayDigits, zeros
 from cutstack.errors import (
+    CutstackError,
     ExhaustedDigits,
     NeedMoreDepth,
     WindowEdge,
@@ -291,6 +292,7 @@ class PositionWalker:
         sys = self.sys
         j = 0
         while self._digit(j) == 0:
+            sys.cuts(j + 1)  # the borrow writes c - 1 here
             j += 1
             if j > budget:
                 raise NeedMoreDepth("all digits zero within budget", budget=budget)
@@ -306,22 +308,29 @@ class PositionWalker:
         T-step count (sum of return times along the way), exact.
 
         Mixed-radix addition with a signed carry, then a stack-position
-        difference at the first stage both endpoints share.
+        difference at the first stage both endpoints share.  A move that
+        gives up puts back the digits it changed.
         """
         if n == 0:
             return 0
         before = []
         carry = n
         j = 0
-        while carry:
-            if j > budget:
-                raise NeedMoreDepth("carry ran past stage budget", budget=budget)
-            b = self.sys.cuts(j + 1)
-            before.append(self._digit(j))
-            tot = self.d[j] + carry
-            self.d[j] = tot % b
-            carry = (tot - self.d[j]) // b
-            j += 1
+        try:
+            while carry:
+                if j > budget:
+                    edge = "maximal" if carry > 0 else "zero"
+                    raise NeedMoreDepth(f"all digits {edge} within budget",
+                                        budget=budget)
+                before.append(self._digit(j))
+                b = self.sys.cuts(j + 1)
+                tot = self.d[j] + carry
+                self.d[j] = tot % b
+                carry = (tot - self.d[j]) // b
+                j += 1
+        except CutstackError:
+            self.d[:len(before)] = before
+            raise
         old_idx = 0
         new_idx = 0
         for u in range(j):

@@ -104,7 +104,7 @@ def test_criterion_03_induced_map_identities():
         sys = RankOneSystem(builtin_spec("odometer(2,3)"))
         w = BaseOrbitWalker(sys, SeededDigits("acc3", sys.cuts))
         bases = [sys.cuts(k) for k in range(1, 20)]
-        digits = [w._digit(j) for j in range(19)]
+        digits = [w._digit(k) for k in range(1, 20)]
         for _ in range(10**4):
             w.step()
             digits = oracles.naive_odometer_successor(digits, bases)

@@ -1,3 +1,6 @@
+import pytest
+
+from cutstack.arithmetic import _ShiftedDigits, _UnshiftedDigits
 from cutstack.digits import (
     OverlayDigits,
     PeriodicDigits,
@@ -6,6 +9,7 @@ from cutstack.digits import (
     streams_equal_beyond,
     zeros,
 )
+from cutstack.errors import BudgetExhausted
 
 
 def test_periodic_digits_prefix_then_tail():
@@ -50,7 +54,7 @@ def test_streams_equal_beyond():
     b = PeriodicDigits((0, 0, 0), (1,))
     assert streams_equal_beyond(a, b, 4)
     c = PeriodicDigits((0, 0, 0, 0, 5), (1,))
-    assert not streams_equal_beyond(a, c, 4, guard=8)
+    assert not streams_equal_beyond(a, c, 4)
 
 
 def test_seeded_digits_equal_only_over_the_same_radixes():
@@ -64,3 +68,24 @@ def test_seeded_digits_equal_only_over_the_same_radixes():
     # comparison past the stage (not a shared seed) can tell them apart
     assert a.digit(1) == b.digit(1)
     assert not streams_equal_beyond(a, b, 1)
+
+
+def test_periodic_streams_are_compared_over_one_common_period():
+    # the tails have periods 71 and 1, and first differ at stage 71
+    late = PeriodicDigits((), (0,) * 70 + (1,))
+    assert not streams_equal_beyond(late, zeros(), 1)
+    # the same digits as a prefix and a tail of period 213
+    rotated = (late.tail[3:] + late.tail[:3]) * 3
+    assert streams_equal_beyond(late.with_overrides({3: 1}),
+                                PeriodicDigits((0, 0, 1), rotated), 1)
+
+
+def test_unrelated_streams_that_agree_are_not_guessed_equal():
+    # the same digits from two different bases: no difference is found, so
+    # the comparison cannot decide
+    s = SeededDigits("unshift", lambda k: 3)
+    same = _UnshiftedDigits(_ShiftedDigits(s, 1))
+    with pytest.raises(BudgetExhausted):
+        streams_equal_beyond(same, s, 1)
+    other = _UnshiftedDigits(_ShiftedDigits(SeededDigits("x", lambda k: 3), 1))
+    assert not streams_equal_beyond(other, s, 1)

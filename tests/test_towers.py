@@ -257,16 +257,16 @@ def test_table_walker_is_the_position_walker(seed, tail, moves):
 
 def _give_up_calls(spec, budget):
     """(stream, call, error on a finite spec) for calls that carry through
-    every digit: maximal digits forward, zero digits backward.  A backward
-    carry over zeros never reads a cut count, so it never runs out of
-    rules."""
+    every digit: maximal digits forward, zero digits backward.  A borrow
+    over zeros writes c - 1 at every stage it passes, so it reads each
+    cut count and runs out of rules like a forward carry."""
     sys = RankOneSystem(spec)
     top = PeriodicDigits([sys.cuts(k) - 1 for k in range(1, 12)],
                          (sys.cuts(12) - 1,))
     return [
         (top, lambda w: w.step(budget), ExhaustedRules),
         (top, lambda w: w.return_time(), ExhaustedRules),
-        (zeros(), lambda w: w.step_back(budget), NeedMoreDepth),
+        (zeros(), lambda w: w.step_back(budget), ExhaustedRules),
         (top, lambda w: w.advance(1, budget), ExhaustedRules),
     ]
 
@@ -290,9 +290,59 @@ def test_table_walker_gives_up_where_the_position_walker_does(seed, budget):
         assert got[0][0] is error
 
 
+def test_every_move_reads_a_budget_one_way():
+    # step is advance(1), step_back is -advance(-1) and carry peeks at
+    # advance(1): each gives up past stage budget + 1, and a negative
+    # budget allows no carry at all
+    sys = RankOneSystem(builtin_spec("chacon"))
+    up = PeriodicDigits((2, 2, 2), (0,))  # a step carries into stage 4
+    down = PeriodicDigits((0, 0, 0), (1,))
+    for budget in range(-2, 6):
+        for stream, one, other in (
+            (zeros(), lambda w: w.step(budget),
+             lambda w: w.advance(1, budget)),
+            (up, lambda w: w.step(budget), lambda w: w.advance(1, budget)),
+            (up, lambda w: sys.return_time(*w.carry(budget)),
+             lambda w: w.advance(1, budget)),
+            (down, lambda w: w.step_back(budget),
+             lambda w: -w.advance(-1, budget)),
+        ):
+            got = _outcome(BaseOrbitWalker(sys, stream), one)
+            assert got[0] == _outcome(BaseOrbitWalker(sys, stream), other)[0]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_a_move_that_gives_up_moves_nothing(budget):
+    # the carry runs through stages 1 .. budget + 1 without settling: the
+    # digits it read are kept, and none is changed
+    sys = RankOneSystem(builtin_spec("chacon"))
+    for digit, edge, moves in (
+            (2, "maximal", (lambda w: w.step(budget),
+                            lambda w: w.advance(2, budget),
+                            lambda w: w.advance(40, budget))),
+            (0, "zero", (lambda w: w.step_back(budget),
+                         lambda w: w.advance(-2, budget),
+                         lambda w: w.advance(-40, budget)))):
+        for move in moves:
+            w = BaseOrbitWalker(sys, PeriodicDigits((), (digit,)))
+            with pytest.raises(NeedMoreDepth,
+                               match=f"all digits {edge} within budget"):
+                move(w)
+            assert w.state() == (digit,) * (budget + 1)
+
+
+def test_same_point_compares_periodic_streams_exactly():
+    # the streams first differ at stage 71, past 64 digits
+    sys = RankOneSystem(builtin_spec("dyadic_pair_left"))
+    late = PeriodicDigits((), (0,) * 70 + (1,))
+    assert not sys.same_point(sys.base_point(late), sys.base_point(zeros()))
+    assert sys.same_point(sys.base_point(late),
+                          sys.base_point(PeriodicDigits((), late.tail * 2)))
+
+
 def test_stage_data_is_one_based():
     sys = RankOneSystem(builtin_spec("chacon"))
-    for read in (sys.cuts, sys.offsets, sys.height):
+    for read in (sys.cuts, sys.offsets, sys.height, sys.width):
         with pytest.raises(ValueError):
             read(0)
 

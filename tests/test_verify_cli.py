@@ -5,6 +5,7 @@ import pytest
 
 from cutstack import cli, verify
 from cutstack.cli import main
+from cutstack.specs import StackingSpec, random_spec, spec_to_json
 
 
 def small_config(seed=0):
@@ -211,6 +212,31 @@ def test_cli_unresolved_error_exit_6(tmp_path, capsys):
     assert rc == 6
     assert manifest["status"] == (
         "unresolved: NeedMoreDepth: all digits maximal within budget")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_negative_budget_exit_3(tmp_path, capsys):
+    rc, _, manifest = run_cli(tmp_path, "--budget", "-1", "orbit",
+                              "--system", "chacon")
+    assert rc == 3
+    assert manifest["status"] == (
+        "validation_error: --budget must be >= 0, got -1")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_finite_spec_in_a_pair_exit_4(tmp_path, capsys):
+    # a finite spec has no odometer to match on: bad input, not unresolved
+    spec = random_spec(3)
+    finite = StackingSpec(spec.name, spec.initial_height,
+                          tuple(spec.rule(k) for k in range(1, 6)), ())
+    path = tmp_path / "finite.json"
+    path.write_text(spec_to_json(finite))
+    rc, _, manifest = run_cli(tmp_path, "match", "--left", str(path),
+                              "--right", str(path), "--samples", "5")
+    assert rc == 4
+    assert manifest["status"] == (
+        "inadmissible_pair: spec 'random_3' is finite: no odometer to "
+        "match on")
     assert capsys.readouterr().err.count("\n") == 1
 
 
