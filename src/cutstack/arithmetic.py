@@ -188,13 +188,14 @@ def induced_exchange(angle):
     return em
 
 
-def first_return_rotation(angle, p, max_steps=None):
+def first_return_rotation(angle, p):
     """Least r >= 1 with frac(p + r*alpha) in [0, alpha), plus the landing
-    point.  For irrational alpha, r is n or n+1."""
+    point.  For irrational alpha, r is n or n+1, so the search stops at
+    n + 2."""
     alpha = angle.value
     if not in_interval(angle, p, 0, alpha):
         raise ValueError("point must lie in [0, alpha)")
-    limit = max_steps if max_steps is not None else angle.n + 2
+    limit = angle.n + 2
     for r in range(1, limit + 1):
         q = rotate(angle, p, r)
         if in_interval(angle, q, 0, alpha):

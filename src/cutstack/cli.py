@@ -86,7 +86,7 @@ class RunContext:
 
 def load_spec(ctx, text):
     """A spec argument: a file path (DSL or JSON) or a built-in name."""
-    if os.path.exists(text):
+    if os.path.isfile(text):
         ctx.note_input(text)
         with open(text) as fh:
             body = fh.read()
@@ -96,12 +96,21 @@ def load_spec(ctx, text):
     return builtin_spec(text)
 
 
+def _require_at_least(args, least, *options):
+    """Refuse a count option below its least meaningful value."""
+    for opt in options:
+        value = getattr(args, opt)
+        if value < least:
+            raise SpecInvalid(f"--{opt} must be >= {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_build(ctx):
     args = ctx.args
+    _require_at_least(args, 1, "stages")
     spec = load_spec(ctx, args.spec)
     report = validate_spec(spec, horizon=args.stages)
     if not report.accepted:
@@ -161,6 +170,9 @@ def cmd_induce(ctx):
         dec = induction.column_decomposition(ad, base, args.max_return)
         name = "rotation"
     else:
+        if not args.system:
+            raise SpecInvalid("induce needs --system or --angle")
+        _require_at_least(args, 1, "stage")
         spec = load_spec(ctx, args.system)
         ad = induction.RankOneAdapter(RankOneSystem(spec))
         base = LevelSet(1, frozenset({0}))
@@ -182,6 +194,8 @@ def _build_pair(ctx):
         return matching.chacon_triple_noneven_pair()
     if args.pair:
         return matching.identity_pair(args.pair)
+    if not (args.left and args.right):
+        raise SpecInvalid("match needs --pair, or --left with --right")
     left = RankOneSystem(load_spec(ctx, args.left))
     right = RankOneSystem(load_spec(ctx, args.right))
     return matching.PairSpec("cli_pair", left, right)
@@ -189,10 +203,7 @@ def _build_pair(ctx):
 
 def cmd_match(ctx):
     args = ctx.args
-    for opt in ("window", "samples"):
-        value = getattr(args, opt)
-        if value < 0:
-            raise SpecInvalid(f"--{opt} must be >= 0, got {value}")
+    _require_at_least(args, 0, "window", "samples")
     pair = _build_pair(ctx)
     matching.validate_pair(pair, even=(args.mode == "even"))
     if args.mode == "even":
@@ -246,7 +257,10 @@ def _match_even(ctx, pair):
 
 def _match_noneven(ctx, pair):
     args = ctx.args
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise DslError(f"--eps is not a fraction: {args.eps!r}") from None
     target_x = pair.sys_x.spec.total_mass()
     target_y = pair.sys_y.spec.total_mass()
     N = max(
@@ -292,6 +306,8 @@ def _match_noneven(ctx, pair):
 
 def cmd_ergodic(ctx):
     args = ctx.args
+    _require_at_least(args, 1, "n")
+    _require_at_least(args, 0, "samples")
     spec = load_spec(ctx, args.system)
     sys_ = RankOneSystem(spec)
     rep = ergodic.kac_check(sys_, args.n, args.samples, seed=args.seed)

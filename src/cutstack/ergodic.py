@@ -13,16 +13,17 @@ from .digits import SeededDigits
 from .towers import BaseOrbitWalker
 
 
-def return_time_average(system, digits, n, fast=True, budget=512):
-    """Average return time to the base level over n induced steps."""
+def return_time_average(system, digits, n, fast=True):
+    """Average return time to the base level over n induced steps, each
+    carry within 512 stages."""
     if n < 1:
         raise ValueError("need n >= 1")
     w = BaseOrbitWalker(system, digits)
     if fast:
-        return Fraction(w.advance(n, budget), n)
+        return Fraction(w.advance(n, 512), n)
     total = 0
     for _ in range(n):
-        total += w.step(budget)
+        total += w.step(512)
     return Fraction(total, n)
 
 
@@ -68,20 +69,19 @@ class ErgodicReport:
         return lines
 
 
-def kac_check(system, n, samples, seed=0, budget=512):
+def kac_check(system, n, samples, seed=0):
     """Sampled return-time averages against the exact expectation
     1 / mass(base level); the expectation equals the spec's total mass."""
     target = system.spec.total_mass()
     rows = []
     for s in range(samples):
         digits = SeededDigits(f"kac:{seed}:{s}", system.cuts)
-        avg = return_time_average(system, digits, n, budget=budget)
+        avg = return_time_average(system, digits, n)
         rows.append(ErgodicRow(f"kac:{seed}:{s}", n, avg, target))
     return ErgodicReport(f"kac:{system.spec.name}", n, target, rows)
 
 
-def estimate_N(system, target, eps, samples=32, horizon=256, seed=0,
-               budget=512):
+def estimate_N(system, target, eps, samples=32, horizon=256, seed=0):
     """Smallest N with |average_n - target| < eps for every sampled orbit
     and every n in [N, horizon].  Decreasing in eps by construction."""
     worst = 1
@@ -91,7 +91,7 @@ def estimate_N(system, target, eps, samples=32, horizon=256, seed=0,
         pos = 0
         last_bad = 0
         for n in range(1, horizon + 1):
-            pos += w.step(budget)
+            pos += w.step(512)
             if abs(Fraction(pos, n) - target) >= eps:
                 last_bad = n
         if last_bad >= horizon:
@@ -121,8 +121,7 @@ class PushforwardReport:
         return self.max_abs_dev <= self.tolerance
 
 
-def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None,
-                      horizon=2**15):
+def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None):
     """Push sampled X points through the strict even formula and compare
     the stage-level distribution of the images with the exact Y masses.
 
@@ -131,7 +130,7 @@ def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None,
     concentrated on specific Y levels.  Buckets are the Y stage levels plus
     one residual bucket for images born later; the default tolerance is
     3 / sqrt(samples).  The matching shift has a heavy tail, so samples
-    unresolved within the horizon are skipped and counted; empirical
+    unresolved within 2^15 shifts are skipped and counted; empirical
     frequencies keep the full sample count as denominator.
     """
     from .errors import WindowExhausted
@@ -148,7 +147,7 @@ def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None,
     for s in range(samples):
         x = pair.sys_x.random_point(rng, 12, seed=f"push:{seed}:{s}")
         try:
-            y = phi_hat(pair, x, mode="formula", budget=512, horizon=horizon).y
+            y = phi_hat(pair, x, mode="formula", budget=512, horizon=2**15).y
         except WindowExhausted:
             skipped += 1
             continue

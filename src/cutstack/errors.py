@@ -1,8 +1,8 @@
 """Error types shared across the workbench.
 
-Partial definedness is a feature here, not a bug: every evaluation takes an
-explicit budget (stage depth, window size, horizon) and raises one of these
-instead of silently failing.  Callers that want "error as data" catch them
+Partial definedness is a feature here, not a bug: every evaluation has a
+budget (stage depth, window size, horizon) and raises one of these instead
+of silently failing.  Callers that want "error as data" catch them
 and record the payload.
 """
 

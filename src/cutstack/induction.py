@@ -2,8 +2,9 @@
 
 Works for any system exposing apply/contains/measure through a small
 adapter: rank-one systems act on level-set unions, rotations on exact
-interval unions.  Budgets are everywhere;
-running out raises BudgetExhausted or NeedMoreDepth rather than guessing.
+interval unions.  Every search has a limit: a return within 4,096 steps,
+each step resolved within 64 stages; running out raises BudgetExhausted or
+NeedMoreDepth rather than guessing.
 """
 
 from dataclasses import dataclass, field
@@ -167,8 +168,8 @@ class RankOneAdapter:
             else RankOneSystem(system_or_spec)
         )
 
-    def apply(self, point, steps, budget=64):
-        return self.sys.apply(point, steps, budget)
+    def apply(self, point, steps):
+        return self.sys.apply(point, steps, 64)
 
     def contains(self, lset, point):
         return self.sys.in_level_set(lset, point)
@@ -192,7 +193,7 @@ class RotationAdapter:
         self._rotate = rotate
         self._value = point_value
 
-    def apply(self, point, steps, budget=None):
+    def apply(self, point, steps):
         return self._rotate(self.angle, point, steps)
 
     def contains(self, iu, point):
@@ -209,38 +210,34 @@ class RotationAdapter:
 # Return times and induced maps
 
 
-def return_time(system, A, point, budget=4096, stage_budget=64):
+def _first_hit(system, A, point, step):
+    """(r, landing): the least r <= 4096 with landing = T^(r * step)(point)
+    in A, walked one step at a time; the point must start in A."""
+    if not system.contains(A, point):
+        raise ValueError("point must lie in the base set")
+    cur = point
+    for r in range(1, 4097):
+        cur = system.apply(cur, step)
+        if system.contains(A, cur):
+            return r, cur
+    way = "return" if step > 0 else "backward return"
+    raise BudgetExhausted(f"no {way} to the base within 4096 steps",
+                          budget=4096)
+
+
+def return_time(system, A, point):
     """Least r >= 1 with T^r(point) back in A; the point must start in A."""
-    if not system.contains(A, point):
-        raise ValueError("point must lie in the base set")
-    cur = point
-    for r in range(1, budget + 1):
-        cur = system.apply(cur, 1, stage_budget)
-        if system.contains(A, cur):
-            return r
-    raise BudgetExhausted(
-        f"no return to the base within {budget} steps", budget=budget
-    )
+    return _first_hit(system, A, point, 1)[0]
 
 
-def induced_apply(system, A, point, budget=4096, stage_budget=64):
+def induced_apply(system, A, point):
     """T_A(point) = T^{r_A(point)}(point)."""
-    r = return_time(system, A, point, budget, stage_budget)
-    return system.apply(point, r, stage_budget)
+    return _first_hit(system, A, point, 1)[1]
 
 
-def induced_inverse(system, A, point, budget=4096, stage_budget=64):
+def induced_inverse(system, A, point):
     """The inverse of the induced map: walk backwards to the previous A-hit."""
-    if not system.contains(A, point):
-        raise ValueError("point must lie in the base set")
-    cur = point
-    for _ in range(1, budget + 1):
-        cur = system.apply(cur, -1, stage_budget)
-        if system.contains(A, cur):
-            return cur
-    raise BudgetExhausted(
-        f"no backward return to the base within {budget} steps", budget=budget
-    )
+    return _first_hit(system, A, point, -1)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,12 @@ def _lift_cache(system, lset, stage):
     return arr
 
 
-def height_above_base(system, base, point, extra_depth=8):
+def height_above_base(system, base, point):
     """(h, base_point) with point = T^h(base_point), base_point the nearest
-    base element at or below the point in its column."""
+    base element at or below the point in its column, searched at most 8
+    stages below the point's resolved stage."""
     k0 = max(base.stage, point.birth_stage, explicit_extent(point.digits) + 1)
-    for K in range(k0, k0 + extra_depth + 1):
+    for K in range(k0, k0 + 9):
         arr = _lift_cache(system, base, K)
         idx = system.level_index(point, K)
         pos = bisect_right(arr, idx) - 1
@@ -173,9 +174,7 @@ def height_above_base(system, base, point, extra_depth=8):
             base_pt = system.point_at(K, arr[pos], point.digits)
             return idx - arr[pos], base_pt
     raise NeedMoreDepth(
-        f"no base element below the point within {extra_depth} extra stages",
-        budget=extra_depth,
-    )
+        "no base element below the point within 8 extra stages", budget=8)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _frame_audit(f1, f2):
     return frac, bad
 
 
-def frame_stability(pair, digits, window, budget=256):
+def frame_stability(pair, digits, window):
     """Fraction of placed interior assignments that survive window doubling.
 
     An item unplaced at the smaller window has no assignment yet (its pit
@@ -301,20 +300,20 @@ def frame_stability(pair, digits, window, budget=256):
     is 1; the audit recomputes it from both frames.  Returns (fraction,
     frame, doubled_frame); the interior is half the window.
     """
-    f1 = build_frame(pair, digits, window, budget=budget)
-    f2 = build_frame(pair, digits, 2 * window, budget=budget)
+    f1 = build_frame(pair, digits, window)
+    f2 = build_frame(pair, digits, 2 * window)
     return _frame_audit(f1, f2)[0], f1, f2
 
 
-def edge_violations(pair, digits, window, budget=256):
+def edge_violations(pair, digits, window):
     """Interior items unplaced at `window` whose doubled-window pit is not
     past the edge region (window minus the largest visible return time).
 
     An empty list certifies that every instability is an edge effect: the
     item was merely waiting for a pit beyond the window.
     """
-    f1 = build_frame(pair, digits, window, budget=budget)
-    f2 = build_frame(pair, digits, 2 * window, budget=budget)
+    f1 = build_frame(pair, digits, window)
+    f2 = build_frame(pair, digits, 2 * window)
     return _frame_audit(f1, f2)[1]
 
 
@@ -576,49 +575,50 @@ def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
     """The full point matching X -> Y: locate the pile item for x, then
     match it.  Base points (h = 0) map to the Y base point with the same
     digits.  Raises InadmissiblePair unless the base masses are equal."""
-    pair.require_even()
-    h, base = height_above_base(pair.sys_x, pair.base_x(), x)
-    digits = base.digits
-    if mode == "machine":
-        return even_match_machine(pair, digits, h, window, budget=budget)
-    return even_match_formula(pair, digits, h, strict=strict, budget=budget,
-                              horizon=horizon)
-
-
-def _escalate(match, pair, point, windows, budget, horizon):
-    for W in windows:
-        try:
-            return match(pair, point, mode="machine", window=W, budget=budget)
-        except WindowEdge:
-            pass
-    return match(pair, point, mode="formula", strict=True, budget=budget,
-                 horizon=horizon)
-
-
-def phi_hat_stable(pair, x, windows=(16, 64, 256), budget=256,
-                   horizon=2**16):
-    """Machine matching at growing windows until one places the item.  The
-    matching shift has a heavy tail, so a few points outrun every window;
-    those fall back to the strict closed form, which reproduces the
-    machine wherever it resolves (mode "formula_strict")."""
-    return _escalate(phi_hat, pair, x, windows, budget, horizon)
-
-
-def phi_hat_inverse_stable(pair, y, windows=(16, 64, 256), budget=256,
-                           horizon=2**16):
-    return _escalate(phi_hat_inverse, pair, y, windows, budget, horizon)
+    return _phi_hat(pair, x, True, mode, window, strict, budget, horizon)
 
 
 def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
                     budget=256, horizon=2**15):
+    return _phi_hat(pair, y, False, mode, window, strict, budget, horizon)
+
+
+def _phi_hat(pair, point, forward, mode, window, strict, budget, horizon):
+    """phi_hat forward, phi_hat_inverse backward: the point's height above
+    the source base, matched by the public even_match_* reader of the mode
+    (a module global, read at call time)."""
     pair.require_even()
-    D, base = height_above_base(pair.sys_y, pair.base_y(), y)
-    digits = base.digits
+    base = pair.base_x() if forward else pair.base_y()
+    k, base_point = height_above_base(_sides(pair, forward)[0], base, point)
     if mode == "machine":
-        return even_match_inverse_machine(pair, digits, D, window,
-                                          budget=budget)
-    return even_match_inverse_formula(pair, digits, D, strict=strict,
-                                      budget=budget, horizon=horizon)
+        read = even_match_machine if forward else even_match_inverse_machine
+        return read(pair, base_point.digits, k, window, budget=budget)
+    read = even_match_formula if forward else even_match_inverse_formula
+    return read(pair, base_point.digits, k, strict=strict, budget=budget,
+                horizon=horizon)
+
+
+def _escalate(pair, point, forward):
+    for window in (16, 64, 256):
+        try:
+            return _phi_hat(pair, point, forward, "machine", window, True,
+                            256, None)
+        except WindowEdge:
+            pass
+    return _phi_hat(pair, point, forward, "formula", None, True, 256, 2**16)
+
+
+def phi_hat_stable(pair, x):
+    """Machine matching at windows 16, 64 and 256 until one places the
+    item.  The matching shift has a heavy tail, so a few points outrun
+    every window; those fall back to the strict closed form at horizon
+    2^16, which reproduces the machine wherever it resolves (mode
+    "formula_strict")."""
+    return _escalate(pair, x, True)
+
+
+def phi_hat_inverse_stable(pair, y):
+    return _escalate(pair, y, False)
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +639,11 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     return n
 
 
-def cocycle_rows(pair, digits, window, budget=256):
+def cocycle_rows(pair, digits, window):
     """Orbit-position pairs (t_x, t_y) for every matched item around the
     base point: t_x indexes its X orbit, t_y the Y orbit of the base point
     with the same digits.  Sorted by t_x; base points appear with slot 0."""
-    frame = build_frame(pair, digits, window, budget=budget)
+    frame = build_frame(pair, digits, window)
     W = frame.window
     pos_x = {0: 0}
     pos_y = {0: 0}
@@ -726,21 +726,19 @@ def _deep_zero_digits(pair, m, seed):
     return OverlayDigits(tail, {k: 0 for k in range(1, m + 1)})
 
 
-def pile_height(plan, digits, budget=256):
+def pile_height(plan, digits):
     """Base steps in X across one induced block from this cylinder point."""
-    w = BaseOrbitWalker(plan.pair.sys_x, digits)
-    return w.advance(plan.block, budget)
+    return BaseOrbitWalker(plan.pair.sys_x, digits).advance(plan.block)
 
 
-def pit_depth(plan, digits, budget=256):
+def pit_depth(plan, digits):
     """Base steps in Y across the same induced block of digits."""
-    w = BaseOrbitWalker(plan.pair.sys_y, digits)
-    return w.advance(plan.block, budget)
+    return BaseOrbitWalker(plan.pair.sys_y, digits).advance(plan.block)
 
 
-def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
-                    budget=256):
-    """Choose the inducing depth m and certify pile <= pit on samples.
+def noneven_prepare(pair, eps, N, samples=64, seed=0):
+    """Choose the inducing depth m, at most 4 stages past the least m with
+    a block longer than 2N, and certify pile <= pit on samples.
 
     eps must be an admissible rate gap: below half the difference of the
     expected return times 1/mass(B) - 1/mass(A)."""
@@ -758,7 +756,7 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
     while _block_size(pair, m0) <= 2 * N:
         m0 += 1
     last_margins = None
-    for m in range(m0, m0 + max_m_boost + 1):
+    for m in range(m0, m0 + 5):
         block = _block_size(pair, m)
         plan = NonEvenPlan(
             pair,
@@ -773,8 +771,7 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
         margins = []
         for s in range(samples):
             digits = _deep_zero_digits(pair, m, f"margin:{seed}:{m}:{s}")
-            margins.append(pit_depth(plan, digits, budget)
-                           - pile_height(plan, digits, budget))
+            margins.append(pit_depth(plan, digits) - pile_height(plan, digits))
         last_margins = margins
         if all(mg >= 0 for mg in margins):
             plan.margins = margins
@@ -785,15 +782,15 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0, max_m_boost=4,
     )
 
 
-def noneven_match(plan, x, budget=256):
+def noneven_match(plan, x):
     """Embed x into the Y skyscraper: descend to the cylinder point below,
     hop to the Y point with the same digits, climb the same number of
     steps.  Raises MarginViolation where the pile outgrows its pit."""
     pair = plan.pair
     h, base = height_above_base(pair.sys_x, plan.a_set, x)
     digits = base.digits
-    pile = pile_height(plan, digits, budget)
-    pit = pit_depth(plan, digits, budget)
+    pile = pile_height(plan, digits)
+    pit = pit_depth(plan, digits)
     if pile > pit:
         raise MarginViolation(
             f"pile {pile} exceeds pit {pit} at this cylinder point"
@@ -803,31 +800,30 @@ def noneven_match(plan, x, budget=256):
     return y, h, base
 
 
-def noneven_in_image(plan, y, budget=256):
+def noneven_in_image(plan, y):
     """Membership in the embedded copy of X: the depth of y above its
     cylinder point must fall short of the corresponding pile height."""
     pair = plan.pair
     D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    return D < pile_height(plan, y_base.digits, budget)
+    return D < pile_height(plan, y_base.digits)
 
 
-def noneven_inverse(plan, y, budget=256):
+def noneven_inverse(plan, y):
     pair = plan.pair
     D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    if D >= pile_height(plan, y_base.digits, budget):
+    if D >= pile_height(plan, y_base.digits):
         raise ValueError("point lies outside the embedded image")
     x_base = RankOnePoint(1, 0, y_base.digits)
     return pair.sys_x.apply(x_base, D) if D else x_base
 
 
-def noneven_image_successor(plan, y, step_budget=4096, budget=256):
-    """First return of the Y map to the embedded image, starting after y."""
+def noneven_image_successor(plan, y):
+    """First return of the Y map to the embedded image, starting after y,
+    within 4096 steps."""
     pair = plan.pair
     cur = y
-    for _ in range(step_budget):
-        cur = pair.sys_y.apply(cur, 1, budget)
-        if noneven_in_image(plan, cur, budget):
+    for _ in range(4096):
+        cur = pair.sys_y.apply(cur, 1, 256)
+        if noneven_in_image(plan, cur):
             return cur
-    raise HorizonExhausted(
-        f"no image point within {step_budget} steps", horizon=step_budget
-    )
+    raise HorizonExhausted("no image point within 4096 steps", horizon=4096)

@@ -1,10 +1,12 @@
 """Cross-cutting property checks over a registry of built-in system pairs.
 
 Every check is a pure function of a SuiteConfig: deterministic seeds in,
-Verdict out.  Failures never raise; they become failing verdicts carrying a
-counterexample payload.  The registry records which module invariant each
-check covers, and run_suite asserts the union covers the required list, so
-removing a check without a replacement fails loudly.
+its stats dict out when it passes.  A check that fails raises Failed with
+its stats and a counterexample payload; run_suite builds every Verdict under
+the registered name, and turns any other exception into a failing verdict,
+so no failure escapes the suite.  The registry records which module
+invariant each check covers, and run_suite asserts the union covers the
+required list, so removing a check without a replacement fails loudly.
 """
 
 import json
@@ -62,6 +64,15 @@ class Verdict:
         status = "PASS" if self.passed else "FAIL"
         bits = " ".join(f"{k}={v}" for k, v in self.stats.items())
         return f"{status} {self.name}" + (f" | {bits}" if bits else "")
+
+
+class Failed(Exception):
+    """A check's failure: the stats and counterexample of its verdict."""
+
+    def __init__(self, stats, counterexample=None):
+        super().__init__(stats)
+        self.stats = stats
+        self.counterexample = counterexample
 
 
 CHECKS = {}
@@ -123,15 +134,12 @@ def _check_spec_canonical(cfg):
             text = serialize_spec(spec)
             again = serialize_spec(parse_spec(text))
             if again != text:
-                return Verdict(
-                    "spec_canonical", False, {"spec": spec.name},
-                    {"text": text, "reparsed": again},
-                )
+                raise Failed({"spec": spec.name},
+                             {"text": text, "reparsed": again})
         blob = spec_to_json(spec)
         if spec_to_json(parse_spec_json(blob)) != blob:
-            return Verdict("spec_canonical", False,
-                           {"spec": spec.name, "kind": "json"}, None)
-    return Verdict("spec_canonical", True, {"specs": len(specs)})
+            raise Failed({"spec": spec.name, "kind": "json"})
+    return {"specs": len(specs)}
 
 
 @check("heights_widths", covers=("height-recurrence", "width-normalization"))
@@ -146,19 +154,17 @@ def _check_heights_widths(cfg):
     for name, w1 in known_w1.items():
         sys = RankOneSystem(builtin_spec(name))
         if sys.unit_width() != w1:
-            return Verdict("heights_widths", False, {"spec": name},
-                           {"w1": str(sys.unit_width()), "expect": str(w1)})
+            raise Failed({"spec": name}, {"w1": str(sys.unit_width()),
+                                          "expect": str(w1)})
         h = sys.spec.initial_height
         w = w1
         for i in range(1, cfg.stage_depth + 1):
             if sys.height(i) != h or sys.width(i) != w:
-                return Verdict("heights_widths", False,
-                               {"spec": name, "stage": i}, None)
+                raise Failed({"spec": name, "stage": i})
             r = sys.spec.rule(i)
             h = r.spacers_below + r.cuts * h + sum(r.spacers_above)
             w = w / r.cuts
-    return Verdict("heights_widths", True,
-                   {"specs": len(known_w1), "depth": cfg.stage_depth})
+    return {"specs": len(known_w1), "depth": cfg.stage_depth}
 
 
 @check("spacer_recovery", covers=("name-reading",))
@@ -173,12 +179,10 @@ def _check_spacer_recovery(cfg):
             below, above = sys.recover_spacers(i)
             r = spec.rule(i)
             if (below, above) != (r.spacers_below, r.spacers_above):
-                return Verdict(
-                    "spacer_recovery", False, {"spec": spec.name, "stage": i},
-                    {"got": (below, above),
-                     "expect": (r.spacers_below, r.spacers_above)},
-                )
-    return Verdict("spacer_recovery", True, {"specs": len(specs)})
+                raise Failed({"spec": spec.name, "stage": i},
+                             {"got": (below, above),
+                              "expect": (r.spacers_below, r.spacers_above)})
+    return {"specs": len(specs)}
 
 
 @check("apply_roundtrip", covers=("orbit-invertibility", "point-equality"))
@@ -191,16 +195,14 @@ def _check_apply_roundtrip(cfg):
         y = sys.apply(x, n)
         back = sys.apply(y, -n)
         if not sys.same_point(back, x):
-            return Verdict("apply_roundtrip", False, {"trial": t, "n": n},
-                           {"digit_prefix": tuple(
-                               x.digits.digit(k) for k in range(1, 8))})
+            raise Failed({"trial": t, "n": n}, {"digit_prefix": tuple(
+                x.digits.digit(k) for k in range(1, 8))})
         # representation independence: re-address at a deeper stage
         k = 7
         rep = sys.point_at(k, sys.level_index(x, k), x.digits)
         if not sys.same_point(rep, x):
-            return Verdict("apply_roundtrip", False,
-                           {"trial": t, "stage": k}, None)
-    return Verdict("apply_roundtrip", True, {"samples": cfg.samples})
+            raise Failed({"trial": t, "stage": k})
+    return {"samples": cfg.samples}
 
 
 @check("walker_agrees_with_apply", covers=("induced-odometer",))
@@ -216,15 +218,12 @@ def _check_walker(cfg):
             r = w.step()
             brute = induction.return_time(ad, base, pt)
             if r != brute:
-                return Verdict("walker_agrees_with_apply", False,
-                               {"spec": name, "step": step},
-                               {"walker": r, "brute": brute})
+                raise Failed({"spec": name, "step": step},
+                             {"walker": r, "brute": brute})
             pt = sys.apply(pt, r)
             if not sys.same_point(pt, w.point()):
-                return Verdict("walker_agrees_with_apply", False,
-                               {"spec": name, "step": step, "kind": "point"},
-                               None)
-    return Verdict("walker_agrees_with_apply", True, {"steps": 40})
+                raise Failed({"spec": name, "step": step, "kind": "point"})
+    return {"steps": 40}
 
 
 @check("surd_order_crosscheck", covers=("surd-order",))
@@ -241,12 +240,11 @@ def _check_surd_order(cfg):
         approx = diff.approx(128)
         s_float = (approx > 0) - (approx < 0)
         if s_exact != s_float and abs(approx) > Fraction(1, 2**100):
-            return Verdict("surd_order_crosscheck", False, {"trial": t},
-                           {"exact": s_exact, "approx": float(approx)})
+            raise Failed({"trial": t},
+                         {"exact": s_exact, "approx": float(approx)})
         if diff.floor() != approx.__floor__() and diff.v != 0:
-            return Verdict("surd_order_crosscheck", False,
-                           {"trial": t, "kind": "floor"}, None)
-    return Verdict("surd_order_crosscheck", True, {"samples": cfg.samples})
+            raise Failed({"trial": t, "kind": "floor"})
+    return {"samples": cfg.samples}
 
 
 @check("rotation_exchange", covers=("rotation-first-return",))
@@ -267,17 +265,14 @@ def _check_rotation_exchange(cfg):
             r, landing = first_return_rotation(angle, p)
             img = em.image(p)
             if angle.compare_points(landing, img) != 0:
-                return Verdict("rotation_exchange", False,
-                               {"angle": label, "point": (p.a, p.b)}, None)
+                raise Failed({"angle": label, "point": (p.a, p.b)})
             back = em.preimage(img)
             if angle.compare_points(back, p) != 0:
-                return Verdict("rotation_exchange", False,
-                               {"angle": label, "kind": "preimage",
-                                "point": (p.a, p.b)}, None)
+                raise Failed({"angle": label, "kind": "preimage",
+                              "point": (p.a, p.b)})
         if count < cfg.samples:
-            return Verdict("rotation_exchange", False,
-                           {"angle": label, "found": count}, None)
-    return Verdict("rotation_exchange", True, {"per_angle": cfg.samples})
+            raise Failed({"angle": label, "found": count})
+    return {"per_angle": cfg.samples}
 
 
 @check("odometer_prefix_inducing", covers=("prefix-inducing",))
@@ -291,10 +286,8 @@ def _check_prefix_inducing(cfg):
         x = induction.induced_apply(ad, base, x)
         o = odometer_successor(ind.odometer, o)
         if not ind.system.same_point(ind.from_odometer(o), x):
-            return Verdict("odometer_prefix_inducing", False, {"step": step},
-                           None)
-    return Verdict("odometer_prefix_inducing", True,
-                   {"steps": cfg.big_samples})
+            raise Failed({"step": step})
+    return {"steps": cfg.big_samples}
 
 
 @check("rotation_kac", covers=("rotation-kac", "interval-algebra"))
@@ -305,19 +298,17 @@ def _check_rotation_kac(cfg):
         A = induction.IntervalUnion([(Surd(0), angle.value)])
         dec = induction.column_decomposition(ad, A, 12)
         if not dec.remainder.is_empty():
-            return Verdict("rotation_kac", False, {"angle": label},
-                           {"remainder": float(dec.remainder.measure())})
+            raise Failed({"angle": label},
+                         {"remainder": float(dec.remainder.measure())})
         total = Surd(0)
         for cell, r in dec.cells:
             total = total + cell.measure() * r
         if total != Surd(1):
-            return Verdict("rotation_kac", False,
-                           {"angle": label, "kac_sum": float(total)}, None)
+            raise Failed({"angle": label, "kac_sum": float(total)})
         comp = induction.whole_circle().difference(A)
         if comp.measure() + A.measure() != Surd(1):
-            return Verdict("rotation_kac", False,
-                           {"angle": label, "kind": "complement"}, None)
-    return Verdict("rotation_kac", True, {"angles": 2})
+            raise Failed({"angle": label, "kind": "complement"})
+    return {"angles": 2}
 
 
 @check("rank_one_columns", covers=("rank-one-columns",))
@@ -332,15 +323,12 @@ def _check_rank_one_columns(cfg):
         levels = set()
         for cell, _ in dec.cells:
             if levels & cell.level_indices:
-                return Verdict("rank_one_columns", False,
-                               {"stage": K, "kind": "overlap"}, None)
+                raise Failed({"stage": K, "kind": "overlap"})
             levels |= cell.level_indices
         if cover > 1 or dec.kac_sum() < prev:
-            return Verdict("rank_one_columns", False,
-                           {"stage": K, "cover": str(cover)}, None)
+            raise Failed({"stage": K, "cover": str(cover)})
         prev = dec.kac_sum()
-    return Verdict("rank_one_columns", True,
-                   {"final_kac": str(prev)})
+    return {"final_kac": str(prev)}
 
 
 @check("skyscraper_partition", covers=("skyscraper-partition",))
@@ -354,16 +342,14 @@ def _check_skyscraper(cfg):
     mass = Fraction(0)
     for i, lvl in enumerate(sky.levels):
         if seen & lvl.level_indices:
-            return Verdict("skyscraper_partition", False, {"level": i}, None)
+            raise Failed({"level": i})
         seen |= lvl.level_indices
         mass += sys.measure(lvl)
         if i >= 2 ** (K - 1) and len(lvl):
-            return Verdict("skyscraper_partition", False,
-                           {"level": i, "kind": "not_empty"}, None)
+            raise Failed({"level": i, "kind": "not_empty"})
     if mass != 1:
-        return Verdict("skyscraper_partition", False, {"mass": str(mass)},
-                       None)
-    return Verdict("skyscraper_partition", True, {"levels": len(sky.levels)})
+        raise Failed({"mass": str(mass)})
+    return {"levels": len(sky.levels)}
 
 
 @check("machine_bijectivity",
@@ -380,32 +366,21 @@ def _check_machine(cfg):
             total += frac
             bad = matching._frame_audit(f1, f2)[1]
             if bad:
-                return Verdict("machine_bijectivity", False,
-                               {"window": W, "kind": "interior_instability"},
-                               {"window": W, "items": bad[:4]})
+                raise Failed({"window": W, "kind": "interior_instability"},
+                             {"window": W, "items": bad[:4]})
             if len(f1.inverse) != len(f1.assignment):
-                return Verdict("machine_bijectivity", False,
-                               {"window": W, "kind": "collision"},
-                               {"window": W})
+                raise Failed({"window": W, "kind": "collision"}, {"window": W})
             items = sum(f1.ra[i] - 1 for i in range(-W, W + 1))
             slots = sum(f1.rb[j] - 1 for j in range(-W, W + 1))
             if len(f1.assignment) + len(f1.unplaced) != items:
-                return Verdict("machine_bijectivity", False,
-                               {"window": W, "kind": "item_conservation"},
-                               None)
+                raise Failed({"window": W, "kind": "item_conservation"})
             if len(f1.assignment) + len(f1.unfilled) != slots:
-                return Verdict("machine_bijectivity", False,
-                               {"window": W, "kind": "slot_conservation"},
-                               None)
+                raise Failed({"window": W, "kind": "slot_conservation"})
         mean = total / streams
         worst = min(worst, mean)
         if mean < cfg.stability_floor:
-            return Verdict("machine_bijectivity", False,
-                           {"window": W, "stable": float(mean)},
-                           {"window": W})
-    return Verdict("machine_bijectivity", True,
-                   {"windows": str(cfg.windows),
-                    "worst_stable": float(worst)})
+            raise Failed({"window": W, "stable": float(mean)}, {"window": W})
+    return {"windows": str(cfg.windows), "worst_stable": float(worst)}
 
 
 @check("even_roundtrip",
@@ -419,14 +394,12 @@ def _check_even_roundtrip(cfg):
             rec = matching.phi_hat_stable(pair, x)
             inv = matching.phi_hat_inverse_stable(pair, rec.y)
         except WindowEdge as e:
-            return Verdict("even_roundtrip", False, {"trial": t},
-                           {"error": str(e)})
+            raise Failed({"trial": t}, {"error": str(e)})
         if not (pair.sys_x.same_point(inv.x, x)
                 and inv.D == rec.d and inv.H == rec.h):
-            return Verdict("even_roundtrip", False, {"trial": t},
-                           {"forward": (rec.h, rec.n, rec.d),
-                            "inverse": (inv.D, inv.m, inv.H)})
-    return Verdict("even_roundtrip", True, {"samples": cfg.samples})
+            raise Failed({"trial": t}, {"forward": (rec.h, rec.n, rec.d),
+                                        "inverse": (inv.D, inv.m, inv.H)})
+    return {"samples": cfg.samples}
 
 
 @check("formula_machine_boundary", covers=("formula-machine-boundary",))
@@ -442,18 +415,14 @@ def _check_boundary(cfg):
         loose = matching.even_match_formula(pair, stream, h, strict=False)
         slot = matching.build_frame(pair, stream, 32).assignment.get((0, h))
         if slot is not None and slot != (strict.n, strict.d):
-            return Verdict("formula_machine_boundary", False,
-                           {"trial": t, "kind": "machine"},
-                           {"h": h, "machine": slot,
-                            "strict": (strict.n, strict.d)})
+            raise Failed({"trial": t, "kind": "machine"},
+                         {"h": h, "machine": slot,
+                          "strict": (strict.n, strict.d)})
         if (strict.n, strict.d) != (loose.n, loose.d):
             disagreements += 1
             if not loose.boundary:
-                return Verdict("formula_machine_boundary", False,
-                               {"trial": t}, {"h": h})
-    return Verdict("formula_machine_boundary", True,
-                   {"samples": cfg.big_samples,
-                    "disagreements": disagreements})
+                raise Failed({"trial": t}, {"h": h})
+    return {"samples": cfg.big_samples, "disagreements": disagreements}
 
 
 @check("base_conjugacy", covers=("base-conjugacy",))
@@ -466,15 +435,13 @@ def _check_base_conjugacy(cfg):
         x = RankOnePoint(1, 0, stream)
         rec = matching.phi_hat(pair, x, mode="formula")
         if not pair.sys_y.same_point(rec.y, x):
-            return Verdict("base_conjugacy", False,
-                           {"trial": t, "kind": "restriction"}, None)
+            raise Failed({"trial": t, "kind": "restriction"})
         w = BaseOrbitWalker(pair.sys_x, stream)
         w.step()
         lhs = matching.phi_hat(pair, w.point(), mode="formula").y
         if not pair.sys_y.same_point(lhs, w.point()):
-            return Verdict("base_conjugacy", False,
-                           {"trial": t, "kind": "intertwine"}, None)
-    return Verdict("base_conjugacy", True, {"samples": cfg.samples})
+            raise Failed({"trial": t, "kind": "intertwine"})
+    return {"samples": cfg.samples}
 
 
 @check("noneven_pipeline",
@@ -490,18 +457,15 @@ def _check_noneven(cfg):
     plan = matching.noneven_prepare(pair, cfg.noneven_eps, N,
                                     samples=cfg.samples, seed=cfg.seed)
     if min(plan.margins) < 0:
-        return Verdict("noneven_pipeline", False,
-                       {"kind": "margin", "min": min(plan.margins)}, None)
+        raise Failed({"kind": "margin", "min": min(plan.margins)})
     rng = random.Random(f"ne:{cfg.seed}")
     for t in range(cfg.samples):
         x1 = pair.sys_x.random_point(rng, plan.m + 2, seed=f"ne:{cfg.seed}:{t}")
         y1, h1, _ = matching.noneven_match(plan, x1)
         if not matching.noneven_in_image(plan, y1):
-            return Verdict("noneven_pipeline", False,
-                           {"trial": t, "kind": "membership"}, None)
+            raise Failed({"trial": t, "kind": "membership"})
         if not pair.sys_x.same_point(matching.noneven_inverse(plan, y1), x1):
-            return Verdict("noneven_pipeline", False,
-                           {"trial": t, "kind": "roundtrip"}, None)
+            raise Failed({"trial": t, "kind": "roundtrip"})
         m = rng.randrange(1, 30)
         x2 = pair.sys_x.apply(x1, m)
         y2, _, _ = matching.noneven_match(plan, x2)
@@ -513,18 +477,14 @@ def _check_noneven(cfg):
             if pair.sys_y.same_point(cur, y2):
                 break
         else:
-            return Verdict("noneven_pipeline", False,
-                           {"trial": t, "kind": "order", "m": m}, None)
+            raise Failed({"trial": t, "kind": "order", "m": m})
         succ = matching.noneven_image_successor(
             plan, matching.noneven_match(plan, x1)[0])
         expect = matching.noneven_match(plan, pair.sys_x.apply(x1, 1))[0]
         if not pair.sys_y.same_point(succ, expect):
-            return Verdict("noneven_pipeline", False,
-                           {"trial": t, "kind": "conjugacy"}, None)
-    return Verdict("noneven_pipeline", True,
-                   {"N": N, "m": plan.m, "block": plan.block,
-                    "min_margin": min(plan.margins),
-                    "samples": cfg.samples})
+            raise Failed({"trial": t, "kind": "conjugacy"})
+    return {"N": N, "m": plan.m, "block": plan.block,
+            "min_margin": min(plan.margins), "samples": cfg.samples}
 
 
 @check("kac_targets", covers=("kac-targets",))
@@ -533,20 +493,17 @@ def _check_kac(cfg):
         sys = RankOneSystem(builtin_spec(name))
         rep = ergodic.kac_check(sys, cfg.kac_n, 50, seed=cfg.seed)
         if rep.max_abs_dev > cfg.kac_tolerance:
-            return Verdict("kac_targets", False,
-                           {"spec": name, "dev": float(rep.max_abs_dev)},
-                           None)
+            raise Failed({"spec": name, "dev": float(rep.max_abs_dev)})
     sys = RankOneSystem(builtin_spec("dyadic_pair_left"))
     rep = ergodic.kac_check(sys, 2**8, 20, seed=cfg.seed)
     if rep.max_abs_dev != 0:
-        return Verdict("kac_targets", False, {"spec": "dyadic_pair_left"},
-                       None)
+        raise Failed({"spec": "dyadic_pair_left"})
     # naive oracle agreement on a short horizon
     d = SeededDigits(f"kaco:{cfg.seed}", sys.cuts)
     if (ergodic.return_time_average(sys, d, 64, fast=True)
             != ergodic.return_time_average(sys, d, 64, fast=False)):
-        return Verdict("kac_targets", False, {"kind": "fast_vs_naive"}, None)
-    return Verdict("kac_targets", True, {"n": cfg.kac_n})
+        raise Failed({"kind": "fast_vs_naive"})
+    return {"n": cfg.kac_n}
 
 
 @check("stopping_finiteness", covers=("stopping-finiteness",))
@@ -557,8 +514,7 @@ def _check_stopping(cfg):
         stream = SeededDigits(f"stop:{cfg.seed}:{t}", pair.sys_x.cuts)
         n = matching.stopping_time(pair, stream, horizon=cfg.stopping_horizon)
         worst = max(worst, n)
-    return Verdict("stopping_finiteness", True,
-                   {"samples": cfg.big_samples, "max_n": worst})
+    return {"samples": cfg.big_samples, "max_n": worst}
 
 
 @check("pushforward_measure", covers=("pushforward-measure",))
@@ -567,13 +523,10 @@ def _check_pushforward(cfg):
     rep = ergodic.pushforward_check(pair, cfg.pushforward_samples,
                                     stage=6, seed=cfg.seed)
     if not rep.within_tolerance:
-        return Verdict("pushforward_measure", False,
-                       {"dev": float(rep.max_abs_dev),
-                        "tol": float(rep.tolerance)}, None)
-    return Verdict("pushforward_measure", True,
-                   {"samples": cfg.pushforward_samples,
-                    "dev": float(rep.max_abs_dev),
-                    "skipped": rep.skipped})
+        raise Failed({"dev": float(rep.max_abs_dev),
+                      "tol": float(rep.tolerance)})
+    return {"samples": cfg.pushforward_samples,
+            "dev": float(rep.max_abs_dev), "skipped": rep.skipped}
 
 
 @check("estimate_n_monotone", covers=("estimate-n-monotone",))
@@ -584,15 +537,12 @@ def _check_estimate_monotone(cfg):
     n_fine = ergodic.estimate_N(sys, Fraction(3, 2), Fraction(1, 10),
                                 samples=16, horizon=128, seed=cfg.seed)
     if n_fine < n_coarse:
-        return Verdict("estimate_n_monotone", False,
-                       {"coarse": n_coarse, "fine": n_fine}, None)
+        raise Failed({"coarse": n_coarse, "fine": n_fine})
     dl = RankOneSystem(builtin_spec("dyadic_pair_left"))
     if ergodic.estimate_N(dl, Fraction(2), Fraction(1, 100),
                           samples=4, horizon=32, seed=cfg.seed) != 1:
-        return Verdict("estimate_n_monotone", False,
-                       {"kind": "constant_returns"}, None)
-    return Verdict("estimate_n_monotone", True,
-                   {"coarse": n_coarse, "fine": n_fine})
+        raise Failed({"kind": "constant_returns"})
+    return {"coarse": n_coarse, "fine": n_fine}
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +562,9 @@ def run_suite(config=None, names=None):
         if names and name not in names:
             continue
         try:
-            verdicts.append(fn(cfg))
+            verdicts.append(Verdict(name, True, fn(cfg)))
+        except Failed as e:
+            verdicts.append(Verdict(name, False, e.stats, e.counterexample))
         except Exception as e:  # a failure is a verdict, never a raise
             verdicts.append(Verdict(name, False,
                                     {"error": type(e).__name__},

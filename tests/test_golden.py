@@ -101,22 +101,26 @@ def _benchmark_workloads():
     return module.WORKLOADS
 
 
+def _benchmark_digest(workload):
+    """SHA-256 over a workload's first trace_ops ops, as perfbench/child.py
+    hashes them."""
+    digest = hashlib.sha256()
+    for i in range(workload.trace_ops):
+        inp = workload.make_input(i)
+        try:
+            out = workload.op(inp)
+        except Exception:
+            item = ("failed", i)
+        else:
+            workload.record(i, inp, out)
+            item = workload.digest_items(out)
+        digest.update(repr(item).encode())
+    return digest.hexdigest()
+
+
 def test_benchmark_seed0_digests():
-    got = {}
-    for name, workload in _benchmark_workloads().items():
-        wl = workload(0)
-        digest = hashlib.sha256()
-        for i in range(wl.trace_ops):
-            inp = wl.make_input(i)
-            try:
-                out = wl.op(inp)
-            except Exception:
-                item = ("failed", i)
-            else:
-                wl.record(i, inp, out)
-                item = wl.digest_items(out)
-            digest.update(repr(item).encode())
-        got[name] = digest.hexdigest()
+    got = {name: _benchmark_digest(workload(0))
+           for name, workload in _benchmark_workloads().items()}
     assert got == BENCHMARK_SEED0
 
 
@@ -132,19 +136,6 @@ BENCHMARK_SEED1 = {
 
 def test_benchmark_seed1_digests():
     workloads = _benchmark_workloads()
-    got = {}
-    for name in BENCHMARK_SEED1:
-        wl = workloads[name](1)
-        digest = hashlib.sha256()
-        for i in range(wl.trace_ops):
-            inp = wl.make_input(i)
-            try:
-                out = wl.op(inp)
-            except Exception:
-                item = ("failed", i)
-            else:
-                wl.record(i, inp, out)
-                item = wl.digest_items(out)
-            digest.update(repr(item).encode())
-        got[name] = digest.hexdigest()
+    got = {name: _benchmark_digest(workloads[name](1))
+           for name in BENCHMARK_SEED1}
     assert got == BENCHMARK_SEED1

@@ -63,6 +63,20 @@ def test_suite_turns_any_exception_into_a_failing_verdict(monkeypatch):
     assert v.counterexample == {"message": "broken check"}
 
 
+def test_suite_builds_each_verdict_under_the_registered_name(monkeypatch):
+    def failing(cfg):
+        raise verify.Failed({"trial": 3}, {"h": 1})
+
+    def passing(cfg):
+        return {"n": 1}
+
+    monkeypatch.setitem(verify.CHECKS, "failing", (failing, ()))
+    monkeypatch.setitem(verify.CHECKS, "passing", (passing, ()))
+    got = verify.run_suite(small_config(), names=["failing", "passing"])
+    assert got == [verify.Verdict("failing", False, {"trial": 3}, {"h": 1}),
+                   verify.Verdict("passing", True, {"n": 1})]
+
+
 # -- command line -----------------------------------------------------------
 
 
@@ -145,6 +159,35 @@ def test_cli_match_negative_count_exit_3(tmp_path, option, value):
     assert rc == 3
     assert manifest["status"] == (
         f"validation_error: {option} must be >= 0, got {value}")
+
+
+NO_PAIR = "validation_error: match needs --pair, or --left with --right"
+
+
+@pytest.mark.parametrize("argv,code,status", [
+    (("match", "--mode", "noneven", "--pair", "chacon_triple", "--eps", "abc"),
+     2, "parse_error: --eps is not a fraction: 'abc'"),
+    (("match", "--mode", "noneven", "--pair", "chacon_triple", "--eps", "1/0"),
+     2, "parse_error: --eps is not a fraction: '1/0'"),
+    (("build", "chacon", "--stages", "0"),
+     3, "validation_error: --stages must be >= 1, got 0"),
+    (("induce", "--system", "chacon", "--stage", "0"),
+     3, "validation_error: --stage must be >= 1, got 0"),
+    (("ergodic", "--system", "chacon", "--n", "0"),
+     3, "validation_error: --n must be >= 1, got 0"),
+    (("ergodic", "--system", "chacon", "--samples", "-1"),
+     3, "validation_error: --samples must be >= 0, got -1"),
+    (("match",), 3, NO_PAIR),
+    (("match", "--left", "chacon"), 3, NO_PAIR),
+    (("induce",), 3, "validation_error: induce needs --system or --angle"),
+    (("build", "<dir>"), 3, "validation_error: unknown built-in spec: '<dir>'"),
+])
+def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
+    # a directory is not a spec file, so it is read as a built-in name
+    argv = [str(tmp_path) if a == "<dir>" else a for a in argv]
+    rc, _, manifest = run_cli(tmp_path, *argv)
+    assert rc == code
+    assert manifest["status"] == status.replace("<dir>", str(tmp_path))
 
 
 def test_cli_check_failure_exit_1(tmp_path, monkeypatch):
