@@ -101,7 +101,8 @@ def _require_at_least(args, least, *options):
     for opt in options:
         value = getattr(args, opt)
         if value < least:
-            raise SpecInvalid(f"--{opt} must be >= {least}, got {value}")
+            flag = opt.replace("_", "-")
+            raise SpecInvalid(f"--{flag} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,7 @@ def cmd_build(ctx):
 
 def cmd_orbit(ctx):
     args = ctx.args
+    _require_at_least(args, 1, "steps")
     if args.system.startswith("od:"):
         spec = OdometerSpec.parse(args.system)
         point = odometer_zero(spec)
@@ -162,6 +164,7 @@ def cmd_orbit(ctx):
 def cmd_induce(ctx):
     args = ctx.args
     if args.angle:
+        _require_at_least(args, 1, "max_return")
         angle = RotationAngle.parse(args.angle)
         if not angle.exact:
             raise SpecInvalid("induce needs an exact, periodic angle")
@@ -399,8 +402,7 @@ def main(argv=None):
     ctx = RunContext(args)
     status = "ok"
     try:
-        if args.budget < 0:
-            raise SpecInvalid(f"--budget must be >= 0, got {args.budget}")
+        _require_at_least(args, 0, "budget")
         rc = args.func(ctx)
         if rc:
             status = f"exit:{rc}"

@@ -27,15 +27,6 @@ def return_time_average(system, digits, n, fast=True):
     return Fraction(total, n)
 
 
-def birkhoff_average(step_fn, observable, state, n):
-    """Plain Birkhoff average of an integer observable (oracle path)."""
-    total = 0
-    for _ in range(n):
-        total += observable(state)
-        state = step_fn(state)
-    return Fraction(total, n)
-
-
 @dataclass
 class ErgodicRow:
     sample_id: str

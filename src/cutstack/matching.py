@@ -65,6 +65,9 @@ class PairSpec:
     sys_y: RankOneSystem
     _words: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # (digits, window, edge items) of the last frame_stability audit
+    _audit: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def _delta_words(self, forward):
         """The Delta stage tables (see _DeltaWords), X to Y forward and Y
@@ -271,7 +274,9 @@ def build_frame(pair, digits, window, budget=256):
 def _frame_audit(f1, f2):
     """(fraction, edge items) of a frame and its doubled-window rebuild
     over the interior piles (half the window); see frame_stability and
-    edge_violations."""
+    edge_violations.  The two frames are built independently: deriving
+    the smaller from the larger would make both answers hold by
+    construction."""
     window = f1.window
     lim = window // 2
     max_r = max(max(f1.ra.values()), max(f1.rb.values()))
@@ -297,12 +302,18 @@ def frame_stability(pair, digits, window):
     An item unplaced at the smaller window has no assignment yet (its pit
     lies past the edge), so it does not enter the fraction.  A placed slot
     never moves when the window grows (see _ballot_scan), so the fraction
-    is 1; the audit recomputes it from both frames.  Returns (fraction,
-    frame, doubled_frame); the interior is half the window.
+    is 1; the audit recomputes it from both frames, each built on its own.
+    Returns (fraction, frame, doubled_frame); the interior is half the
+    window.  The audit's edge items stay on the pair for edge_violations
+    on the same stream object and window, so an audit builds its two
+    frames once; the pair keeps no frame, and the frames returned are the
+    caller's.
     """
     f1 = build_frame(pair, digits, window)
     f2 = build_frame(pair, digits, 2 * window)
-    return _frame_audit(f1, f2)[0], f1, f2
+    frac, bad = _frame_audit(f1, f2)
+    pair._audit = (digits, window, tuple(bad))
+    return frac, f1, f2
 
 
 def edge_violations(pair, digits, window):
@@ -310,8 +321,14 @@ def edge_violations(pair, digits, window):
     past the edge region (window minus the largest visible return time).
 
     An empty list certifies that every instability is an edge effect: the
-    item was merely waiting for a pit beyond the window.
+    item was merely waiting for a pit beyond the window.  Right after
+    frame_stability on this very stream object (`is`, not ==) and window,
+    the answer is a fresh list of that audit's edge items; otherwise both
+    frames are built and audited here.
     """
+    audit = pair._audit
+    if audit is not None and audit[0] is digits and audit[1] == window:
+        return list(audit[2])
     f1 = build_frame(pair, digits, window)
     f2 = build_frame(pair, digits, 2 * window)
     return _frame_audit(f1, f2)[1]
@@ -622,7 +639,7 @@ def phi_hat_inverse_stable(pair, y):
 
 
 # ---------------------------------------------------------------------------
-# Stopping times and orbit cocycles
+# Stopping times
 
 
 def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
@@ -637,33 +654,6 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
             running_min=margin,
         )
     return n
-
-
-def cocycle_rows(pair, digits, window):
-    """Orbit-position pairs (t_x, t_y) for every matched item around the
-    base point: t_x indexes its X orbit, t_y the Y orbit of the base point
-    with the same digits.  Sorted by t_x; base points appear with slot 0."""
-    frame = build_frame(pair, digits, window)
-    W = frame.window
-    pos_x = {0: 0}
-    pos_y = {0: 0}
-    for i in range(W):
-        pos_x[i + 1] = pos_x[i] + frame.ra[i]
-        pos_y[i + 1] = pos_y[i] + frame.rb[i]
-    for i in range(0, -W, -1):
-        pos_x[i - 1] = pos_x[i] - frame.ra[i - 1]
-        pos_y[i - 1] = pos_y[i] - frame.rb[i - 1]
-    rows = []
-    for i in range(-W, W + 1):
-        rows.append((pos_x[i], pos_y[i], i, 0, i, 0))
-        for h in range(1, frame.ra[i]):
-            slot = frame.assignment.get((i, h))
-            if slot is None:
-                continue
-            j, d = slot
-            rows.append((pos_x[i] + h, pos_y[j] + d, i, h, j, d))
-    rows.sort()
-    return rows
 
 
 # ---------------------------------------------------------------------------

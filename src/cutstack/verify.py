@@ -364,7 +364,7 @@ def _check_machine(cfg):
             stream = SeededDigits(f"mach:{cfg.seed}:{W}:{s}", pair.sys_x.cuts)
             frac, f1, f2 = matching.frame_stability(pair, stream, W)
             total += frac
-            bad = matching._frame_audit(f1, f2)[1]
+            bad = matching.edge_violations(pair, stream, W)
             if bad:
                 raise Failed({"window": W, "kind": "interior_instability"},
                              {"window": W, "items": bad[:4]})

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from cutstack import matching
 from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
 from cutstack.digits import OverlayDigits, zeros
 from cutstack.errors import (
@@ -655,6 +656,18 @@ def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     x = pair.sys_x.apply(wx.point(), H)
     y = pair.sys_y.apply(y_base, D)
     return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
+
+
+# The edge audit as it was before frame_stability kept its result: build the
+# frame and its doubled-window frame afresh, and audit them.  Kept as the
+# memo's oracle; the audit is read off the module at call time, so a test
+# that replaces matching._frame_audit replaces it here too.
+
+
+def rebuilt_edge_violations(pair, digits, window):
+    f1 = build_frame(pair, digits, window)
+    f2 = build_frame(pair, digits, 2 * window)
+    return matching._frame_audit(f1, f2)[1]
 
 
 # The partial-sum walk as it was before block descent: one walker moves a

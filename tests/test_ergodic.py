@@ -23,14 +23,6 @@ def test_fast_average_matches_naive_loop():
             assert fast == slow
 
 
-def test_birkhoff_average_oracle():
-    # counting the observable 1 gives average exactly 1
-    avg = ergodic.birkhoff_average(lambda s: s + 1, lambda s: 1, 0, 57)
-    assert avg == 1
-    avg = ergodic.birkhoff_average(lambda s: s + 1, lambda s: s % 2, 0, 10)
-    assert avg == Fraction(5, 10)
-
-
 def test_kac_check_targets_and_convergence():
     # expected return time = 1 / base mass = total spec mass
     rep = ergodic.kac_check(system("chacon"), 3**7, samples=30)

@@ -202,6 +202,87 @@ def test_placed_assignments_survive_window_doubling():
         assert matching.edge_violations(pair, stream, 48) == []
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The windows of every matching.build_frame call, in order."""
+    windows = []
+
+    def counted(pair, digits, window, budget=256, _build=matching.build_frame):
+        windows.append(window)
+        return _build(pair, digits, window, budget)
+
+    monkeypatch.setattr(matching, "build_frame", counted)
+    return windows
+
+
+@pytest.fixture
+def edge_item(monkeypatch):
+    """Real frames give no edge items, so the audit reports one more, read
+    off both frames: an answer for another window or pair differs."""
+    def audit(f1, f2, _audit=matching._frame_audit):
+        frac, bad = _audit(f1, f2)
+        return frac, bad + [((0, f1.window), (f2.window, len(f2.assignment)))]
+
+    monkeypatch.setattr(matching, "_frame_audit", audit)
+
+
+def test_an_audit_step_builds_each_frame_once(builds):
+    # one criterion-04 step: frame_stability, then edge_violations on the
+    # same stream and window
+    pair = dyadic()
+    stream = SeededDigits("once", pair.sys_x.cuts)
+    matching.frame_stability(pair, stream, 64)
+    assert matching.edge_violations(pair, stream, 64) == []
+    assert builds == [64, 128]
+
+
+@pytest.mark.parametrize("case,rebuilds", [
+    ("same stream", []),
+    ("equal stream", [32, 64]),
+    ("other window", [16, 32]),
+    ("other pair", [32, 64]),
+])
+def test_edge_violations_after_frame_stability(builds, edge_item, case,
+                                               rebuilds):
+    pair = dyadic()
+    stream = SeededDigits("memo", pair.sys_x.cuts)
+    matching.frame_stability(pair, stream, 32)
+    window = 16 if case == "other window" else 32
+    if case == "equal stream":
+        stream = SeededDigits("memo", pair.sys_x.cuts)
+    if case == "other pair":
+        pair = matching.identity_pair("dyadic_pair_left")
+    del builds[:]
+    got = matching.edge_violations(pair, stream, window)
+    assert builds == rebuilds
+    assert got == oracles.rebuilt_edge_violations(pair, stream, window)
+    assert got
+
+
+def test_edge_violations_keep_no_frame():
+    pair = dyadic()
+    stream = SeededDigits("keep", pair.sys_x.cuts)
+    _, f1, f2 = matching.frame_stability(pair, stream, 32)
+    # an audit of these frames would now find every interior item unplaced
+    # at 32 and placed at 64 near the middle
+    f1.assignment.clear()
+    f2.assignment.update(dict.fromkeys(f2.assignment, (0, 1)))
+    assert matching.edge_violations(pair, stream, 32) == []
+    assert oracles.rebuilt_edge_violations(pair, stream, 32) == []
+
+
+def test_edge_violations_hand_out_a_copy(builds, edge_item):
+    pair = dyadic()
+    stream = SeededDigits("copy", pair.sys_x.cuts)
+    matching.frame_stability(pair, stream, 32)
+    matching.edge_violations(pair, stream, 32).clear()
+    matching.edge_violations(pair, stream, 32).append(None)
+    got = matching.edge_violations(pair, stream, 32)
+    assert builds == [32, 64]
+    assert got == oracles.rebuilt_edge_violations(pair, stream, 32)
+    assert got
+
+
 def test_machine_agrees_with_strict_formula():
     pair = dyadic()
     for s in range(40):
@@ -571,14 +652,6 @@ def test_phi_hat_reaches_the_readers_through_the_module(monkeypatch):
         y = matching.phi_hat(pair, x, mode=mode, window=256).y
         matching.phi_hat_inverse(pair, y, mode=mode, window=256)
     assert calls == dict.fromkeys(names, 1)
-
-
-def test_cocycle_rows_are_window_sorted():
-    pair = dyadic()
-    stream = SeededDigits("coc", pair.sys_x.cuts)
-    rows = matching.cocycle_rows(pair, stream, 16)
-    ts = [row[0] for row in rows]
-    assert ts == sorted(ts)
 
 
 def test_trace_rows_format():

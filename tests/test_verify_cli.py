@@ -181,6 +181,12 @@ NO_PAIR = "validation_error: match needs --pair, or --left with --right"
     (("match", "--left", "chacon"), 3, NO_PAIR),
     (("induce",), 3, "validation_error: induce needs --system or --angle"),
     (("build", "<dir>"), 3, "validation_error: unknown built-in spec: '<dir>'"),
+    (("orbit", "--system", "chacon", "--steps", "-1"),
+     3, "validation_error: --steps must be >= 1, got -1"),
+    (("orbit", "--system", "od:[2,*]", "--steps", "-1"),
+     3, "validation_error: --steps must be >= 1, got -1"),
+    (("induce", "--angle", "cf:[0;(2)]", "--max-return", "0"),
+     3, "validation_error: --max-return must be >= 1, got 0"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     # a directory is not a spec file, so it is read as a built-in name
