@@ -131,7 +131,7 @@ def cmd_build(ctx):
 
 def cmd_orbit(ctx):
     args = ctx.args
-    _require_at_least(args, 1, "steps")
+    _require_at_least(args, 1, "steps", "depth")
     if args.system.startswith("od:"):
         spec = OdometerSpec.parse(args.system)
         point = odometer_zero(spec)
@@ -392,7 +392,6 @@ def build_parser():
     e.set_defaults(func=cmd_ergodic)
 
     v = sub.add_parser("verify", help="run the property-check suite")
-    v.add_argument("--suite", default="default")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -33,6 +33,7 @@ from math import lcm
 
 from .digits import OverlayDigits, SeededDigits, explicit_extent
 from .errors import (
+    ExhaustedDigits,
     HorizonExhausted,
     InadmissiblePair,
     MarginViolation,
@@ -40,7 +41,6 @@ from .errors import (
     WindowEdge,
     WindowExhausted,
 )
-from .induction import lift
 from .specs import builtin_spec
 from .towers import (BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem,
                      odometer_add)
@@ -151,33 +151,56 @@ def chacon_triple_noneven_pair():
 # Heights above a base set
 
 
-def _lift_cache(system, lset, stage):
-    cache = getattr(system, "_matching_lift_cache", None)
-    if cache is None:
-        cache = {}
-        system._matching_lift_cache = cache
-    key = (lset.stage, lset.level_indices, stage)
-    arr = cache.get(key)
-    if arr is None:
-        arr = sorted(lift(system, lset, stage).level_indices)
-        cache[key] = arr
-    return arr
-
-
 def height_above_base(system, base, point):
-    """(h, base_point) with point = T^h(base_point), base_point the nearest
-    base element at or below the point in its column, searched at most 8
-    stages below the point's resolved stage."""
-    k0 = max(base.stage, point.birth_stage, explicit_extent(point.digits) + 1)
-    for K in range(k0, k0 + 9):
-        arr = _lift_cache(system, base, K)
-        idx = system.level_index(point, K)
-        pos = bisect_right(arr, idx) - 1
-        if pos >= 0:
-            base_pt = system.point_at(K, arr[pos], point.digits)
-            return idx - arr[pos], base_pt
-    raise NeedMoreDepth(
-        "no base element below the point within 8 extra stages", budget=8)
+    """(h, base_point): point = T^h(base_point), base_point the nearest
+    base element at or below the point in its column, read at the first
+    stage K >= the point's resolved stage that shows it, at most 8 deeper.
+
+    One climb along the point's digits from stage max(base stage, birth
+    stage) keeps the point's level idx and top, the highest base copy in
+    the stack.  While no base copy lies below the point, a digit a > 0
+    puts copy a - 1, and so its top base copy, right below it: h = idx +
+    offs[a] - offs[a - 1] - top, fixed from then on.  O(K); no lifted set.
+    """
+    stream, s = point.digits, base.stage
+    k0 = max(s, point.birth_stage, explicit_extent(stream) + 1)
+    k, idx = max(s, point.birth_stage), point.birth_level
+    if k > s and system.decompose(k, idx)[0] == "copy":
+        point = system.point_at(k, idx, stream)  # start from its birth
+        k, idx = max(s, point.birth_stage), point.birth_level
+    levels = sorted(base.level_indices)
+    top = levels[-1] if levels else 0  # an empty base never shows
+    if k == s:
+        if point.birth_stage < s:
+            idx = system.level_index(point, s)
+        pos = bisect_right(levels, idx)
+        h = idx - levels[pos - 1] if pos else None
+    else:  # a spacer, over copy a of the stage-(k - 1) stack if a >= 0
+        offs = system.offsets(k - 1)
+        for o in system._offsets[s:k]:
+            top += o[-1]
+        a = bisect_right(offs, idx) - 1
+        h = idx - offs[a] - top + offs[-1] if a >= 0 and levels else None
+    digit, cuts, offsets = point.digits.digit, system._cuts, system._offsets
+    while h is None or k < k0:
+        if k == k0 + 8:
+            raise NeedMoreDepth(
+                "no base element below the point within 8 extra stages",
+                budget=8)
+        a = digit(k)
+        if not 0 < k < len(cuts):
+            system._grow(k)
+        if not 0 <= a < cuts[k]:
+            raise ExhaustedDigits(
+                f"digit {a} out of range at stage {k} (cuts={cuts[k]})")
+        offs = offsets[k]
+        if h is None:
+            if a and levels:
+                h = idx + offs[a] - offs[a - 1] - top
+            top += offs[-1]
+        idx += offs[a]
+        k += 1
+    return h, system.point_at(k, idx - h, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -808,12 +831,17 @@ def noneven_inverse(plan, y):
 
 
 def noneven_image_successor(plan, y):
-    """First return of the Y map to the embedded image, starting after y,
-    within 4096 steps."""
-    pair = plan.pair
-    cur = y
-    for _ in range(4096):
-        cur = pair.sys_y.apply(cur, 1, 256)
-        if noneven_in_image(plan, cur):
-            return cur
-    raise HorizonExhausted("no image point within 4096 steps", horizon=4096)
+    """First return of the Y map to the embedded image, starting after y.
+
+    Above a b-set point the image is the first pile levels of its pit, so
+    the successor of a point at depth D is the next level when D + 1 <
+    pile, and otherwise the next b-set point on the Y orbit: the digits
+    advanced by one block, one add from stage m + 1."""
+    sys_y = plan.pair.sys_y
+    D, y_base = height_above_base(sys_y, plan.b_set, y)
+    if D + 1 < pile_height(plan, y_base.digits):
+        return sys_y.apply(y, 1, 256)
+    digits = y_base.digits
+    new = odometer_add(digits.digit, sys_y.cuts, 1, plan.m + 1, 256)
+    return RankOnePoint(1, 0, digits.with_overrides(
+        {plan.m + 1 + j: v for j, v in enumerate(new)}))

@@ -11,14 +11,16 @@ from math import isqrt
 
 from cutstack import matching
 from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
-from cutstack.digits import OverlayDigits, zeros
+from cutstack.digits import OverlayDigits, explicit_extent, zeros
 from cutstack.errors import (
     CutstackError,
     ExhaustedDigits,
+    HorizonExhausted,
     NeedMoreDepth,
     WindowEdge,
     WindowExhausted,
 )
+from cutstack.induction import lift
 from cutstack.matching import build_frame
 from cutstack.quadratic import _reduce_root
 from cutstack.towers import BaseOrbitWalker, RankOnePoint
@@ -746,3 +748,35 @@ def odometer_apply(spec, point, steps, budget=256):
             else odometer_predecessor(spec, point, budget)
         )
     return point
+
+
+# The height search as it was before the climb: lift the base to each stage
+# K from the point's resolved stage on, and bisect the point's level among
+# all the lifted copies.  Kept, without its cache of lifted sets, as the
+# climb's oracle; its cost grows as the product of the cut counts up to K.
+
+
+def height_above_base(system, base, point):
+    k0 = max(base.stage, point.birth_stage, explicit_extent(point.digits) + 1)
+    for K in range(k0, k0 + 9):
+        arr = sorted(lift(system, base, K).level_indices)
+        idx = system.level_index(point, K)
+        pos = bisect_right(arr, idx) - 1
+        if pos >= 0:
+            base_pt = system.point_at(K, arr[pos], point.digits)
+            return idx - arr[pos], base_pt
+    raise NeedMoreDepth(
+        "no base element below the point within 8 extra stages", budget=8)
+
+
+# The non-even image successor as it was before the closed form: step the Y
+# map until a point lies in the embedded image.  Kept as its oracle.
+
+
+def noneven_image_successor(plan, y):
+    cur = y
+    for _ in range(4096):
+        cur = plan.pair.sys_y.apply(cur, 1, 256)
+        if matching.noneven_in_image(plan, cur):
+            return cur
+    raise HorizonExhausted("no image point within 4096 steps", horizon=4096)

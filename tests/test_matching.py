@@ -4,12 +4,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cutstack import ergodic, matching
-from cutstack.digits import PeriodicDigits, SeededDigits, zeros
+from cutstack.digits import (PeriodicDigits, SeededDigits, explicit_extent,
+                             zeros)
 from cutstack.errors import (
     HorizonExhausted,
     InadmissiblePair,
@@ -22,7 +23,8 @@ from cutstack.specs import (
     parse_spec_json,
     random_spec,
 )
-from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
+from cutstack.towers import (BaseOrbitWalker, LevelSet, RankOnePoint,
+                             RankOneSystem)
 
 
 def dyadic():
@@ -94,6 +96,110 @@ def test_height_above_base_descends_to_base_point():
                 assert not sys.in_level_set(
                     base, sys.apply(base_pt, j)
                 )
+
+
+HEIGHT_SPECS = ("chacon", "triple_heavy", "dyadic_pair_left",
+                "dyadic_pair_right")
+
+
+@st.composite
+def height_cases(draw):
+    """(system, base, point): a builtin system; the pair base, a non-even
+    plan's LevelSet(m + 1, {0}), a top level of stage 1-3 (often with no
+    base copy below within 8 stages) or an empty base; a point at stage
+    1-8 over low digits, a run of zeros, a periodic tail and overrides,
+    born where point_at puts it or at any level of its stage.  The oracle
+    lifts the base to each stage up to the one it resolves at, K, so K
+    stays at most 13 on radix 2 and 11 on radix 3: K is at most k0 + 8,
+    and, on a non-empty base, at most the stage after the first nonzero
+    digit from where the climb starts."""
+    system = RankOneSystem(builtin_spec(draw(st.sampled_from(HEIGHT_SPECS))))
+    cuts = system.cuts
+    kind = draw(st.sampled_from(("pair", "plan", "top", "empty")))
+    if kind == "pair":
+        base = LevelSet(1, {0})
+    elif kind == "empty":
+        base = LevelSet(draw(st.integers(1, 3)), set())
+    elif kind == "plan":
+        base = LevelSet(draw(st.integers(2, 5)), {0})
+    else:
+        k = draw(st.integers(1, 3))
+        base = LevelSet(k, {system.height(k) - 1})
+    low = draw(st.lists(st.integers(0, 2), max_size=4))
+    run = draw(st.integers(0, 10))
+    high = draw(st.lists(st.integers(0, 2), max_size=3))
+    stream = PeriodicDigits(
+        [d % cuts(k) for k, d in enumerate(low + [0] * run + high, 1)],
+        draw(st.sampled_from(((0,), (1, 0), (1,)))))
+    stream = stream.with_overrides(
+        {k: v % cuts(k) for k, v in draw(st.dictionaries(
+            st.integers(1, 10), st.integers(0, 2), max_size=2)).items()})
+    stage = draw(st.integers(1, 8))
+    level = draw(st.integers(0, system.height(stage) - 1))
+    point = (system.point_at(stage, level, stream) if draw(st.booleans())
+             else RankOnePoint(stage, level, stream))
+    digits = point.digits
+    k0 = max(base.stage, point.birth_stage, explicit_extent(digits) + 1)
+    start = max(base.stage, point.birth_stage)
+    K = next((max(k0, k + 1) for k in range(start, k0 + 8)
+              if digits.digit(k)), k0 + 8)
+    assume(K <= (13 if cuts(1) == 2 else 11))
+    return system, base, point
+
+
+def _height_outcome(read, system, base, point):
+    try:
+        h, base_pt = read(system, base, point)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "budget", None)
+    return (h, base_pt.birth_stage, base_pt.birth_level,
+            getattr(base_pt.digits, "overrides", None),
+            matching.point_id(system, base_pt))
+
+
+DYADIC_X = RankOneSystem(builtin_spec("dyadic_pair_left"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(height_cases())
+@example((DYADIC_X, LevelSet(2, {DYADIC_X.height(2) - 1}),  # found at k0 + 8
+          DYADIC_X.point_at(2, 0, PeriodicDigits((), (0,) * 8 + (1,)))))
+def test_height_climb_is_the_lifted_search(case):
+    # equal h, base point (birth, overrides, point_id), or the same
+    # exception type, message and budget
+    system, base, point = case
+    got = _height_outcome(matching.height_above_base, system, base, point)
+    want = _height_outcome(oracles.height_above_base, system, base, point)
+    assert got == want
+
+
+def test_height_above_base_of_deep_points():
+    # resolved at stage K >= 18, where the lifted search held 2^17 or 3^17
+    # base copies; the climb reads K digits
+    chacon = RankOneSystem(builtin_spec("chacon"))
+    dyadic_x = RankOneSystem(builtin_spec("dyadic_pair_left"))
+    cases = [
+        (dyadic_x, LevelSet(1, {0}),
+         dyadic_x.point_at(6, 37, zeros().with_overrides({20: 1}))),
+        (dyadic_x, LevelSet(3, {0}),
+         dyadic_x.point_at(4, 9, SeededDigits("deep", dyadic_x.cuts)
+                           .with_overrides({23: 1}))),
+        # zero digits under a stage-2 top level: the first base copy below
+        # the point comes with its stage-18 digit
+        (chacon, LevelSet(2, {chacon.height(2) - 1}),
+         chacon.point_at(7, 2, PeriodicDigits([0] * 17 + [1], (0, 2)))),
+        (chacon, LevelSet(1, {0}),
+         chacon.point_at(5, 11, zeros().with_overrides({19: 2}))),
+    ]
+    for system, base, x in cases:
+        h, base_pt = matching.height_above_base(system, base, x)
+        assert max(base_pt.birth_stage,
+                   explicit_extent(base_pt.digits) + 1) >= 18
+        assert system.in_level_set(base, base_pt)
+        assert system.same_point(system.apply(base_pt, h), x)
+        # h is below the base point's first return time
+        assert not any(system.in_level_set(base, system.apply(base_pt, j))
+                       for j in range(1, h + 1))
 
 
 def test_return_window_matches_walker():
@@ -728,3 +834,54 @@ def test_noneven_conjugacy_with_image_successor():
         y_direct, _, _ = matching.noneven_match(plan, x)
         assert pair.sys_y.same_point(y_next, y_direct)
         y = y_next
+
+
+@pytest.mark.parametrize("N,m", [(20, 4), (150, 6)])
+def test_image_successor_is_the_step_by_step_return(N, m):
+    # image points, Y points outside the image, the top of a pile, the
+    # first level past it and the top of a pit; then a chain of successors
+    pair, plan = noneven_plan(N=N)
+    assert plan.m == m
+    sys_y = pair.sys_y
+    rng = random.Random(f"succ:{m}")
+    ys = []
+    for t in range(40):
+        x = pair.sys_x.random_point(rng, m + 2, seed=f"succ:{m}:x{t}")
+        ys.append(matching.noneven_match(plan, x)[0])
+        ys.append(sys_y.random_point(rng, m + 2, seed=f"succ:{m}:y{t}"))
+        digits = SeededDigits(f"succ:{m}:b{t}", sys_y.cuts).with_overrides(
+            {k: 0 for k in range(1, m + 1)})
+        y_base = RankOnePoint(1, 0, digits)
+        pile = matching.pile_height(plan, digits)
+        pit = matching.pit_depth(plan, digits)
+        ys += [sys_y.apply(y_base, d) for d in (pile - 1, pile, pit - 1)]
+    assert sum(not matching.noneven_in_image(plan, y) for y in ys) > 40
+    for y in ys:
+        assert sys_y.same_point(matching.noneven_image_successor(plan, y),
+                                oracles.noneven_image_successor(plan, y))
+    y = ys[-3]  # a pile top: the chain crosses into the next column
+    for _ in range(300):
+        got = matching.noneven_image_successor(plan, y)
+        assert sys_y.same_point(got, oracles.noneven_image_successor(plan, y))
+        y = got
+
+
+def test_matching_keeps_no_stage_data_on_the_systems():
+    # the stage tables have one owner: every matching reader leaves each
+    # system with exactly the attributes RankOneSystem.__init__ sets
+    keys = set(vars(RankOneSystem(builtin_spec("chacon"))))
+    even = dyadic()
+    rng = random.Random("owner")
+    x = even.sys_x.random_point(rng, 8, seed="owner:x")
+    y = even.sys_y.random_point(rng, 8, seed="owner:y")
+    for mode in ("machine", "formula"):
+        matching.phi_hat(even, x, mode=mode)
+        matching.phi_hat_inverse(even, y, mode=mode)
+    pair, plan = noneven_plan()
+    x = pair.sys_x.random_point(rng, plan.m + 2, seed="owner:ne")
+    y, _, _ = matching.noneven_match(plan, x)
+    assert matching.noneven_in_image(plan, y)
+    matching.noneven_inverse(plan, y)
+    matching.noneven_image_successor(plan, y)
+    for system in (even.sys_x, even.sys_y, pair.sys_x, pair.sys_y):
+        assert set(vars(system)) == keys

@@ -187,6 +187,8 @@ NO_PAIR = "validation_error: match needs --pair, or --left with --right"
      3, "validation_error: --steps must be >= 1, got -1"),
     (("induce", "--angle", "cf:[0;(2)]", "--max-return", "0"),
      3, "validation_error: --max-return must be >= 1, got 0"),
+    (("orbit", "--system", "od:[2,*]", "--steps", "2", "--depth", "0"),
+     3, "validation_error: --depth must be >= 1, got 0"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     # a directory is not a spec file, so it is read as a built-in name
@@ -194,6 +196,13 @@ def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     rc, _, manifest = run_cli(tmp_path, *argv)
     assert rc == code
     assert manifest["status"] == status.replace("<dir>", str(tmp_path))
+
+
+def test_cli_verify_has_no_suite_option(tmp_path):
+    # verify runs the one suite; a --suite value is a usage error
+    with pytest.raises(SystemExit) as e:
+        main(["--out-dir", str(tmp_path / "out"), "verify", "--suite", "x"])
+    assert e.value.code == 2
 
 
 def test_cli_check_failure_exit_1(tmp_path, monkeypatch):
