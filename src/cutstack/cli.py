@@ -2,11 +2,12 @@
 verify pipelines with deterministic seeds and file outputs.
 
 Every run writes a manifest (command echo, seed, input digests, output
-list) next to its outputs, even on failure.  Timestamps live only in the
+list) next to its outputs, even on failure; an argparse usage error exits
+2 before any run starts, and writes none.  Timestamps live only in the
 manifest, so identical commands with identical seeds produce byte-identical
 output files.
 
-Exit codes: 0 success, 1 check failures, 2 parse error, 3 validation
+Exit codes: 0 success, 1 check failures, 2 parse or usage error, 3 validation
 error, 4 inadmissible pair, 5 widespread window instability, 6 any other
 typed error (unresolved: a search that ran out of depth, window or horizon).
 """
@@ -131,6 +132,7 @@ def cmd_build(ctx):
 
 def cmd_orbit(ctx):
     args = ctx.args
+    _require_at_least(args, 0, "budget")
     _require_at_least(args, 1, "steps", "depth")
     if args.system.startswith("od:"):
         spec = OdometerSpec.parse(args.system)
@@ -344,8 +346,6 @@ def build_parser():
         "rotations, and return-time matchings.",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=256,
-                   help="stage/carry budget for orbit resolution")
     p.add_argument("--out-dir", default="out")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -360,6 +360,8 @@ def build_parser():
     o.add_argument("--steps", type=int, default=16)
     o.add_argument("--depth", type=int, default=8,
                    help="digits shown per odometer step")
+    o.add_argument("--budget", type=int, default=256,
+                   help="stage/carry budget for orbit resolution")
     o.set_defaults(func=cmd_orbit)
 
     i = sub.add_parser("induce", help="first-return decomposition histogram")
@@ -401,7 +403,6 @@ def main(argv=None):
     ctx = RunContext(args)
     status = "ok"
     try:
-        _require_at_least(args, 0, "budget")
         rc = args.func(ctx)
         if rc:
             status = f"exit:{rc}"

@@ -5,11 +5,14 @@ difference, so the fast path costs O(log n) exact integer work; the naive
 loop is kept as an independent oracle.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from . import matching
 from .digits import SeededDigits
+from .errors import WindowExhausted
 from .towers import BaseOrbitWalker
 
 
@@ -124,11 +127,6 @@ def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None):
     unresolved within 2^15 shifts are skipped and counted; empirical
     frequencies keep the full sample count as denominator.
     """
-    from .errors import WindowExhausted
-    from .matching import phi_hat
-
-    import random
-
     rng = random.Random(f"push:{seed}")
     sys_y = pair.sys_y
     h = sys_y.height(stage)
@@ -138,7 +136,8 @@ def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None):
     for s in range(samples):
         x = pair.sys_x.random_point(rng, 12, seed=f"push:{seed}:{s}")
         try:
-            y = phi_hat(pair, x, mode="formula", budget=512, horizon=2**15).y
+            y = matching.phi_hat(pair, x, mode="formula", budget=512,
+                                 horizon=2**15).y
         except WindowExhausted:
             skipped += 1
             continue

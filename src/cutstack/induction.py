@@ -7,10 +7,11 @@ each step resolved within 64 stages; running out raises BudgetExhausted or
 NeedMoreDepth rather than guessing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .arithmetic import point_value, rotate
 from .errors import BudgetExhausted, NeedMoreDepth
 from .quadratic import Surd
 from .towers import LevelSet, RankOneSystem
@@ -187,17 +188,13 @@ class RotationAdapter:
     kind = "rotation"
 
     def __init__(self, angle):
-        from .arithmetic import point_value, rotate
-
         self.angle = angle
-        self._rotate = rotate
-        self._value = point_value
 
     def apply(self, point, steps):
-        return self._rotate(self.angle, point, steps)
+        return rotate(self.angle, point, steps)
 
     def contains(self, iu, point):
-        return iu.contains(self._value(self.angle, point))
+        return iu.contains(point_value(self.angle, point))
 
     def measure(self, iu):
         return iu.measure()
@@ -250,18 +247,14 @@ class ReturnTimeDecomposition:
     cells: list  # (cell set, return time r), pairwise disjoint
     remainder: object  # unresolved part of the base
     remainder_mass: object
+    measure_fn: object = None
 
     def kac_sum(self):
         total = None
         for cell, r in self.cells:
-            term = r * (self._measure(cell))
+            term = r * self.measure_fn(cell)
             total = term if total is None else total + term
         return total if total is not None else Fraction(0)
-
-    def _measure(self, cell):
-        return self.measure_fn(cell)
-
-    measure_fn: object = field(default=None)
 
 
 def column_decomposition(system, A, budget):

@@ -214,8 +214,7 @@ def return_window(system, digits, window, budget=256):
     r(i) is stage_word(K)[N + i], N the state's position in the least digit
     block (stages 1..K <= budget + 1) of P > window positions.  The steps
     out of the block's last position, at most one each way, are each one
-    carry from stage K + 1, and give up where a step-by-step walk would
-    (r(window) itself is a return_time peek, at its limit 256)."""
+    carry from stage K + 1, and give up where a step-by-step walk would."""
     N, P, K = 0, 1, 0
     while P <= window and K <= budget:
         K += 1
@@ -225,8 +224,7 @@ def return_window(system, digits, window, budget=256):
     last = P - 1
     fwd = word[N:min(N + window + 1, last)]
     if N + window >= last:
-        limit = 256 if N + window == last else budget
-        new = odometer_add(digits.digit, system.cuts, 1, K + 1, limit)
+        new = odometer_add(digits.digit, system.cuts, 1, K + 1, budget)
         fwd.append(system.return_time(K + len(new), new[-1] - 1))
         fwd += word[:N + window - last]
     bwd = word[max(N - window, 0):N]
@@ -402,7 +400,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     found block by block (_first_passage).  One advance then gives the
     image base point, with the digits a walk of n steps would have kept."""
     src, img = _sides(pair, forward)
-    s, e = BaseOrbitWalker(src, digits).carry(256)  # return_time's limit
+    s, e = BaseOrbitWalker(src, digits).carry(budget)
     if h is None:
         h = src.return_time(s, e) - 1
     f = img.return_time(s, e)

@@ -8,6 +8,7 @@ systems.
 """
 
 import json
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,8 +388,6 @@ def random_spec(seed, stages=8, max_cuts=4, max_spacers=3):
 
     Deterministic across processes for a given seed.
     """
-    import random
-
     rng = random.Random(f"spec:{seed}")
     n = rng.randrange(2, stages + 1)
     rules = []

@@ -29,7 +29,8 @@ from .arithmetic import (
 from .digits import PeriodicDigits, SeededDigits
 from .errors import WindowEdge
 from .quadratic import Surd
-from .specs import builtin_spec, parse_spec, random_spec, serialize_spec
+from .specs import (builtin_spec, parse_spec, parse_spec_json, random_spec,
+                    serialize_spec, spec_to_json)
 from .towers import BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem
 
 
@@ -40,13 +41,7 @@ class SuiteConfig:
     samples: int = 200
     big_samples: int = 2000
     random_specs: int = 10
-    stage_depth: int = 12
-    kac_n: int = 3**6
-    kac_tolerance: Fraction = Fraction(1, 50)
-    stopping_horizon: int = 2**16
     pushforward_samples: int = 20000
-    noneven_eps: Fraction = Fraction(1, 4)
-    stability_floor: Fraction = Fraction(99, 100)
 
 
 def default_config(seed=0):
@@ -123,8 +118,6 @@ REQUIRED_INVARIANTS = (
 
 @check("spec_canonical", covers=("dsl-roundtrip",))
 def _check_spec_canonical(cfg):
-    from .specs import parse_spec_json, spec_to_json
-
     names = ["chacon", "dyadic_pair_left", "dyadic_pair_right", "triple_heavy",
              "odometer(2)", "odometer(2,3)"]
     specs = [builtin_spec(n) for n in names]
@@ -151,6 +144,7 @@ def _check_heights_widths(cfg):
         "dyadic_pair_right": Fraction(1, 2),
         "odometer(2)": Fraction(1),
     }
+    depth = 12
     for name, w1 in known_w1.items():
         sys = RankOneSystem(builtin_spec(name))
         if sys.unit_width() != w1:
@@ -158,13 +152,13 @@ def _check_heights_widths(cfg):
                                           "expect": str(w1)})
         h = sys.spec.initial_height
         w = w1
-        for i in range(1, cfg.stage_depth + 1):
+        for i in range(1, depth + 1):
             if sys.height(i) != h or sys.width(i) != w:
                 raise Failed({"spec": name, "stage": i})
             r = sys.spec.rule(i)
             h = r.spacers_below + r.cuts * h + sum(r.spacers_above)
             w = w / r.cuts
-    return {"specs": len(known_w1), "depth": cfg.stage_depth}
+    return {"specs": len(known_w1), "depth": depth}
 
 
 @check("spacer_recovery", covers=("name-reading",))
@@ -378,7 +372,7 @@ def _check_machine(cfg):
                 raise Failed({"window": W, "kind": "slot_conservation"})
         mean = total / streams
         worst = min(worst, mean)
-        if mean < cfg.stability_floor:
+        if mean < Fraction(99, 100):
             raise Failed({"window": W, "stable": float(mean)}, {"window": W})
     return {"windows": str(cfg.windows), "worst_stable": float(worst)}
 
@@ -448,13 +442,14 @@ def _check_base_conjugacy(cfg):
        covers=("noneven-margins", "noneven-order", "noneven-conjugacy"))
 def _check_noneven(cfg):
     pair = matching.chacon_triple_noneven_pair()
+    eps = Fraction(1, 4)
     N = max(
-        ergodic.estimate_N(pair.sys_x, Fraction(3, 2), cfg.noneven_eps,
+        ergodic.estimate_N(pair.sys_x, Fraction(3, 2), eps,
                            samples=16, horizon=128, seed=cfg.seed),
-        ergodic.estimate_N(pair.sys_y, Fraction(5, 2), cfg.noneven_eps,
+        ergodic.estimate_N(pair.sys_y, Fraction(5, 2), eps,
                            samples=16, horizon=128, seed=cfg.seed),
     )
-    plan = matching.noneven_prepare(pair, cfg.noneven_eps, N,
+    plan = matching.noneven_prepare(pair, eps, N,
                                     samples=cfg.samples, seed=cfg.seed)
     if min(plan.margins) < 0:
         raise Failed({"kind": "margin", "min": min(plan.margins)})
@@ -489,10 +484,11 @@ def _check_noneven(cfg):
 
 @check("kac_targets", covers=("kac-targets",))
 def _check_kac(cfg):
+    n = 3**6
     for name in ("chacon", "triple_heavy"):
         sys = RankOneSystem(builtin_spec(name))
-        rep = ergodic.kac_check(sys, cfg.kac_n, 50, seed=cfg.seed)
-        if rep.max_abs_dev > cfg.kac_tolerance:
+        rep = ergodic.kac_check(sys, n, 50, seed=cfg.seed)
+        if rep.max_abs_dev > Fraction(1, 50):
             raise Failed({"spec": name, "dev": float(rep.max_abs_dev)})
     sys = RankOneSystem(builtin_spec("dyadic_pair_left"))
     rep = ergodic.kac_check(sys, 2**8, 20, seed=cfg.seed)
@@ -503,7 +499,7 @@ def _check_kac(cfg):
     if (ergodic.return_time_average(sys, d, 64, fast=True)
             != ergodic.return_time_average(sys, d, 64, fast=False)):
         raise Failed({"kind": "fast_vs_naive"})
-    return {"n": cfg.kac_n}
+    return {"n": n}
 
 
 @check("stopping_finiteness", covers=("stopping-finiteness",))
@@ -512,7 +508,7 @@ def _check_stopping(cfg):
     worst = 0
     for t in range(cfg.big_samples):
         stream = SeededDigits(f"stop:{cfg.seed}:{t}", pair.sys_x.cuts)
-        n = matching.stopping_time(pair, stream, horizon=cfg.stopping_horizon)
+        n = matching.stopping_time(pair, stream)
         worst = max(worst, n)
     return {"samples": cfg.big_samples, "max_n": worst}
 

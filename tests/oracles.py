@@ -153,7 +153,7 @@ def walker_return_window(system, digits, window, budget=256):
     w = BaseOrbitWalker(system, digits)
     for i in range(window):
         r[i] = w.step(budget)
-    r[window] = w.return_time()
+    r[window] = system.return_time(*w.carry(budget))
     w = BaseOrbitWalker(system, digits)
     for i in range(1, window + 1):
         r[-i] = w.step_back(budget)
@@ -549,7 +549,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     rw, fw = (wx, wy) if forward else (wy, wx)
     reach = h
     psi = 0
-    f = fw.return_time()
+    f = fw.sys.return_time(*fw.carry(budget))
     best = None
     for n in range(horizon + 1):
         if n and forward:
@@ -557,7 +557,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
                 rw.step(budget)  # skip r_0; the sums start at r_1
             reach += rw.step(budget)
             fw.step(budget)
-            f = fw.return_time()
+            f = fw.sys.return_time(*fw.carry(budget))
         elif n:
             f = fw.step_back(budget)
             reach += rw.step_back(budget)
@@ -691,7 +691,7 @@ def one_walker_walk(pair, digits, forward, h, slack, horizon, budget):
     w = BaseOrbitWalker(src, digits)
     move = w.step if forward else w.step_back
     reach = h
-    f = psi = img.return_time(*w.carry(256))  # return_time's limit
+    f = psi = img.return_time(*w.carry(budget))
     best = None
     for n in range(horizon + 1):
         if n:

@@ -248,6 +248,10 @@ def window_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(window_cases())
+# r(4) ends the stage-1..2 block and carries into stage 13: NeedMoreDepth
+# at budget 1, as window 5 raises
+@example((builtin_spec("chacon"), PeriodicDigits((1, 1) + (2,) * 10, (0,)),
+          4, 1))
 def test_return_window_is_the_step_by_step_walk(case):
     spec, stream, window, budget = case
     got = _window_outcome(RankOneSystem(spec), stream, window, budget,
@@ -627,7 +631,8 @@ def test_one_walker_walk_is_the_two_walker_walk(case):
 
 
 def _oracle_stopping_time(pair, digits, horizon, strict, budget):
-    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
+    w = BaseOrbitWalker(pair.sys_x, digits)
+    h = pair.sys_x.return_time(*w.carry(budget)) - 1
     if h == 0:
         return 0
     n, _, margin, _ = oracles._partial_sum_walk(
@@ -646,8 +651,15 @@ def _stop_outcome(stop, *args):
                 getattr(e, "horizon", None), getattr(e, "running_min", None))
 
 
+# the start carry of the strict formula at h = 0 runs into stage 13, past
+# budget 1, so even shift 0 raises NeedMoreDepth
+_START_PAST_BUDGET = (PAIRS["dyadic"], PeriodicDigits((1,) * 12, (0,)), True,
+                      0, 1, 4096, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(walk_cases())
+@example(_START_PAST_BUDGET)
 def test_stopping_time_is_the_two_walker_walk(case):
     pair, stream, _, _, slack, horizon, budget = case
     args = (pair, stream, horizon, bool(slack), budget)
@@ -684,7 +696,8 @@ def tail_cases(draw):
 
 
 def _walk_stopping_time(pair, digits, horizon, strict, budget):
-    h = BaseOrbitWalker(pair.sys_x, digits).return_time() - 1
+    w = BaseOrbitWalker(pair.sys_x, digits)
+    h = pair.sys_x.return_time(*w.carry(budget)) - 1
     n, _, margin, _ = oracles.one_walker_walk(
         pair, digits, True, h, 1 if strict else 0, horizon, budget)
     if n is None:
@@ -706,6 +719,7 @@ def _long_shift(horizon, budget):
 @example(_long_shift(2**16, 256))
 @example(_long_shift(8190, 256))  # one short: the best margin within it
 @example(_long_shift(2**16, 12))  # the stage-14 carry is past the budget
+@example(_START_PAST_BUDGET)
 def test_block_descent_is_the_shift_by_shift_walk(case):
     # equal n, d, margin, boundary and image point (overrides and base),
     # or the same exception, message and budget; the stopping time of the

@@ -15,7 +15,6 @@ def small_config(seed=0):
     cfg.random_specs = 4
     cfg.windows = (32,)
     cfg.pushforward_samples = 2000
-    cfg.stopping_horizon = 2**16
     return cfg
 
 
@@ -205,6 +204,16 @@ def test_cli_verify_has_no_suite_option(tmp_path):
     assert e.value.code == 2
 
 
+def test_cli_budget_is_an_orbit_option(tmp_path):
+    # a usage error exits 2 before any run starts: no manifest is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        main(["--out-dir", str(out), "--budget", "0", "match",
+              "--pair", "dyadic"])
+    assert e.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_check_failure_exit_1(tmp_path, monkeypatch):
     failing = [verify.Verdict("broken", False, {"trial": 0})]
     monkeypatch.setattr(verify, "run_suite", lambda cfg: failing)
@@ -265,7 +274,7 @@ def test_cli_approximate_angle_exit_3(tmp_path):
 def test_cli_unresolved_error_exit_6(tmp_path, capsys):
     # a carry budget of 2 cannot resolve 50 induced steps of the Chacon
     # odometer
-    rc, _, manifest = run_cli(tmp_path, "--budget", "2", "orbit",
+    rc, _, manifest = run_cli(tmp_path, "orbit", "--budget", "2",
                               "--system", "chacon", "--steps", "50")
     assert rc == 6
     assert manifest["status"] == (
@@ -274,7 +283,7 @@ def test_cli_unresolved_error_exit_6(tmp_path, capsys):
 
 
 def test_cli_negative_budget_exit_3(tmp_path, capsys):
-    rc, _, manifest = run_cli(tmp_path, "--budget", "-1", "orbit",
+    rc, _, manifest = run_cli(tmp_path, "orbit", "--budget", "-1",
                               "--system", "chacon")
     assert rc == 3
     assert manifest["status"] == (
