@@ -1,10 +1,9 @@
 """Exact irrational rotations and mixed-radix odometers.
 
-Rotations work in Z + Z*alpha for quadratic irrational alpha (exact mode):
-a point is an integer pair (a, b) meaning frac(a + b*alpha), and every
-membership or comparison query is decided exactly.  An approximate mode
-carries a finite continued-fraction budget and answers comparisons only
-when the convergent brackets separate.
+Rotations work in Z + Z*alpha for a quadratic irrational alpha, given by
+an eventually periodic continued fraction: a point is an integer pair
+(a, b) meaning frac(a + b*alpha), and every membership or comparison
+query is decided exactly.
 
 Odometers are add-one-with-carry maps on mixed-radix digit streams; the
 prefix-inducing construction turns the first p levels of a height-q tower
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 from .digits import DigitStream, OverlayDigits, mixed_radix_add, zeros
 from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
-from .quadratic import Surd, cf_convergents, surd_from_cf
+from .quadratic import Surd, surd_from_cf
 from .specs import q_adic_tower_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
 
@@ -27,38 +26,22 @@ from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 class RotationAngle:
-    """An angle alpha in (0,1) given by continued-fraction data.
+    """An angle alpha in (0,1): the quadratic irrational whose continued
+    fraction is [prefix; period, period, ...], held as an exact Surd, so
+    every query on it is decided exactly."""
 
-    Exact mode: eventually periodic CF (quadratic irrational), all queries
-    decidable.  Approximate mode: a finite list of terms with a budget;
-    queries raise BudgetExhausted when the convergent interval is too wide.
-    """
-
-    def __init__(self, prefix, period=None, terms=None):
-        if period:
-            self.exact = True
-            self.prefix = tuple(prefix)
-            self.period = tuple(period)
-            self.value = surd_from_cf(self.prefix, self.period)
-            if not (Surd(0) < self.value < Surd(1)):
-                raise ValueError("angle must lie in (0,1)")
-            self.n = (1 / self.value).floor()  # floor(1/alpha)
-        else:
-            if not terms or len(terms) < 2:
-                raise ValueError("approximate mode needs at least two CF terms")
-            self.exact = False
-            self.prefix = tuple(prefix)
-            self.period = ()
-            self.terms = tuple(prefix) + tuple(terms)
-            conv = cf_convergents(list(self.terms))
-            (p1, q1), (p2, q2) = conv[-2], conv[-1]
-            lo, hi = Fraction(p1, q1), Fraction(p2, q2)
-            self.lo, self.hi = min(lo, hi), max(lo, hi)
+    def __init__(self, prefix, period):
+        self.prefix = tuple(prefix)
+        self.period = tuple(period)
+        self.value = surd_from_cf(self.prefix, self.period)
+        if not (Surd(0) < self.value < Surd(1)):
+            raise ValueError("angle must lie in (0,1)")
+        self.n = (1 / self.value).floor()  # floor(1/alpha)
 
     @classmethod
     def parse(cls, text):
         """CF input syntax: cf:[0;a1,a2,(p1,p2,...)] with a parenthesized
-        periodic tail; without a tail the angle is approximate-mode."""
+        periodic tail; a CF without one is refused (SpecInvalid)."""
         m = re.match(r"^cf:\[(\d+);([^\]]*)\]$", text.replace(" ", ""))
         if not m:
             raise DslError(f"cannot parse CF syntax: {text!r}")
@@ -73,46 +56,23 @@ class RotationAngle:
             pre = tuple(int(t) for t in body.split(",") if t)
         except ValueError:
             raise DslError(f"CF terms must be integers: {text!r}") from None
+        if not period:
+            raise SpecInvalid("induce needs an exact, periodic angle")
         try:
-            if period:
-                return cls((a0,) + pre, period)
-            return cls((a0,), terms=pre)
+            return cls((a0,) + pre, period)
         except ValueError as e:
             raise SpecInvalid(f"{e}: {text!r}") from None
 
     def frac_value(self, a, b):
-        """frac(a + b*alpha) as a Surd (exact mode only)."""
-        if not self.exact:
-            raise BudgetExhausted("approximate-mode angle cannot give exact values")
+        """frac(a + b*alpha) as a Surd."""
         return (self.value * b + a).frac()
 
     def compare_points(self, p, q):
-        """Sign of frac(p) - frac(q) for RotationPoints; exact, or bracketed
-        via convergents in approximate mode."""
-        if self.exact:
-            return (self.frac_value(p.a, p.b) - self.frac_value(q.a, q.b)).sign()
-        lo_p, hi_p = self._bracket(p.a, p.b)
-        lo_q, hi_q = self._bracket(q.a, q.b)
-        if hi_p < lo_q:
-            return -1
-        if hi_q < lo_p:
-            return 1
-        if lo_p == lo_q and hi_p == hi_q and lo_p == hi_p:
-            return 0
-        raise BudgetExhausted("CF term budget too small to separate points")
-
-    def _bracket(self, a, b):
-        lo = a + b * (self.lo if b >= 0 else self.hi)
-        hi = a + b * (self.hi if b >= 0 else self.lo)
-        fl = lo.__floor__()
-        if hi.__floor__() != fl:
-            raise BudgetExhausted("CF term budget too small to bracket floor")
-        return lo - fl, hi - fl
+        """Sign of frac(p) - frac(q) for RotationPoints."""
+        return self.frac_value(p.a, p.b)._cmp(self.frac_value(q.a, q.b))
 
     def __repr__(self):
-        if self.exact:
-            return f"RotationAngle({list(self.prefix)}+{list(self.period)}*)"
-        return f"RotationAngle(~{float(self.hi)})"
+        return f"RotationAngle({list(self.prefix)}+{list(self.period)}*)"
 
 
 def sqrt2_minus_1():
@@ -178,13 +138,11 @@ class ExchangeMap:
 
 def induced_exchange(angle):
     """The first-return map of the rotation to [0, alpha), as an exchange."""
-    if not angle.exact:
-        raise BudgetExhausted("induced exchange needs an exact angle")
     alpha, n = angle.value, angle.n
     cut = 1 - alpha * n
     em = ExchangeMap(angle, n, cut, alpha * (n + 1) - 1)
     # piece lengths positive and tiling [0, alpha)
-    assert cut.sign() > 0 and (alpha - cut).sign() > 0
+    assert 0 < cut < alpha
     return em
 
 

@@ -168,8 +168,6 @@ def cmd_induce(ctx):
     if args.angle:
         _require_at_least(args, 1, "max_return")
         angle = RotationAngle.parse(args.angle)
-        if not angle.exact:
-            raise SpecInvalid("induce needs an exact, periodic angle")
         ad = induction.RotationAdapter(angle)
         base = induction.IntervalUnion([(Surd(0), angle.value)])
         dec = induction.column_decomposition(ad, base, args.max_return)
@@ -266,6 +264,7 @@ def _match_noneven(ctx, pair):
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         raise DslError(f"--eps is not a fraction: {args.eps!r}") from None
+    eps_bound = matching.noneven_eps_bound(pair, eps)
     target_x = pair.sys_x.spec.total_mass()
     target_y = pair.sys_y.spec.total_mass()
     N = max(
@@ -292,8 +291,7 @@ def _match_noneven(ctx, pair):
     ctx.write("match_noneven_trace.csv", "\n".join(lines) + "\n")
     summary = {
         "eps": str(plan.eps),
-        "eps_bound": str((Fraction(1) / pair.sys_y.unit_width()
-                          - Fraction(1) / pair.sys_x.unit_width()) / 2),
+        "eps_bound": str(eps_bound),
         "N": plan.N,
         "m": plan.m,
         "block": plan.block,

@@ -1,8 +1,8 @@
 """Birkhoff averages over induced base orbits and distribution checks.
 
 The return-time average over n induced steps telescopes to a stack-position
-difference, so the fast path costs O(log n) exact integer work; the naive
-loop is kept as an independent oracle.
+difference, so it costs O(log n) exact integer work; verify and the test
+oracles check it against a step-by-step walk.
 """
 
 import random
@@ -12,22 +12,16 @@ from math import isqrt
 
 from . import matching
 from .digits import SeededDigits
-from .errors import WindowExhausted
+from .errors import HorizonExhausted, WindowExhausted
 from .towers import BaseOrbitWalker
 
 
-def return_time_average(system, digits, n, fast=True):
+def return_time_average(system, digits, n):
     """Average return time to the base level over n induced steps, each
     carry within 512 stages."""
     if n < 1:
         raise ValueError("need n >= 1")
-    w = BaseOrbitWalker(system, digits)
-    if fast:
-        return Fraction(w.advance(n, 512), n)
-    total = 0
-    for _ in range(n):
-        total += w.step(512)
-    return Fraction(total, n)
+    return Fraction(BaseOrbitWalker(system, digits).advance(n, 512), n)
 
 
 @dataclass
@@ -89,8 +83,9 @@ def estimate_N(system, target, eps, samples=32, horizon=256, seed=0):
             if abs(Fraction(pos, n) - target) >= eps:
                 last_bad = n
         if last_bad >= horizon:
-            raise ValueError(
-                f"averages still outside eps at the horizon {horizon}"
+            raise HorizonExhausted(
+                f"averages still outside eps at the horizon {horizon}",
+                horizon=horizon,
             )
         worst = max(worst, last_bad + 1)
     return worst

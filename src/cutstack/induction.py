@@ -9,7 +9,6 @@ NeedMoreDepth rather than guessing.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .arithmetic import point_value, rotate
 from .errors import BudgetExhausted, NeedMoreDepth
@@ -73,13 +72,13 @@ class IntervalUnion:
 
     @staticmethod
     def _normalize(intervals):
-        ivs = [(l, r) for l, r in intervals if (r - l).sign() > 0]
-        ivs.sort(key=cmp_to_key(lambda a, b: (a[0] - b[0]).sign()))
+        ivs = sorted(((l, r) for l, r in intervals if l < r),
+                     key=lambda iv: iv[0])
         out = []
         for l, r in ivs:
-            if out and (l - out[-1][1]).sign() <= 0:
+            if out and l <= out[-1][1]:
                 pl, pr = out[-1]
-                out[-1] = (pl, pr if pr >= r else r)
+                out[-1] = (pl, max(pr, r))
             else:
                 out.append((l, r))
         return out
@@ -100,9 +99,9 @@ class IntervalUnion:
         out = []
         for l1, r1 in self.intervals:
             for l2, r2 in other.intervals:
-                lo = l1 if l1 >= l2 else l2
-                hi = r1 if r1 <= r2 else r2
-                if (hi - lo).sign() > 0:
+                lo = max(l1, l2)
+                hi = min(r1, r2)
+                if lo < hi:
                     out.append((lo, hi))
         return IntervalUnion(out)
 
@@ -113,12 +112,12 @@ class IntervalUnion:
             for l2, r2 in other.intervals:
                 nxt = []
                 for a, b in pieces:
-                    lo = a if a >= l2 else l2
-                    hi = b if b <= r2 else r2
-                    if (hi - lo).sign() > 0:
-                        if (lo - a).sign() > 0:
+                    lo = max(a, l2)
+                    hi = min(b, r2)
+                    if lo < hi:
+                        if a < lo:
                             nxt.append((a, lo))
-                        if (b - hi).sign() > 0:
+                        if hi < b:
                             nxt.append((hi, b))
                     else:
                         nxt.append((a, b))

@@ -747,12 +747,10 @@ def pit_depth(plan, digits):
     return BaseOrbitWalker(plan.pair.sys_y, digits).advance(plan.block)
 
 
-def noneven_prepare(pair, eps, N, samples=64, seed=0):
-    """Choose the inducing depth m, at most 4 stages past the least m with
-    a block longer than 2N, and certify pile <= pit on samples.
-
-    eps must be an admissible rate gap: below half the difference of the
-    expected return times 1/mass(B) - 1/mass(A)."""
+def noneven_eps_bound(pair, eps):
+    """Half the rate gap 1/mass(B) - 1/mass(A), the bound an admissible
+    eps stays below.  Raises InadmissiblePair unless the gap is positive
+    and eps lies in (0, gap/2)."""
     mx, my = pair.base_measures()
     gap = Fraction(1) / my - Fraction(1) / mx
     if gap <= 0:
@@ -763,6 +761,15 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0):
         raise InadmissiblePair(
             f"eps must lie in (0, {gap / 2}); got {eps}"
         )
+    return gap / 2
+
+
+def noneven_prepare(pair, eps, N, samples=64, seed=0):
+    """Choose the inducing depth m, at most 4 stages past the least m with
+    a block longer than 2N, and certify pile <= pit on samples.
+
+    eps must be an admissible rate gap (noneven_eps_bound)."""
+    noneven_eps_bound(pair, eps)
     m0 = 1
     while _block_size(pair, m0) <= 2 * N:
         m0 += 1

@@ -279,19 +279,29 @@ def parse_spec_json(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DslError(f"bad structured spec: {e}", getattr(e, "lineno", None))
+    if not isinstance(obj, dict):
+        raise DslError("bad structured spec: not a JSON object")
+    h1 = obj.get("h1", 1)
+    if not isinstance(h1, int):
+        raise DslError(f"bad structured spec: h1 must be an integer: {h1!r}")
 
     def rule(o):
         try:
-            return StageRule(o["cuts"], tuple(o["above"]), o.get("below", 0))
+            cuts, above, below = o["cuts"], tuple(o["above"]), o.get("below", 0)
         except (KeyError, TypeError) as e:
             raise DslError(f"bad stage object: {e}")
+        if not all(isinstance(v, int) for v in (cuts, below, *above)):
+            raise DslError(f"bad stage object: counts must be integers: {o!r}")
+        return StageRule(cuts, above, below)
 
-    return StackingSpec.make(
-        obj.get("system", "unnamed"),
-        obj.get("h1", 1),
-        [rule(o) for o in obj.get("stages", [])],
-        [rule(o) for o in obj.get("tail", [])],
-    )
+    def rules(key):
+        objs = obj.get(key, [])
+        if not isinstance(objs, list):
+            raise DslError(f"bad structured spec: {key} must be a list: {objs!r}")
+        return [rule(o) for o in objs]
+
+    return StackingSpec.make(obj.get("system", "unnamed"), h1,
+                             rules("stages"), rules("tail"))
 
 
 # ---------------------------------------------------------------------------

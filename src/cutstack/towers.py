@@ -342,9 +342,8 @@ class RankOneSystem:
         for i in range(1, depth + 1):
             h = self.height(i)
             w = self.width(i)
-            spacers = sum(
-                1 for p in self.provenance(i) if p[0] == "spacer"
-            ) if i > 1 else 0
+            # the levels of stage i that are not copies of stage i - 1
+            spacers = h - self.cuts(i - 1) * self.height(i - 1) if i > 1 else 0
             rows.append(
                 {
                     "i": i,

@@ -494,10 +494,11 @@ def _check_kac(cfg):
     rep = ergodic.kac_check(sys, 2**8, 20, seed=cfg.seed)
     if rep.max_abs_dev != 0:
         raise Failed({"spec": "dyadic_pair_left"})
-    # naive oracle agreement on a short horizon
+    # agreement with 64 single walker steps
     d = SeededDigits(f"kaco:{cfg.seed}", sys.cuts)
-    if (ergodic.return_time_average(sys, d, 64, fast=True)
-            != ergodic.return_time_average(sys, d, 64, fast=False)):
+    w = BaseOrbitWalker(sys, d)
+    if (ergodic.return_time_average(sys, d, 64)
+            != Fraction(sum(w.step(512) for _ in range(64)), 64)):
         raise Failed({"kind": "fast_vs_naive"})
     return {"n": n}
 

@@ -160,6 +160,13 @@ def walker_return_window(system, digits, window, budget=256):
     return r
 
 
+def stepped_return_time_average(system, digits, n):
+    """Average return time over n induced steps, walked one step at a time
+    (ergodic.return_time_average before the telescoped advance)."""
+    w = BaseOrbitWalker(system, digits)
+    return Fraction(sum(w.step(512) for _ in range(n)), n)
+
+
 # The point layer as it was before it read the stage tables: every stage
 # goes through the public cuts / offsets / height readers, with their
 # bounds checks.  Kept verbatim, as functions of the system, as the

@@ -27,7 +27,6 @@ from cutstack.arithmetic import (
     truncated_value,
 )
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
-from cutstack.errors import BudgetExhausted
 from cutstack.quadratic import Surd
 from cutstack.towers import RankOnePoint
 
@@ -90,16 +89,6 @@ def test_exchange_cut_splits_by_return_time():
         r, _ = first_return_rotation(angle, p)
         v = point_value(angle, p)
         assert (r == em.n + 1) == (v < em.cut)
-
-
-def test_approximate_angle_comparisons_and_budget():
-    # finite CF data: comparisons succeed when brackets separate
-    a = RotationAngle((0,), terms=(2,) * 12)
-    assert a.compare_points(RotationPoint(0, 1), RotationPoint(0, 2)) != 0
-    with pytest.raises(BudgetExhausted):
-        short = RotationAngle((0,), terms=(2, 2))
-        # sharpening a comparison this close needs more terms
-        short.compare_points(RotationPoint(-4, 10), RotationPoint(-5, 12))
 
 
 # -- odometers --------------------------------------------------------------

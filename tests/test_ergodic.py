@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from cutstack import ergodic, matching
 from cutstack.digits import SeededDigits
+from cutstack.errors import HorizonExhausted
 from cutstack.specs import builtin_spec
 from cutstack.towers import RankOneSystem
 
@@ -18,9 +20,8 @@ def test_fast_average_matches_naive_loop():
         for s in range(4):
             d1 = SeededDigits(f"fa:{s}", sys.cuts)
             d2 = SeededDigits(f"fa:{s}", sys.cuts)
-            fast = ergodic.return_time_average(sys, d1, 200, fast=True)
-            slow = ergodic.return_time_average(sys, d2, 200, fast=False)
-            assert fast == slow
+            fast = ergodic.return_time_average(sys, d1, 200)
+            assert fast == oracles.stepped_return_time_average(sys, d2, 200)
 
 
 def test_kac_check_targets_and_convergence():
@@ -69,9 +70,10 @@ def test_estimate_N_monotone_in_eps():
 
 def test_estimate_N_raises_when_horizon_too_small():
     sys = system("chacon")
-    with pytest.raises(ValueError):
+    with pytest.raises(HorizonExhausted) as e:
         ergodic.estimate_N(sys, sys.spec.total_mass(), Fraction(1, 10**6),
                            samples=4, horizon=8)
+    assert e.value.horizon == 8
 
 
 def test_pushforward_distribution_small_run():

@@ -161,6 +161,15 @@ def test_cli_match_negative_count_exit_3(tmp_path, option, value):
 
 
 NO_PAIR = "validation_error: match needs --pair, or --left with --right"
+NONEVEN = ("match", "--mode", "noneven", "--pair", "chacon_triple",
+           "--samples", "5")
+NOT_PERIODIC = "validation_error: induce needs an exact, periodic angle"
+BAD_JSON_SPECS = {
+    "list.json": "[1]",
+    "stages.json": '{"stages": 5}',
+    "h1.json": '{"h1": "2", "tail": [{"cuts": 2, "above": [0, 1]}]}',
+    "above.json": '{"tail": [{"cuts": 2, "above": [0, 1.5]}]}',
+}
 
 
 @pytest.mark.parametrize("argv,code,status", [
@@ -188,10 +197,29 @@ NO_PAIR = "validation_error: match needs --pair, or --left with --right"
      3, "validation_error: --max-return must be >= 1, got 0"),
     (("orbit", "--system", "od:[2,*]", "--steps", "2", "--depth", "0"),
      3, "validation_error: --depth must be >= 1, got 0"),
+    (("induce", "--angle", "cf:[0;1,2]"), 3, NOT_PERIODIC),
+    (("induce", "--angle", "cf:[0;1]"), 3, NOT_PERIODIC),
+    (NONEVEN + ("--eps", "1/1000"), 6, "unresolved: HorizonExhausted: "
+     "averages still outside eps at the horizon 128"),
+    (NONEVEN + ("--eps", "0"),
+     4, "inadmissible_pair: eps must lie in (0, 1/2); got 0"),
+    (NONEVEN + ("--eps", "-1"),
+     4, "inadmissible_pair: eps must lie in (0, 1/2); got -1"),
+    (("build", "list.json"),
+     2, "parse_error: bad structured spec: not a JSON object"),
+    (("build", "stages.json"),
+     2, "parse_error: bad structured spec: stages must be a list: 5"),
+    (("build", "h1.json"),
+     2, "parse_error: bad structured spec: h1 must be an integer: '2'"),
+    (("build", "above.json"), 2, "parse_error: bad stage object: counts "
+     "must be integers: {'cuts': 2, 'above': [0, 1.5]}"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
+    for name, body in BAD_JSON_SPECS.items():
+        (tmp_path / name).write_text(body)
     # a directory is not a spec file, so it is read as a built-in name
     argv = [str(tmp_path) if a == "<dir>" else a for a in argv]
+    argv = [str(tmp_path / a) if a in BAD_JSON_SPECS else a for a in argv]
     rc, _, manifest = run_cli(tmp_path, *argv)
     assert rc == code
     assert manifest["status"] == status.replace("<dir>", str(tmp_path))
