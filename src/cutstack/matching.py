@@ -9,9 +9,11 @@ exact).  The even matcher assigns each point of an X column (a pile over a
 base point) to a slot in the Y column over the same digits (a pit), by
 sliding piles over pits and dropping items into free slots.  The machine,
 computed on a finite window by one left-to-right scan, is authoritative,
-and a slot it places never moves when the window grows.  The strict
-closed-form sum reproduces it; the non-strict sum differs exactly on the
-boundary cells where a pile height ties a pit capacity.
+and a slot it places never moves when the window grows.  One item, or one
+slot, is placed by the same scan run on its own side of the window only,
+with no frame (_one_item_scan).  The strict closed-form sum reproduces
+the machine; the non-strict sum differs exactly on the boundary cells
+where a pile height ties a pit capacity.
 
 The closed form's shift is a first passage: the margin changes by
 Delta(s, e) = R_Y(s, e) - R_X(s, e) per shift, (s, e) the shift's carry,
@@ -207,14 +209,16 @@ def height_above_base(system, base, point):
 # Pile/pit frames (the machine)
 
 
-def return_window(system, digits, window, budget=256):
-    """Return times r(i) of the induced base map at orbit indices
-    -window..window around the given base digit state.
+def return_times_from(system, digits, window, forward, budget=256):
+    """Return times of the induced base map on one side of the given base
+    digit state: [r(0), r(1), ..., r(window)] forward, [r(0), r(-1), ...,
+    r(-window)] backward.
 
     r(i) is stage_word(K)[N + i], N the state's position in the least digit
-    block (stages 1..K <= budget + 1) of P > window positions.  The steps
-    out of the block's last position, at most one each way, are each one
-    carry from stage K + 1, and give up where a step-by-step walk would."""
+    block (stages 1..K <= budget + 1) of P > window positions.  The step
+    out of the block's last position (forward, or for r(0) when N is last)
+    or into its first (backward, past r(-N)) is one carry from stage
+    K + 1, and gives up where a step-by-step walk would."""
     N, P, K = 0, 1, 0
     while P <= window and K <= budget:
         K += 1
@@ -222,17 +226,32 @@ def return_window(system, digits, window, budget=256):
         P *= system.cuts(K)
     word = system.stage_word(K)
     last = P - 1
-    fwd = word[N:min(N + window + 1, last)]
-    if N + window >= last:
-        new = odometer_add(digits.digit, system.cuts, 1, K + 1, budget)
-        fwd.append(system.return_time(K + len(new), new[-1] - 1))
-        fwd += word[:N + window - last]
-    bwd = word[max(N - window, 0):N]
+
+    def edge(step):  # the return time of the step that leaves the block
+        new = odometer_add(digits.digit, system.cuts, step, K + 1, budget)
+        return system.return_time(K + len(new), new[-1] - (step > 0))
+
+    if forward:
+        r = word[N:min(N + window + 1, last)]
+        if N + window >= last:
+            r.append(edge(1))
+            r += word[:N + window - last]
+        return r
+    r = [word[N] if N < last else edge(1)]
+    r += reversed(word[max(N - window, 0):N])
     if window > N:
-        new = odometer_add(digits.digit, system.cuts, -1, K + 1, budget)
-        bwd = (word[N + P - window:last]
-               + [system.return_time(K + len(new), new[-1])] + bwd)
-    return dict(zip(range(-window, window + 1), bwd + fwd))
+        r.append(edge(-1))
+        r += reversed(word[N + P - window:last])
+    return r
+
+
+def return_window(system, digits, window, budget=256):
+    """Return times r(i) of the induced base map at orbit indices
+    -window..window around the given base digit state: the two sides read
+    by return_times_from, forward first."""
+    fwd = return_times_from(system, digits, window, True, budget)
+    bwd = return_times_from(system, digits, window, False, budget)
+    return dict(zip(range(-window, window + 1), bwd[:0:-1] + fwd))
 
 
 @dataclass
@@ -552,23 +571,49 @@ def _match_formula(pair, digits, forward, k, strict, horizon, budget):
                    boundary=margin == -slack)
 
 
+def _one_item_scan(a, b, k):
+    """(t, d): the ballot scan from the base point on, which at step t
+    pushes the a[t] - 1 items of pile t and then pops b[t] - 1 slots of pit
+    t, pops item k of pile 0 as the d-th slot of step t; None if no step
+    within len(b) reaches it, or unless 0 < k < a[0].
+
+    Forward a, b are r_X(0..W) and r_Y(0..W).  Backward they are r_Y(0),
+    r_Y(-1), .. and r_X(0), r_X(-1), ..: the scan read right to left,
+    slots pushed and items popped, pairs the same push/pop word alike.
+    Piles before the base point sit below pile 0 and never reach item k;
+    the items above it decide, k - 1 of its own pile, then every later
+    pile's, less every pit's slots."""
+    if not 0 < k < a[0]:
+        return None
+    above = k - 1
+    for t, (pile, pit) in enumerate(zip(a, b)):
+        if t:
+            above += pile - 1
+        if above < pit - 1:
+            return t, above + 1
+        above -= pit - 1
+    return None
+
+
 def _match_machine(pair, digits, forward, k, window, budget):
-    """even_match_machine forward (item (0, k) of the frame's assignment),
-    even_match_inverse_machine backward (slot (0, k) of its inverse)."""
+    """even_match_machine forward (item (0, k) dropped into a pit at shift
+    0..window), even_match_inverse_machine backward (slot (0, k) filled
+    from a pile at shift 0..-window), by _one_item_scan on one side's
+    return times: the source's piles, the image's pits."""
     if k == 0:
         return _record(pair, digits, forward, 0, 0, 0,
                        RankOnePoint(1, 0, digits), "machine")
-    frame = build_frame(pair, digits, window, budget=budget)
-    hit = (frame.assignment if forward else frame.inverse).get((0, k))
+    a, b = (return_times_from(s, digits, window, forward, budget)
+            for s in _sides(pair, forward))
+    hit = _one_item_scan(a, b, k)
     if hit is None:
         what, done = ("item", "placed") if forward else ("slot", "filled")
         raise WindowEdge(f"{what} (0, {k}) not {done} within window {window}",
                          window=window)
-    j, depth = hit
+    t, depth = hit
     w = BaseOrbitWalker(pair.sys_x, digits)  # moves the shared digits
-    w.advance(j, budget)
-    return _record(pair, digits, forward, k, j if forward else -j, depth,
-                   w.point(), "machine")
+    w.advance(t if forward else -t, budget)
+    return _record(pair, digits, forward, k, t, depth, w.point(), "machine")
 
 
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
@@ -585,9 +630,11 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
 
 
 def even_match_machine(pair, digits, h, window=32, budget=256):
-    """The same assignment read off a machine frame centered at the base
-    point; raises WindowEdge if the item's pit lies past the window.  A
-    placed slot is final (see _ballot_scan).  No base-mass check."""
+    """The same assignment, as the machine on the window centered at the
+    base point places it: a scan of pits 0..window, which alone can reach
+    the item (_one_item_scan); raises WindowEdge if the item's pit lies
+    past the window.  A placed slot is final (see _ballot_scan).  No
+    base-mass check."""
     return _match_machine(pair, digits, True, h, window, budget)
 
 
@@ -603,8 +650,10 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
 
 def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
-    """Inverse assignment read off the machine frame (table inversion).
-    No base-mass check."""
+    """The inverse assignment: the item the machine drops into slot D of
+    the pit over the base point, found by the mirrored scan of piles and
+    pits 0..-window (_one_item_scan); raises WindowEdge if the slot stays
+    unfilled within the window.  No base-mass check."""
     return _match_machine(pair, digits, False, D, window, budget)
 
 

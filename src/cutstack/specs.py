@@ -8,6 +8,7 @@ systems.
 """
 
 import json
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -176,6 +177,16 @@ def _parse_stage_body(body, lineno, col0):
         raise DslError(str(e), lineno, col0 + 1)
 
 
+def _file_name(name, context, lineno=None):
+    """A spec name, which output files are named after: a string with no
+    path separator or NUL that is neither '.' nor '..'; DslError if not."""
+    if (not isinstance(name, str) or name in (".", "..")
+            or any(c and c in name for c in ("/", os.sep, os.altsep, "\0"))):
+        raise DslError(f"{context}system name cannot name a file: {name!r}",
+                       lineno)
+    return name
+
+
 def parse_spec(text):
     """Parse DSL source into a canonical StackingSpec.
 
@@ -199,7 +210,7 @@ def parse_spec(text):
             parts = line.split(None, 1)
             if len(parts) != 2 or not parts[1].strip():
                 raise DslError("system header needs a name", lineno)
-            name = parts[1].strip()
+            name = _file_name(parts[1].strip(), "", lineno)
             continue
         m = re.match(r"^h1\s*=\s*(\d+)$", line)
         if m:
@@ -300,8 +311,9 @@ def parse_spec_json(text):
             raise DslError(f"bad structured spec: {key} must be a list: {objs!r}")
         return [rule(o) for o in objs]
 
-    return StackingSpec.make(obj.get("system", "unnamed"), h1,
-                             rules("stages"), rules("tail"))
+    return StackingSpec.make(
+        _file_name(obj.get("system", "unnamed"), "bad structured spec: "),
+        h1, rules("stages"), rules("tail"))
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,21 @@ def deposit_frame(ra, rb, W):
 def walker_return_window(system, digits, window, budget=256):
     """Return times r(i) of the induced base map at orbit indices
     -window..window around the given base digit state, walked one step at
-    a time (matching.return_window before the stage word)."""
-    r = {}
+    a time, forward first (matching.return_window before the stage word)."""
+    r = walked_side(system, digits, window, True, budget)
+    r.update(walked_side(system, digits, window, False, budget))
+    return r
+
+
+def walked_side(system, digits, window, forward, budget=256):
+    """{i: r(i)} for i = 0..window forward or 0, -1, .., -window backward,
+    walked one step at a time."""
     w = BaseOrbitWalker(system, digits)
-    for i in range(window):
-        r[i] = w.step(budget)
-    r[window] = system.return_time(*w.carry(budget))
-    w = BaseOrbitWalker(system, digits)
+    if forward:
+        r = {i: w.step(budget) for i in range(window)}
+        r[window] = system.return_time(*w.carry(budget))
+        return r
+    r = {0: system.return_time(*w.carry(budget))}
     for i in range(1, window + 1):
         r[-i] = w.step_back(budget)
     return r
@@ -604,22 +612,33 @@ def even_match_machine(pair, digits, h, window=32, budget=256):
     """The same assignment read off a machine frame centered at the base
     point; raises WindowEdge if the item's pit lies past the window.  A
     placed slot is final (see _ballot_scan), so the record is stable."""
-    x_base = RankOnePoint(1, 0, digits)
     if h == 0:
-        y = RankOnePoint(1, 0, digits)
-        return MatchRecord(x_base, 0, 0, 0, y, "machine", stable=True)
+        return _machine_record(pair, digits, True, 0, (0, 0), window, budget)
     frame = build_frame(pair, digits, window, budget=budget)
-    slot = frame.assignment.get((0, h))
-    if slot is None:
+    return _machine_record(pair, digits, True, h, frame.assignment.get((0, h)),
+                           window, budget)
+
+
+def _machine_record(pair, digits, forward, k, hit, window, budget):
+    """The record of item (0, k) dropped into slot hit = (j, d) forward, or
+    of slot (0, k) filled by item hit = (i, H) backward; WindowEdge when
+    hit is None."""
+    if hit is None:
+        what, done = ("item", "placed") if forward else ("slot", "filled")
         raise WindowEdge(
-            f"item (0, {h}) not placed within window {window}", window=window
+            f"{what} (0, {k}) not {done} within window {window}",
+            window=window
         )
-    j, d = slot
-    wy = BaseOrbitWalker(pair.sys_y, digits)
-    wy.advance(j, budget)
-    y = pair.sys_y.apply(wy.point(), d)
-    x = pair.sys_x.apply(x_base, h)
-    return MatchRecord(x, h, j, d, y, "machine", stable=True)
+    j, d = hit
+    base = RankOnePoint(1, 0, digits)
+    src, img = (pair.sys_x, pair.sys_y) if forward else (pair.sys_y, pair.sys_x)
+    w = BaseOrbitWalker(img, digits)
+    w.advance(j, budget)
+    there = img.apply(w.point(), d) if k else base
+    here = src.apply(base, k) if k else base
+    if forward:
+        return MatchRecord(here, k, j, d, there, "machine", stable=True)
+    return InverseMatchRecord(here, k, -j, d, there, "machine", stable=True)
 
 
 def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
@@ -649,22 +668,34 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
 def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     """Inverse assignment read off the machine frame (table inversion)."""
-    y_base = RankOnePoint(1, 0, digits)
     if D == 0:
-        x = RankOnePoint(1, 0, digits)
-        return InverseMatchRecord(y_base, 0, 0, 0, x, "machine", stable=True)
+        return _machine_record(pair, digits, False, 0, (0, 0), window, budget)
     frame = build_frame(pair, digits, window, budget=budget)
-    item = frame.inverse.get((0, D))
-    if item is None:
-        raise WindowEdge(
-            f"slot (0, {D}) not filled within window {window}", window=window
-        )
-    i, H = item
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wx.advance(i, budget)
-    x = pair.sys_x.apply(wx.point(), H)
-    y = pair.sys_y.apply(y_base, D)
-    return InverseMatchRecord(y, D, -i, H, x, "machine", stable=True)
+    return _machine_record(pair, digits, False, D, frame.inverse.get((0, D)),
+                           window, budget)
+
+
+# The machine read of one item or one slot as the deposit machine gives it
+# when the far side of the window is empty: piles past the base point come
+# after pit 0 and piles before it sit below pile 0 on the stack, so neither
+# can change the answer.  Kept as the one-sided read's oracle.
+
+
+def one_sided_machine(pair, digits, forward, k, window=32, budget=256):
+    """even_match_machine forward, even_match_inverse_machine backward, by
+    deposit_frame on a frame whose own side holds the walked return times
+    of each system and whose far side is empty (r = 1)."""
+    if k == 0:
+        return _machine_record(pair, digits, forward, 0, (0, 0), window,
+                               budget)
+    ra, rb = ({i: 1 for i in range(-window, window + 1)} for _ in "ab")
+    ra.update(walked_side(pair.sys_x, digits, window, forward, budget))
+    rb.update(walked_side(pair.sys_y, digits, window, forward, budget))
+    assignment = deposit_frame(ra, rb, window)[0]
+    if not forward:
+        assignment = {slot: item for item, slot in assignment.items()}
+    return _machine_record(pair, digits, forward, k, assignment.get((0, k)),
+                           window, budget)
 
 
 # The edge audit as it was before frame_stability kept its result: build the

@@ -164,12 +164,22 @@ NO_PAIR = "validation_error: match needs --pair, or --left with --right"
 NONEVEN = ("match", "--mode", "noneven", "--pair", "chacon_triple",
            "--samples", "5")
 NOT_PERIODIC = "validation_error: induce needs an exact, periodic angle"
-BAD_JSON_SPECS = {
+TAIL = '"tail": [{"cuts": 2, "above": [0, 1]}]'
+DSL_TAIL = "\nstage * : cuts=2 above=[0,1] below=0\n"
+BAD_SPECS = {  # spec files: JSON by their suffix, DSL otherwise
     "list.json": "[1]",
     "stages.json": '{"stages": 5}',
     "h1.json": '{"h1": "2", "tail": [{"cuts": 2, "above": [0, 1]}]}',
     "above.json": '{"tail": [{"cuts": 2, "above": [0, 1.5]}]}',
+    "slash.json": '{"system": "a/b", ' + TAIL + "}",
+    "listname.json": '{"system": [1], ' + TAIL + "}",
+    "dot.json": '{"system": ".", ' + TAIL + "}",
+    "slash.spec": "system a/b" + DSL_TAIL,
+    "dotdot.spec": "system .." + DSL_TAIL,
+    "nul.spec": "system a\0b" + DSL_TAIL,
 }
+NO_FILE_NAME = ("parse_error: bad structured spec: "
+                "system name cannot name a file: ")
 
 
 @pytest.mark.parametrize("argv,code,status", [
@@ -213,13 +223,22 @@ BAD_JSON_SPECS = {
      2, "parse_error: bad structured spec: h1 must be an integer: '2'"),
     (("build", "above.json"), 2, "parse_error: bad stage object: counts "
      "must be integers: {'cuts': 2, 'above': [0, 1.5]}"),
+    (("build", "slash.json"), 2, NO_FILE_NAME + "'a/b'"),
+    (("build", "listname.json"), 2, NO_FILE_NAME + "[1]"),
+    (("build", "dot.json"), 2, NO_FILE_NAME + "'.'"),
+    (("build", "slash.spec"),
+     2, "parse_error: system name cannot name a file: 'a/b' (line 1)"),
+    (("build", "dotdot.spec"),
+     2, "parse_error: system name cannot name a file: '..' (line 1)"),
+    (("build", "nul.spec"),
+     2, "parse_error: system name cannot name a file: 'a\\x00b' (line 1)"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
-    for name, body in BAD_JSON_SPECS.items():
+    for name, body in BAD_SPECS.items():
         (tmp_path / name).write_text(body)
     # a directory is not a spec file, so it is read as a built-in name
     argv = [str(tmp_path) if a == "<dir>" else a for a in argv]
-    argv = [str(tmp_path / a) if a in BAD_JSON_SPECS else a for a in argv]
+    argv = [str(tmp_path / a) if a in BAD_SPECS else a for a in argv]
     rc, _, manifest = run_cli(tmp_path, *argv)
     assert rc == code
     assert manifest["status"] == status.replace("<dir>", str(tmp_path))
