@@ -114,7 +114,7 @@ def cmd_build(ctx):
     args = ctx.args
     _require_at_least(args, 1, "stages")
     spec = load_spec(ctx, args.spec)
-    report = validate_spec(spec, horizon=args.stages)
+    report = validate_spec(spec)
     if not report.accepted:
         print(f"validation failed: {report.reason}", file=sys.stderr)
         return 3

@@ -1,8 +1,9 @@
-"""Return-time structure and induced maps, generic over system kind.
+"""Return-time structure and induced maps, generic over the system.
 
 Works for any system exposing apply/contains/measure through a small
 adapter: rank-one systems act on level-set unions, rotations on exact
-interval unions.  Every search has a limit: a return within 4,096 steps,
+interval unions, and each adapter owns its column decomposition and
+skyscraper.  Every search has a limit: a return within 4,096 steps,
 each step resolved within 64 stages; running out raises BudgetExhausted or
 NeedMoreDepth rather than guessing.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from .arithmetic import point_value, rotate
 from .errors import BudgetExhausted, NeedMoreDepth
 from .quadratic import Surd
-from .towers import LevelSet, RankOneSystem
+from .towers import LevelSet
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +107,22 @@ class IntervalUnion:
         return IntervalUnion(out)
 
     def difference(self, other):
+        """Self less other, in one left-to-right pass: each interval of
+        self loses the sorted, disjoint intervals of other that meet it."""
         out = []
+        cuts, j = other.intervals, 0
         for l, r in self.intervals:
-            pieces = [(l, r)]
-            for l2, r2 in other.intervals:
-                nxt = []
-                for a, b in pieces:
-                    lo = max(a, l2)
-                    hi = min(b, r2)
-                    if lo < hi:
-                        if a < lo:
-                            nxt.append((a, lo))
-                        if hi < b:
-                            nxt.append((hi, b))
-                    else:
-                        nxt.append((a, b))
-                pieces = nxt
-            out.extend(pieces)
+            while j < len(cuts) and cuts[j][1] <= l:
+                j += 1
+            k = j
+            while k < len(cuts) and cuts[k][0] < r:
+                l2, r2 = cuts[k]
+                if l < l2:
+                    out.append((l, l2))
+                l = r2
+                k += 1
+            if l < r:
+                out.append((l, r))
         return IntervalUnion(out)
 
     def shift_mod1(self, beta):
@@ -144,6 +144,9 @@ class IntervalUnion:
     def is_empty(self):
         return not self.intervals
 
+    def __len__(self):
+        return len(self.intervals)
+
     def __repr__(self):
         return f"IntervalUnion({[(float(l), float(r)) for l, r in self.intervals]})"
 
@@ -156,17 +159,33 @@ def whole_circle():
 # System adapters
 
 
+@dataclass
+class ReturnTimeDecomposition:
+    base: object
+    cells: list  # (cell set, return time r), pairwise disjoint
+    remainder: object  # unresolved part of the base
+    remainder_mass: object
+    measure_fn: object = None
+
+    def kac_sum(self):
+        total = None
+        for cell, r in self.cells:
+            term = r * self.measure_fn(cell)
+            total = term if total is None else total + term
+        return total if total is not None else Fraction(0)
+
+
+@dataclass
+class Skyscraper:
+    base: object
+    levels: list  # level 0 is the base; pairwise disjoint
+
+
 class RankOneAdapter:
     """Rank-one cutting-and-stacking system; sets are LevelSets."""
 
-    kind = "rank_one"
-
-    def __init__(self, system_or_spec):
-        self.sys = (
-            system_or_spec
-            if isinstance(system_or_spec, RankOneSystem)
-            else RankOneSystem(system_or_spec)
-        )
+    def __init__(self, system):
+        self.sys = system
 
     def apply(self, point, steps):
         return self.sys.apply(point, steps, 64)
@@ -180,11 +199,54 @@ class RankOneAdapter:
     def same_point(self, p, q):
         return self.sys.same_point(p, q)
 
+    def column_decomposition(self, A, working_stage):
+        """Cells resolved at the working stage via level gaps; the topmost
+        lifted level stays unresolved (its return leaves the stack)."""
+        idx = sorted(lift(self.sys, A, working_stage).level_indices)
+        if not idx:
+            return ReturnTimeDecomposition(A, [], A, Fraction(0), self.measure)
+        by_r = {}
+        for i, j in zip(idx, idx[1:]):
+            by_r.setdefault(j - i, set()).add(i)
+        cells = [(LevelSet(working_stage, levels), r)
+                 for r, levels in sorted(by_r.items())]
+        remainder = LevelSet(working_stage, {idx[-1]})
+        return ReturnTimeDecomposition(A, cells, remainder,
+                                       self.measure(remainder), self.measure)
+
+    def skyscraper(self, A, bound, working_stage=None):
+        """Levels read at the working stage (default: A's own stage)."""
+        sys = self.sys
+        K = working_stage if working_stage is not None else A.stage
+        cur = lift(sys, A, K) if K > A.stage else A
+        h = sys.height(K)
+        seen = set(cur.level_indices)
+        levels = [cur]
+        for _ in range(bound):
+            prev = levels[-1].level_indices
+            if not prev:
+                levels.append(LevelSet(K, frozenset()))
+                continue
+            if any(i + 1 >= h for i in prev):
+                # the stack top leaks; only safe if the tower already
+                # exhausted the whole mass (then every further level is null)
+                covered = len(seen) * sys.width(K)
+                if covered == 1:
+                    levels.append(LevelSet(K, frozenset()))
+                    continue
+                raise NeedMoreDepth(
+                    f"skyscraper level leaves the stage-{K} stack; "
+                    "raise the working stage"
+                )
+            img = {i + 1 for i in prev}
+            new = frozenset(img - seen)
+            seen |= img
+            levels.append(LevelSet(K, new))
+        return Skyscraper(A, levels)
+
 
 class RotationAdapter:
     """Exact irrational rotation; sets are IntervalUnions."""
-
-    kind = "rotation"
 
     def __init__(self, angle):
         self.angle = angle
@@ -200,6 +262,32 @@ class RotationAdapter:
 
     def same_point(self, p, q):
         return self.angle.compare_points(p, q) == 0
+
+    def column_decomposition(self, A, max_r):
+        """The clopen cells B_r = (T^-r A ∩ A) \\ earlier, r = 1..max_r."""
+        alpha = self.angle.value
+        cells = []
+        remaining = A
+        for r in range(1, max_r + 1):
+            cell = remaining.intersect(A.shift_mod1(Surd(0) - alpha * r))
+            if not cell.is_empty():
+                cells.append((cell, r))
+                remaining = remaining.difference(cell)
+            if remaining.is_empty():
+                break
+        return ReturnTimeDecomposition(A, cells, remaining,
+                                       remaining.measure(), self.measure)
+
+    def skyscraper(self, A, bound, working_stage=None):
+        """Exact interval levels; a rotation has no working stage."""
+        alpha = self.angle.value
+        levels = [A]
+        seen = A
+        for _ in range(bound):
+            new = levels[-1].shift_mod1(alpha).difference(seen)
+            seen = seen.union(new)
+            levels.append(new)
+        return Skyscraper(A, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -237,151 +325,29 @@ def induced_inverse(system, A, point):
 
 
 # ---------------------------------------------------------------------------
-# Column decompositions
+# Column decompositions and skyscrapers
 
 
-@dataclass
-class ReturnTimeDecomposition:
-    base: object
-    cells: list  # (cell set, return time r), pairwise disjoint
-    remainder: object  # unresolved part of the base
-    remainder_mass: object
-    measure_fn: object = None
-
-    def kac_sum(self):
-        total = None
-        for cell, r in self.cells:
-            term = r * self.measure_fn(cell)
-            total = term if total is None else total + term
-        return total if total is not None else Fraction(0)
-
-
-def column_decomposition(system, A, budget):
-    """Split the base into cells of constant first return time.
-
-    Rank-one: resolved at working stage `budget` via level gaps; the
-    topmost lifted level stays unresolved (its return leaves the stack).
-    Rotation: the clopen decomposition B_r = (T^-r A ∩ A) \\ earlier,
-    with r running to `budget`.
-    """
-    if system.kind == "rank_one":
-        return _decompose_rank_one(system, A, budget)
-    if system.kind == "rotation":
-        return _decompose_rotation(system, A, budget)
-    raise NotImplementedError(f"no decomposition for {system.kind}")
-
-
-def _decompose_rank_one(system, A, working_stage):
-    sys = system.sys
-    lifted = lift(sys, A, working_stage)
-    idx = sorted(lifted.level_indices)
-    if not idx:
-        return ReturnTimeDecomposition(A, [], A, Fraction(0), system.measure)
-    by_r = {}
-    for i, j in zip(idx, idx[1:]):
-        by_r.setdefault(j - i, set()).add(i)
-    cells = [
-        (LevelSet(working_stage, levels), r) for r, levels in sorted(by_r.items())
-    ]
-    remainder = LevelSet(working_stage, {idx[-1]})
-    dec = ReturnTimeDecomposition(
-        A, cells, remainder, sys.measure(remainder), system.measure
-    )
-    return dec
-
-
-def _decompose_rotation(system, A, max_r):
-    angle = system.angle
-    alpha = angle.value
-    cells = []
-    remaining = A
-    for r in range(1, max_r + 1):
-        back = A.shift_mod1(Surd(0) - alpha * r)
-        cell = remaining.intersect(back)
-        if not cell.is_empty():
-            cells.append((cell, r))
-            remaining = remaining.difference(cell)
-        if remaining.is_empty():
-            break
-    return ReturnTimeDecomposition(
-        A, cells, remaining, remaining.measure(), system.measure
-    )
+def column_decomposition(system, A, limit):
+    """Split the base into cells of constant first return time, by the
+    adapter's own rule: `limit` is the working stage of a RankOneAdapter
+    and the largest return time of a RotationAdapter."""
+    return system.column_decomposition(A, limit)
 
 
 def decomposition_histogram(dec):
-    """CSV-ready rows: r, mass numerator, mass denominator, cell count."""
+    """CSV-ready rows: r, mass numerator, mass denominator, cell count.  A
+    rotation's Surd mass is reported by its nearest fraction with
+    denominator at most 10^12."""
     rows = []
     for cell, r in dec.cells:
         m = dec.measure_fn(cell)
-        m = Fraction(m) if not isinstance(m, Surd) else m
-        if isinstance(m, Fraction):
-            num, den = m.numerator, m.denominator
-        else:  # surd measures only arise for rotations; report approx
-            f = m.approx(96).limit_denominator(10**12)
-            num, den = f.numerator, f.denominator
-        count = len(cell.level_indices) if isinstance(cell, LevelSet) else len(
-            cell.intervals
-        )
-        rows.append((r, num, den, count))
+        if isinstance(m, Surd):
+            m = m.approx(96).limit_denominator(10**12)
+        rows.append((r, m.numerator, m.denominator, len(cell)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Skyscrapers
-
-
-@dataclass
-class Skyscraper:
-    base: object
-    levels: list  # level 0 is the base; pairwise disjoint
 
 
 def skyscraper(system, A, height_bound, working_stage=None):
     """Levels A, T(A)\\A, T^2(A)\\(A ∪ T(A)), ... up to the bound."""
-    if system.kind == "rank_one":
-        return _skyscraper_rank_one(system, A, height_bound, working_stage)
-    if system.kind == "rotation":
-        return _skyscraper_rotation(system, A, height_bound)
-    raise NotImplementedError(f"no skyscraper for {system.kind}")
-
-
-def _skyscraper_rank_one(system, A, bound, working_stage):
-    sys = system.sys
-    K = working_stage if working_stage is not None else A.stage
-    cur = lift(sys, A, K) if K > A.stage else A
-    h = sys.height(K)
-    seen = set(cur.level_indices)
-    levels = [cur]
-    for _ in range(bound):
-        prev = levels[-1].level_indices
-        if not prev:
-            levels.append(LevelSet(K, frozenset()))
-            continue
-        if any(i + 1 >= h for i in prev):
-            # the stack top leaks; only safe if the tower already exhausted
-            # the whole mass (then every further level is null)
-            covered = len(seen) * sys.width(K)
-            if covered == 1:
-                levels.append(LevelSet(K, frozenset()))
-                continue
-            raise NeedMoreDepth(
-                f"skyscraper level leaves the stage-{K} stack; "
-                "raise the working stage"
-            )
-        img = {i + 1 for i in prev}
-        new = frozenset(img - seen)
-        seen |= img
-        levels.append(LevelSet(K, new))
-    return Skyscraper(A, levels)
-
-
-def _skyscraper_rotation(system, A, bound):
-    alpha = system.angle.value
-    levels = [A]
-    seen = A
-    for _ in range(bound):
-        img = levels[-1].shift_mod1(alpha)
-        new = img.difference(seen)
-        seen = seen.union(new)
-        levels.append(new)
-    return Skyscraper(A, levels)
+    return system.skyscraper(A, height_bound, working_stage)

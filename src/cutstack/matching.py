@@ -40,6 +40,7 @@ from .errors import (
     InadmissiblePair,
     MarginViolation,
     NeedMoreDepth,
+    SpecInvalid,
     WindowEdge,
     WindowExhausted,
 )
@@ -557,8 +558,20 @@ def _record(pair, digits, forward, k, shift, depth, image_base, mode,
     return cls(src, k, shift, depth, img, mode, boundary)
 
 
+def _refuse_outside(forward, k, size):
+    """SpecInvalid unless 0 <= k < size: item k of the source pile over the
+    base point forward, slot k of the pit over it backward."""
+    if not 0 <= k < size:
+        what, where = ("item", "pile") if forward else ("slot", "pit")
+        raise SpecInvalid(f"{what} (0, {k}) outside the {where} of size "
+                          f"{size} over the base point")
+
+
 def _match_formula(pair, digits, forward, k, strict, horizon, budget):
     """even_match_formula forward, even_match_inverse_formula backward."""
+    src = _sides(pair, forward)[0]
+    _refuse_outside(forward, k, src.return_time(
+        *BaseOrbitWalker(src, digits).carry(budget)))
     slack = 1 if strict else 0
     n, depth, margin, image_base = _partial_sum_walk(
         pair, digits, forward, k, slack, horizon, budget)
@@ -574,8 +587,8 @@ def _match_formula(pair, digits, forward, k, strict, horizon, budget):
 def _one_item_scan(a, b, k):
     """(t, d): the ballot scan from the base point on, which at step t
     pushes the a[t] - 1 items of pile t and then pops b[t] - 1 slots of pit
-    t, pops item k of pile 0 as the d-th slot of step t; None if no step
-    within len(b) reaches it, or unless 0 < k < a[0].
+    t, pops item k (0 < k < a[0]) of pile 0 as the d-th slot of step t;
+    None if no step within len(b) reaches it.
 
     Forward a, b are r_X(0..W) and r_Y(0..W).  Backward they are r_Y(0),
     r_Y(-1), .. and r_X(0), r_X(-1), ..: the scan read right to left,
@@ -583,8 +596,6 @@ def _one_item_scan(a, b, k):
     Piles before the base point sit below pile 0 and never reach item k;
     the items above it decide, k - 1 of its own pile, then every later
     pile's, less every pit's slots."""
-    if not 0 < k < a[0]:
-        return None
     above = k - 1
     for t, (pile, pit) in enumerate(zip(a, b)):
         if t:
@@ -605,6 +616,7 @@ def _match_machine(pair, digits, forward, k, window, budget):
                        RankOnePoint(1, 0, digits), "machine")
     a, b = (return_times_from(s, digits, window, forward, budget)
             for s in _sides(pair, forward))
+    _refuse_outside(forward, k, a[0])
     hit = _one_item_scan(a, b, k)
     if hit is None:
         what, done = ("item", "placed") if forward else ("slot", "filled")
@@ -625,6 +637,9 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     a and b are the X and Y return times along the shared base orbit.  Like
     every even_match_* reader, this is plain arithmetic on the two
     return-time tables and does not check the base masses; phi_hat does.
+    Every reader refuses an item outside the pile over the base point (a
+    slot outside the pit, backward) with SpecInvalid, after the carry that
+    sizes the pile, whose NeedMoreDepth comes first.
     """
     return _match_formula(pair, digits, True, h, strict, horizon, budget)
 

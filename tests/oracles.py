@@ -17,10 +17,11 @@ from cutstack.errors import (
     ExhaustedDigits,
     HorizonExhausted,
     NeedMoreDepth,
+    SpecInvalid,
     WindowEdge,
     WindowExhausted,
 )
-from cutstack.induction import lift
+from cutstack.induction import IntervalUnion, lift
 from cutstack.matching import build_frame
 from cutstack.quadratic import _reduce_root
 from cutstack.towers import BaseOrbitWalker, RankOnePoint
@@ -524,7 +525,8 @@ class FractionSurd:
 # The even matching as it was before one reader served both directions:
 # mirrored forward and inverse readers, their record types (with the
 # constant `stable` field) and the partial-sum walk they called.  Kept
-# verbatim as the two-way readers' oracle.
+# as the two-way readers' oracle, verbatim but for the refusal of an item
+# outside the pile or a slot outside the pit, which every reader makes.
 
 
 @dataclass
@@ -593,6 +595,7 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     slot capacities), and d = h + (a_1 + ... + a_n) - (b_0 + ... + b_{n-1});
     a and b are the X and Y return times along the matched base orbits.
     """
+    _refuse_by_carry(pair.sys_x, digits, True, h, budget)
     slack = 1 if strict else 0
     n, d, margin, wy = _partial_sum_walk(pair, digits, True, h, slack,
                                          horizon, budget)
@@ -615,8 +618,24 @@ def even_match_machine(pair, digits, h, window=32, budget=256):
     if h == 0:
         return _machine_record(pair, digits, True, 0, (0, 0), window, budget)
     frame = build_frame(pair, digits, window, budget=budget)
+    _refuse_outside(True, h, frame.ra[0])
     return _machine_record(pair, digits, True, h, frame.assignment.get((0, h)),
                            window, budget)
+
+
+def _refuse_outside(forward, k, size):
+    """SpecInvalid for an item outside the source pile of the given size,
+    or backward a slot outside the pit."""
+    if k < 0 or k >= size:
+        what, where = ("item", "pile") if forward else ("slot", "pit")
+        raise SpecInvalid(f"{what} (0, {k}) outside the {where} of size "
+                          f"{size} over the base point")
+
+
+def _refuse_by_carry(src, digits, forward, k, budget):
+    """_refuse_outside, the size read off one walker's carry."""
+    w = BaseOrbitWalker(src, digits)
+    _refuse_outside(forward, k, src.return_time(*w.carry(budget)))
 
 
 def _machine_record(pair, digits, forward, k, hit, window, budget):
@@ -649,6 +668,7 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
 
     `digits` addresses the X base point paired with the pit's base point.
     """
+    _refuse_by_carry(pair.sys_y, digits, False, D, budget)
     slack = 1 if strict else 0
     m, H, margin, wx = _partial_sum_walk(pair, digits, False, D, slack,
                                          horizon, budget)
@@ -671,6 +691,7 @@ def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     if D == 0:
         return _machine_record(pair, digits, False, 0, (0, 0), window, budget)
     frame = build_frame(pair, digits, window, budget=budget)
+    _refuse_outside(False, D, frame.rb[0])
     return _machine_record(pair, digits, False, D, frame.inverse.get((0, D)),
                            window, budget)
 
@@ -691,6 +712,7 @@ def one_sided_machine(pair, digits, forward, k, window=32, budget=256):
     ra, rb = ({i: 1 for i in range(-window, window + 1)} for _ in "ab")
     ra.update(walked_side(pair.sys_x, digits, window, forward, budget))
     rb.update(walked_side(pair.sys_y, digits, window, forward, budget))
+    _refuse_outside(forward, k, (ra if forward else rb)[0])
     assignment = deposit_frame(ra, rb, window)[0]
     if not forward:
         assignment = {slot: item for item, slot in assignment.items()}
@@ -818,3 +840,30 @@ def noneven_image_successor(plan, y):
         if matching.noneven_in_image(plan, cur):
             return cur
     raise HorizonExhausted("no image point within 4096 steps", horizon=4096)
+
+
+# IntervalUnion.difference as it was before the one-pass subtraction: each
+# interval of the first union is split against every interval of the other
+# in turn.  Kept as the pass's oracle.
+
+
+def piece_difference(u, v):
+    """u less v, as an IntervalUnion."""
+    out = []
+    for l, r in u.intervals:
+        pieces = [(l, r)]
+        for l2, r2 in v.intervals:
+            nxt = []
+            for a, b in pieces:
+                lo = max(a, l2)
+                hi = min(b, r2)
+                if lo < hi:
+                    if a < lo:
+                        nxt.append((a, lo))
+                    if hi < b:
+                        nxt.append((hi, b))
+                else:
+                    nxt.append((a, b))
+            pieces = nxt
+        out.extend(pieces)
+    return IntervalUnion(out)

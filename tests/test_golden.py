@@ -7,6 +7,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from cutstack.cli import main
 
 GOLDEN = {
@@ -70,6 +72,48 @@ def test_golden_rotation_histogram(tmp_path, capsys):
 
 def test_golden_noneven_match(tmp_path, capsys):
     argv, digests, stdout_digest = NONEVEN
+    assert main(["--out-dir", str(tmp_path)] + list(argv)) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in digests}
+    stdout = capsys.readouterr().out.encode()
+    assert got == digests
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+
+
+# Taken before validation became exact and each induction adapter owned its
+# decompositions: (argv, {output file: digest}, stdout digest).
+PINNED = (
+    (("build", "chacon", "--stages", "8"),
+     {"build_chacon.csv":
+      "fb05832bc82db4016cda11fb09c0268ef160c0d323fda6d4bc91414b573112d7"},
+     "9e01a5ffa7abc1a168a76d306d52af6a772b9d7238032efddad1d8d1ff906ea6"),
+    (("induce", "--system", "chacon", "--stage", "6"),
+     {"induce_chacon.csv":
+      "934e9e0fffbf288efa00e1ab87a88d274886474aaef609630420f69c17b67b6a"},
+     "642e57e31f17efdeb1aaede5cf9d80c3aa78662cd31b94869aa365292d3696fd"),
+    (("induce", "--system", "triple_heavy", "--stage", "5"),
+     {"induce_triple_heavy.csv":
+      "e2df13621f095e1dc5e545f0d37f8c75a1b5951e62b372cefc7a36ede27a6e7e"},
+     "48b48e62388e59a7c84f7476432c80be3e019d22b51181016758b419d7b3a54e"),
+    (("orbit", "--system", "chacon", "--steps", "50"),
+     {"orbit_chacon.csv":
+      "1ac3d9e9a1d98bfd593f69fdbdb7adc360bd3f55bef8f04f8b430937669130dc"},
+     "6be23da3a62b5073d2975f9f94d3f6574fd2cb9e00da753578b496b904406b20"),
+    (("orbit", "--system", "od:[2,3,*]", "--steps", "20"),
+     {"orbit_odometer.csv":
+      "87c2c47f385ca2c4629bd141f4a3f7bc6ab99b1d9fda583c874ac7b6e59e1675"},
+     "23a251b0a2e8e06478ce2face6d5db3fe1e80f882db394980c349b131bb8beaf"),
+    (("ergodic", "--system", "chacon", "--n", "729", "--samples", "10"),
+     {"ergodic_chacon.csv":
+      "f6f3aab0fedc26ade68636c9c0fa1e5c18ac44eb1eaadb04a8148e9c32d7cde3"},
+     "964d3ee3f565bfafbcfb506e5b35cd237268da3c0a5363d7403f54d26f123b9f"),
+)
+
+
+@pytest.mark.parametrize("argv,digests,stdout_digest", PINNED,
+                         ids=[" ".join(p[0]) for p in PINNED])
+def test_golden_pinned_commands(tmp_path, capsys, argv, digests,
+                                stdout_digest):
     assert main(["--out-dir", str(tmp_path)] + list(argv)) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in digests}

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cutstack import induction
 from cutstack.arithmetic import golden_minus_1, sqrt2_minus_1
 from cutstack.digits import SeededDigits
@@ -53,6 +56,35 @@ def test_interval_union_algebra():
     assert u.difference(v).measure() == Surd(Fraction(1, 3))
     assert u.contains(Surd(Fraction(1, 5)))
     assert not u.contains(Surd(Fraction(3, 4)))
+
+
+# endpoints from a small pool of rationals and surds, so that drawn
+# intervals often touch, nest or coincide
+ENDPOINTS = sorted([Surd(Fraction(i, 6)) for i in range(7)]
+                   + [(Surd.sqrt(2) - 1) * Surd(Fraction(i, 2))
+                      for i in (1, 2)])
+
+
+def _union(pairs):
+    return induction.IntervalUnion(
+        [(ENDPOINTS[min(i, j)], ENDPOINTS[max(i, j)]) for i, j in pairs])
+
+
+unions = st.lists(st.tuples(st.integers(0, len(ENDPOINTS) - 1),
+                            st.integers(0, len(ENDPOINTS) - 1)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions, unions)
+@example([(0, 3)], [(3, 6)])  # touching
+@example([(0, 8)], [(2, 4), (5, 6)])  # nested
+@example([(1, 4), (5, 7)], [(1, 4), (5, 7)])  # equal
+@example([(2, 4)], [(0, 8)])  # swallowed
+def test_one_pass_difference_is_the_piece_splitting_one(a, b):
+    u, v = _union(a), _union(b)
+    got = u.difference(v)
+    assert got.intervals == oracles.piece_difference(u, v).intervals
+    assert got.measure() + u.intersect(v).measure() == u.measure()
 
 
 def test_interval_union_orders_close_endpoints_exactly():

@@ -16,6 +16,7 @@ from cutstack.errors import (
     InadmissiblePair,
     MarginViolation,
     NeedMoreDepth,
+    SpecInvalid,
     WindowEdge,
 )
 from cutstack.specs import (
@@ -644,6 +645,22 @@ def test_a_read_needs_only_its_own_side():
         oracles.even_match_machine(pair, stream, k, window, budget)
     with pytest.raises(WindowEdge, match=r"item \(0, 1\) not placed"):
         matching.even_match_machine(pair, stream, k, window, budget)
+
+
+@pytest.mark.parametrize("forward,mode", list(READERS))
+def test_readers_refuse_items_outside_the_pile(forward, mode):
+    # over the two:2 base point the pile has height 2 and the pit depth 1,
+    # so item or slot 5, -1 or the size itself does not exist: every reader
+    # and its oracle refuse it, where a reader once answered WindowEdge at
+    # every window or WindowExhausted at every horizon, as if the pit were
+    # only far away
+    pair = PAIRS["dyadic"]
+    what, where, size = ("item", "pile", 2) if forward else ("slot", "pit", 1)
+    for k in (5, -1, size):
+        message = rf"^{what} \(0, {k}\) outside the {where} of size {size} "
+        for read in READERS[(forward, mode)]:
+            with pytest.raises(SpecInvalid, match=message):
+                read(pair, SeededDigits("two:2", dyadic_cuts), k)
 
 
 def test_a_machine_round_trip_builds_no_frame(builds):

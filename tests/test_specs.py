@@ -88,14 +88,14 @@ def test_dsl_errors_carry_position():
 
 def test_validate_rejects_divergent_spacer_mass():
     spec = StackingSpec.make("bad", 1, [], [StageRule(1, (3,), 2)])
-    report = validate_spec(spec, horizon=16)
+    report = validate_spec(spec)
     assert not report.accepted
     assert "divergent" in report.reason
 
 
 def test_validate_accepts_builtins():
     for name in BUILTINS:
-        assert validate_spec(builtin_spec(name), horizon=12).accepted
+        assert validate_spec(builtin_spec(name)).accepted
 
 
 def test_random_spec_is_deterministic_and_valid():
@@ -103,7 +103,7 @@ def test_random_spec_is_deterministic_and_valid():
         a = random_spec(seed)
         b = random_spec(seed)
         assert a == b
-        assert validate_spec(a, horizon=12).accepted
+        assert validate_spec(a).accepted
         assert all(r.cuts >= 2 for r in a.prefix + a.tail)
 
 

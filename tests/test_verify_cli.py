@@ -119,11 +119,27 @@ def test_cli_angle_outside_unit_interval_exit_3(tmp_path):
     assert manifest["status"].startswith("validation_error: angle must lie")
 
 
-def test_cli_validation_error_exit_3(tmp_path):
+def test_cli_validation_error_exit_3(tmp_path, capsys):
     div = tmp_path / "div.spec"
     div.write_text("system d\nstage * : cuts=1 above=[2] below=1\n")
     rc, _, manifest = run_cli(tmp_path, "build", str(div))
     assert rc == 3
+    assert manifest["status"] == "exit:3"
+    assert "divergent spacer mass" in capsys.readouterr().err
+
+
+def test_cli_finite_spec_exit_3_with_its_true_reason(tmp_path):
+    # nine stages of Chacon with no "stage *" line add finitely many
+    # spacers, so validation accepts them; the build then refuses the spec
+    # for want of a normalized width, whatever the number of stages
+    prefix = tmp_path / "prefix.spec"
+    prefix.write_text("system p\n" + "".join(
+        f"stage {k} : cuts=3 above=[0,1,0] below=0\n" for k in range(1, 10)))
+    rc, _, manifest = run_cli(tmp_path, "build", str(prefix),
+                              "--stages", "9")
+    assert rc == 3
+    assert manifest["status"] == (
+        "validation_error: finite spec has no normalized width")
 
 
 def test_cli_inadmissible_pair_exit_4(tmp_path):
