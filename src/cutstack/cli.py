@@ -20,6 +20,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__, ergodic, induction, matching, verify
 from .arithmetic import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .quadratic import Surd
 from .specs import builtin_spec, parse_spec, parse_spec_json, validate_spec
-from .towers import BaseOrbitWalker, LevelSet, RankOneSystem
+from .towers import LevelSet, RankOneSystem
 
 
 class _Instability(CutstackError):
@@ -149,14 +150,12 @@ def cmd_orbit(ctx):
         return 0
     spec = load_spec(ctx, args.system)
     sys_ = RankOneSystem(spec)
-    walker = BaseOrbitWalker(
-        sys_, SeededDigits(f"orbit:{args.seed}", sys_.cuts)
+    rs = matching.return_times_from(
+        sys_, SeededDigits(f"orbit:{args.seed}", sys_.cuts), args.steps - 1,
+        True, args.budget,
     )
     lines = ["step,return_time,total_steps"]
-    total = 0
-    for step in range(1, args.steps + 1):
-        r = walker.step(args.budget)
-        total += r
+    for step, (r, total) in enumerate(zip(rs, accumulate(rs)), 1):
         lines.append(f"{step},{r},{total}")
     ctx.write(f"orbit_{spec.name}.csv", "\n".join(lines) + "\n")
     print(f"base orbit of {spec.name}: {args.steps} induced steps")
@@ -265,13 +264,10 @@ def _match_noneven(ctx, pair):
     except (ValueError, ZeroDivisionError):
         raise DslError(f"--eps is not a fraction: {args.eps!r}") from None
     eps_bound = matching.noneven_eps_bound(pair, eps)
-    target_x = pair.sys_x.spec.total_mass()
-    target_y = pair.sys_y.spec.total_mass()
     N = max(
-        ergodic.estimate_N(pair.sys_x, target_x, eps, samples=16,
-                           horizon=128, seed=args.seed),
-        ergodic.estimate_N(pair.sys_y, target_y, eps, samples=16,
-                           horizon=128, seed=args.seed),
+        ergodic.estimate_N(s, s.spec.total_mass(), eps, samples=16,
+                           horizon=128, seed=args.seed)
+        for s in (pair.sys_x, pair.sys_y)
     )
     plan = matching.noneven_prepare(pair, eps, N, samples=64, seed=args.seed)
     rng = random.Random(f"nematch:{args.seed}")

@@ -1,13 +1,14 @@
 """Birkhoff averages over induced base orbits and distribution checks.
 
 The return-time average over n induced steps telescopes to a stack-position
-difference, so it costs O(log n) exact integer work; verify and the test
-oracles check it against a step-by-step walk.
+difference (O(log n) exact integer work) and estimate_N reads return times
+from the stage word, comparing in integers; both are checked step by step.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from . import matching
@@ -71,17 +72,20 @@ def kac_check(system, n, samples, seed=0):
 
 def estimate_N(system, target, eps, samples=32, horizon=256, seed=0):
     """Smallest N with |average_n - target| < eps for every sampled orbit
-    and every n in [N, horizon].  Decreasing in eps by construction."""
+    and every n in [N, horizon]; decreasing in eps.  One stage-word read per
+    sample (carries within 512 stages), and exact integer comparisons."""
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    if horizon < 1:
+        raise ValueError("need horizon >= 1")
+    p, q = Fraction(target).as_integer_ratio()
+    a, b = Fraction(eps).as_integer_ratio()
     worst = 1
     for s in range(samples):
-        w = BaseOrbitWalker(system, SeededDigits(f"estN:{seed}:{s}",
-                                                 system.cuts))
-        pos = 0
-        last_bad = 0
-        for n in range(1, horizon + 1):
-            pos += w.step(512)
-            if abs(Fraction(pos, n) - target) >= eps:
-                last_bad = n
+        digits = SeededDigits(f"estN:{seed}:{s}", system.cuts)
+        r = matching.return_times_from(system, digits, horizon - 1, True, 512)
+        last_bad = max((n for n, pos in enumerate(accumulate(r), 1)
+                        if abs(pos * q - p * n) * b >= a * q * n), default=0)
         if last_bad >= horizon:
             raise HorizonExhausted(
                 f"averages still outside eps at the horizon {horizon}",

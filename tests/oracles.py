@@ -11,7 +11,7 @@ from math import isqrt
 
 from cutstack import matching
 from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
-from cutstack.digits import OverlayDigits, explicit_extent, zeros
+from cutstack.digits import OverlayDigits, SeededDigits, explicit_extent, zeros
 from cutstack.errors import (
     CutstackError,
     ExhaustedDigits,
@@ -174,6 +174,28 @@ def stepped_return_time_average(system, digits, n):
     (ergodic.return_time_average before the telescoped advance)."""
     w = BaseOrbitWalker(system, digits)
     return Fraction(sum(w.step(512) for _ in range(n)), n)
+
+
+def stepped_estimate_N(system, target, eps, samples=32, horizon=256, seed=0):
+    """ergodic.estimate_N as it was before it read the stage word: one walker
+    step and one Fraction comparison per n."""
+    worst = 1
+    for s in range(samples):
+        w = BaseOrbitWalker(system, SeededDigits(f"estN:{seed}:{s}",
+                                                 system.cuts))
+        pos = 0
+        last_bad = 0
+        for n in range(1, horizon + 1):
+            pos += w.step(512)
+            if abs(Fraction(pos, n) - target) >= eps:
+                last_bad = n
+        if last_bad >= horizon:
+            raise HorizonExhausted(
+                f"averages still outside eps at the horizon {horizon}",
+                horizon=horizon,
+            )
+        worst = max(worst, last_bad + 1)
+    return worst
 
 
 # The point layer as it was before it read the stage tables: every stage

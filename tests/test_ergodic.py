@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cutstack import ergodic, matching
 from cutstack.digits import SeededDigits
 from cutstack.errors import HorizonExhausted
-from cutstack.specs import builtin_spec
+from cutstack.specs import builtin_spec, random_spec
 from cutstack.towers import RankOneSystem
 
 
@@ -74,6 +76,59 @@ def test_estimate_N_raises_when_horizon_too_small():
         ergodic.estimate_N(sys, sys.spec.total_mass(), Fraction(1, 10**6),
                            samples=4, horizon=8)
     assert e.value.horizon == 8
+
+
+@pytest.mark.parametrize("count", ["samples", "horizon"])
+def test_estimate_N_refuses_empty_estimates(count):
+    with pytest.raises(ValueError, match=f"need {count} >= 1"):
+        ergodic.estimate_N(system("chacon"), Fraction(3, 2), Fraction(1, 4),
+                           **{count: 0})
+
+
+def test_estimate_N_benchmark_pair():
+    # the orbit_formula benchmark's set-up: N_x = 6, N_y = 17
+    pair = matching.chacon_triple_noneven_pair()
+    got = tuple(
+        ergodic.estimate_N(s, s.spec.total_mass(), Fraction(1, 4),
+                           samples=32, horizon=256)
+        for s in (pair.sys_x, pair.sys_y)
+    )
+    assert got == (6, 17)
+
+
+def _estimate_outcome(estimate, *args, **kw):
+    try:
+        return estimate(*args, **kw)
+    except HorizonExhausted as e:
+        return type(e), str(e), e.horizon
+
+
+@st.composite
+def estimate_cases(draw):
+    """A random spec (its last rule repeating) or a built-in system, a
+    target at or near its total mass, eps in [1/100, 1/2], 1..6 samples,
+    horizon 1..64, seed 0..3; many cases exhaust the horizon."""
+    name = draw(st.sampled_from(("random", "chacon", "triple_heavy",
+                                 "dyadic_pair_left")))
+    spec = (random_spec(draw(st.integers(0, 10**6))) if name == "random"
+            else builtin_spec(name))
+    target = spec.total_mass() + draw(
+        st.just(0) | st.fractions(Fraction(-1, 4), Fraction(1, 4),
+                                  max_denominator=16))
+    eps = draw(st.fractions(Fraction(1, 100), Fraction(1, 2),
+                            max_denominator=100))
+    return (RankOneSystem(spec), target, eps, draw(st.integers(1, 6)),
+            draw(st.integers(1, 64)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(estimate_cases())
+def test_estimate_N_matches_stepped_oracle(case):
+    sys, target, eps, samples, horizon, seed = case
+    kw = dict(samples=samples, horizon=horizon, seed=seed)
+    assert (_estimate_outcome(ergodic.estimate_N, sys, target, eps, **kw)
+            == _estimate_outcome(oracles.stepped_estimate_N, sys, target, eps,
+                                 **kw))
 
 
 def test_pushforward_distribution_small_run():
