@@ -35,7 +35,6 @@ from .specs import (
     validate_spec,
 )
 from .towers import (
-    BaseOrbitWalker,
     LevelSet,
     RankOnePoint,
     RankOneSystem,
@@ -78,7 +77,6 @@ __all__ = [
     "serialize_spec",
     "spec_to_json",
     "validate_spec",
-    "BaseOrbitWalker",
     "LevelSet",
     "RankOnePoint",
     "RankOneSystem",

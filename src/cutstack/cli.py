@@ -206,6 +206,9 @@ def _build_pair(ctx):
 def cmd_match(ctx):
     args = ctx.args
     _require_at_least(args, 0, "window", "samples")
+    if not 0 <= args.max_unstable <= 1:  # NaN too
+        raise SpecInvalid(f"--max-unstable must lie in [0, 1], "
+                          f"got {args.max_unstable}")
     pair = _build_pair(ctx)
     matching.validate_pair(pair, even=(args.mode == "even"))
     if args.mode == "even":

@@ -1,8 +1,9 @@
 """Birkhoff averages over induced base orbits and distribution checks.
 
 The return-time average over n induced steps telescopes to a stack-position
-difference (O(log n) exact integer work) and estimate_N reads return times
-from the stage word, comparing in integers; both are checked step by step.
+difference (one RankOneSystem.advance, O(log n) exact integer work) and
+estimate_N reads return times from the stage word, comparing in integers;
+both are checked step by step.
 """
 
 import random
@@ -14,7 +15,6 @@ from math import isqrt
 from . import matching
 from .digits import SeededDigits
 from .errors import HorizonExhausted, WindowExhausted
-from .towers import BaseOrbitWalker
 
 
 def return_time_average(system, digits, n):
@@ -22,7 +22,7 @@ def return_time_average(system, digits, n):
     carry within 512 stages."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Fraction(BaseOrbitWalker(system, digits).advance(n, 512), n)
+    return Fraction(system.advance(digits, n, 512)[0], n)
 
 
 @dataclass
@@ -126,6 +126,8 @@ def pushforward_check(pair, samples, stage=6, seed=0, tolerance=None):
     unresolved within 2^15 shifts are skipped and counted; empirical
     frequencies keep the full sample count as denominator.
     """
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     rng = random.Random(f"push:{seed}")
     sys_y = pair.sys_y
     h = sys_y.height(stage)

@@ -45,8 +45,7 @@ from .errors import (
     WindowExhausted,
 )
 from .specs import builtin_spec
-from .towers import (BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem,
-                     odometer_add)
+from .towers import LevelSet, RankOnePoint, RankOneSystem, odometer_add
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ class PairSpec:
 
 def validate_pair(pair, even=None):
     """Admissibility: two infinite specs, with equal cut counts at every
-    stage, so a walker moves the digits of both systems alike, and (when
+    stage, so one advance moves the digits of both systems alike, and (when
     `even` is set) equal base masses.  A finite spec has no odometer to
     match on.  Past the longer prefix the cut counts repeat with period
     lcm(tail lengths), so comparing the stages up to that prefix plus one
@@ -229,8 +228,7 @@ def return_times_from(system, digits, window, forward, budget=256):
     last = P - 1
 
     def edge(step):  # the return time of the step that leaves the block
-        new = odometer_add(digits.digit, system.cuts, step, K + 1, budget)
-        return system.return_time(K + len(new), new[-1] - (step > 0))
+        return system.return_time(*system.carry(digits, K + 1, step, budget))
 
     if forward:
         r = word[N:min(N + window + 1, last)]
@@ -420,7 +418,7 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     found block by block (_first_passage).  One advance then gives the
     image base point, with the digits a walk of n steps would have kept."""
     src, img = _sides(pair, forward)
-    s, e = BaseOrbitWalker(src, digits).carry(budget)
+    s, e = src.carry(digits, budget=budget)
     if h is None:
         h = src.return_time(s, e) - 1
     f = img.return_time(s, e)
@@ -433,9 +431,9 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     if n is None:
         return None, None, margin, None
     e = t if forward else len(words.delta[s]) - 1 - t
-    w = BaseOrbitWalker(src, digits)
-    w.advance(n if forward else -n, budget)  # carries checked
-    return n, img.return_time(s, e) - slack - margin, margin, w.point()
+    digits = src.advance(digits, n if forward else -n, budget)[1]
+    return (n, img.return_time(s, e) - slack - margin, margin,
+            RankOnePoint(1, 0, digits))
 
 
 def _first_passage(words, digits, need, horizon, budget):
@@ -455,9 +453,9 @@ def _first_passage(words, digits, need, horizon, budget):
     its largest prefix below need is skipped whole; the first one that
     does not holds the answer, so the search descends into it and never
     climbs again.  Forward, the carry from the start itself is left out of
-    the sums.  Each climb is one carry from stage k + 1 (odometer_add), so
-    a carry past stage budget + 1 raises NeedMoreDepth at the shift that
-    would take it, as a step there would."""
+    the sums.  Each climb is one carry from stage k + 1
+    (RankOneSystem.carry), so a carry past stage budget + 1 raises
+    NeedMoreDepth at the shift that would take it, as a step there would."""
     delta, sums, peaks, lengths = (words.delta, words.sums, words.peaks,
                                    words.lengths)
     n = acc = best = k = 0
@@ -467,12 +465,12 @@ def _first_passage(words, digits, need, horizon, budget):
         if u is None:
             if n >= horizon:
                 return None, best, None, None
-            new = odometer_add(digits.digit, words.src.cuts,
-                               1 if words.forward else -1, k + 1, budget)
-            k += len(new)
+            k, t = words.src.carry(digits, k + 1, 1 if words.forward else -1,
+                                   budget)
             if k >= len(delta):
                 words._grow(k)
-            t = new[-1] - 1 if words.forward else len(delta[k]) - 1 - new[-1]
+            if not words.forward:
+                t = len(delta[k]) - 1 - t
             if skip:
                 skip = False
             else:
@@ -571,7 +569,7 @@ def _match_formula(pair, digits, forward, k, strict, horizon, budget):
     """even_match_formula forward, even_match_inverse_formula backward."""
     src = _sides(pair, forward)[0]
     _refuse_outside(forward, k, src.return_time(
-        *BaseOrbitWalker(src, digits).carry(budget)))
+        *src.carry(digits, budget=budget)))
     slack = 1 if strict else 0
     n, depth, margin, image_base = _partial_sum_walk(
         pair, digits, forward, k, slack, horizon, budget)
@@ -623,9 +621,10 @@ def _match_machine(pair, digits, forward, k, window, budget):
         raise WindowEdge(f"{what} (0, {k}) not {done} within window {window}",
                          window=window)
     t, depth = hit
-    w = BaseOrbitWalker(pair.sys_x, digits)  # moves the shared digits
-    w.advance(t if forward else -t, budget)
-    return _record(pair, digits, forward, k, t, depth, w.point(), "machine")
+    # the shared digits move alike in both systems
+    image = pair.sys_x.advance(digits, t if forward else -t, budget)[1]
+    return _record(pair, digits, forward, k, t, depth,
+                   RankOnePoint(1, 0, image), "machine")
 
 
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
@@ -803,12 +802,12 @@ def _deep_zero_digits(pair, m, seed):
 
 def pile_height(plan, digits):
     """Base steps in X across one induced block from this cylinder point."""
-    return BaseOrbitWalker(plan.pair.sys_x, digits).advance(plan.block)
+    return plan.pair.sys_x.advance(digits, plan.block)[0]
 
 
 def pit_depth(plan, digits):
     """Base steps in Y across the same induced block of digits."""
-    return BaseOrbitWalker(plan.pair.sys_y, digits).advance(plan.block)
+    return plan.pair.sys_y.advance(digits, plan.block)[0]
 
 
 def noneven_eps_bound(pair, eps):

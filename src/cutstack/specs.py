@@ -293,7 +293,7 @@ def parse_spec_json(text):
     if not isinstance(obj, dict):
         raise DslError("bad structured spec: not a JSON object")
     h1 = obj.get("h1", 1)
-    if not isinstance(h1, int):
+    if type(h1) is not int:  # JSON true and false are not counts
         raise DslError(f"bad structured spec: h1 must be an integer: {h1!r}")
 
     def rule(o):
@@ -301,7 +301,7 @@ def parse_spec_json(text):
             cuts, above, below = o["cuts"], tuple(o["above"]), o.get("below", 0)
         except (KeyError, TypeError) as e:
             raise DslError(f"bad stage object: {e}")
-        if not all(isinstance(v, int) for v in (cuts, below, *above)):
+        if not all(type(v) is int for v in (cuts, below, *above)):
             raise DslError(f"bad stage object: counts must be integers: {o!r}")
         return StageRule(cuts, above, below)
 

@@ -3,6 +3,11 @@
 Points are symbolic addresses (birth stage + column-digit stream), never
 real coordinates.  All widths and measures are exact rationals, normalized
 so the limiting total mass is 1 for periodic-tail specs.
+
+The map induced on the stage-1 base level is an odometer on the column
+digits, so RankOneSystem reads it as two pure functions of a digit stream:
+carry, the stage and digit one step changes last, and advance, n steps in
+one signed add.
 """
 
 from bisect import bisect_right
@@ -132,6 +137,27 @@ class RankOneSystem:
         (G_s is the carry term of the maximal digits below stage s)."""
         offs = self.offsets(s)
         return offs[d + 1] - offs[d] + self._carry[s]
+
+    def carry(self, digits, start=1, step=1, budget=256):
+        """(s, d): one induced step (step 1) or step back (step -1) from the
+        base digits, added at stage `start`, carries into stage s and
+        raises its digit from d, or lowers it to d; either way it spans
+        return_time(s, d) base steps."""
+        new = odometer_add(digits.digit, self.cuts, step, start, budget)
+        return start + len(new) - 1, new[-1] - (step > 0)
+
+    def advance(self, digits, n, budget=256):
+        """(steps, digits'): n induced steps (either sign) from the base
+        digits as one signed add.  steps is the signed T-step count, the
+        sum of the offset changes of the digits the carry touches, and
+        digits' overrides the stages it reached."""
+        new = odometer_add(digits.digit, self.cuts, n, 1, budget)
+        offsets, digit = self._offsets, digits.digit
+        steps = 0
+        for k, v in enumerate(new, 1):
+            offs = offsets[k]
+            steps += offs[v] - offs[digit(k)]
+        return steps, digits.with_overrides(dict(enumerate(new, 1)))
 
     def unit_width(self):
         """w1, normalized so the limiting total mass is 1."""
@@ -366,7 +392,7 @@ def build_towers(spec, depth):
 
 
 # ---------------------------------------------------------------------------
-# Fast induced-orbit walker over the base level
+# The induced base map
 
 
 def odometer_add(digit, cuts, steps, start, budget):
@@ -378,71 +404,3 @@ def odometer_add(digit, cuts, steps, start, budget):
         edge = "maximal" if carry > 0 else "zero"
         raise NeedMoreDepth(f"all digits {edge} within budget", budget=budget)
     return new
-
-
-class BaseOrbitWalker:
-    """Walks the induced map on the stage-1 base level (level 0) as an
-    odometer on the column digits, producing exact return times.
-
-    A step that carries into stage s, raising its digit from d to d + 1,
-    returns the system's R(s, d) (see RankOneSystem.return_time), so each
-    step costs O(carry length), amortized O(1).
-    """
-
-    def __init__(self, system, digits_stream=None):
-        self.sys = system
-        if digits_stream is None:
-            digits_stream = zeros()
-        self.tail = digits_stream
-        self.d = []  # materialized digits, d[j] = digit at stage j+1
-
-    def _digit(self, k):
-        """The stage-k digit, materializing the digits up to it."""
-        d = self.d
-        while len(d) < k:
-            d.append(self.tail.digit(len(d) + 1))
-        return d[k - 1]
-
-    def state(self):
-        return tuple(self.d)
-
-    def point(self):
-        return RankOnePoint(1, 0, self.tail.with_overrides(
-            {j + 1: v for j, v in enumerate(self.d)}))
-
-    def step(self, budget=256):
-        """Advance one induced step; returns the return time r >= 1."""
-        return self.advance(1, budget)
-
-    def step_back(self, budget=256):
-        """Retreat one induced step; returns the return time of the
-        predecessor (the pile height climbed over)."""
-        return -self.advance(-1, budget)
-
-    def advance(self, n, budget=256):
-        """Jump n induced steps (n may be negative); returns the signed total
-        T-step count (sum of return times along the way), exact: one signed
-        add, summing the offset change of each digit the carry touches,
-        and committed only once the carry settles."""
-        new = odometer_add(self._digit, self.sys.cuts, n, 1, budget)
-        d, offsets = self.d, self.sys._offsets
-        total = 0
-        for j, v in enumerate(new):
-            offs = offsets[j + 1]
-            total += offs[v] - offs[d[j]]
-        d[:len(new)] = new
-        return total
-
-    def carry(self, budget=256):
-        """(s, d): a step from the current state carries into stage s,
-        raising its digit from d, and takes R(s, d) base steps.  Nothing
-        moves, and digits the carry reads are not kept, as if no step had
-        been tried."""
-        known = len(self.d)
-        new = odometer_add(self._digit, self.sys.cuts, 1, 1, budget)
-        del self.d[known:]
-        return len(new), new[-1] - 1
-
-    def return_time(self):
-        """Return time at the current state, without moving."""
-        return self.sys.return_time(*self.carry(256))

@@ -31,7 +31,7 @@ from .errors import WindowEdge
 from .quadratic import Surd
 from .specs import (builtin_spec, parse_spec, parse_spec_json, random_spec,
                     serialize_spec, spec_to_json)
-from .towers import BaseOrbitWalker, LevelSet, RankOnePoint, RankOneSystem
+from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 @dataclass
@@ -205,17 +205,16 @@ def _check_walker(cfg):
     for name in ("chacon", "dyadic_pair_right"):
         sys = RankOneSystem(builtin_spec(name))
         ad = induction.RankOneAdapter(sys)
-        stream = SeededDigits(f"walk:{cfg.seed}:{name}", sys.cuts)
-        w = BaseOrbitWalker(sys, stream)
-        pt = RankOnePoint(1, 0, stream)
+        digits = SeededDigits(f"walk:{cfg.seed}:{name}", sys.cuts)
+        pt = RankOnePoint(1, 0, digits)
         for step in range(40):
-            r = w.step()
+            r, digits = sys.advance(digits, 1)
             brute = induction.return_time(ad, base, pt)
             if r != brute:
                 raise Failed({"spec": name, "step": step},
                              {"walker": r, "brute": brute})
             pt = sys.apply(pt, r)
-            if not sys.same_point(pt, w.point()):
+            if not sys.same_point(pt, RankOnePoint(1, 0, digits)):
                 raise Failed({"spec": name, "step": step, "kind": "point"})
     return {"steps": 40}
 
@@ -403,8 +402,8 @@ def _check_boundary(cfg):
     disagreements = 0
     for t in range(cfg.big_samples):
         stream = SeededDigits(f"bnd:{cfg.seed}:{t}", pair.sys_x.cuts)
-        w = BaseOrbitWalker(pair.sys_x, stream)
-        h = rng.randrange(0, w.return_time())
+        h = rng.randrange(0, pair.sys_x.return_time(
+            *pair.sys_x.carry(stream)))
         strict = matching.even_match_formula(pair, stream, h, strict=True)
         loose = matching.even_match_formula(pair, stream, h, strict=False)
         try:
@@ -433,10 +432,9 @@ def _check_base_conjugacy(cfg):
         rec = matching.phi_hat(pair, x, mode="formula")
         if not pair.sys_y.same_point(rec.y, x):
             raise Failed({"trial": t, "kind": "restriction"})
-        w = BaseOrbitWalker(pair.sys_x, stream)
-        w.step()
-        lhs = matching.phi_hat(pair, w.point(), mode="formula").y
-        if not pair.sys_y.same_point(lhs, w.point()):
+        nxt = RankOnePoint(1, 0, pair.sys_x.advance(stream, 1)[1])
+        lhs = matching.phi_hat(pair, nxt, mode="formula").y
+        if not pair.sys_y.same_point(lhs, nxt):
             raise Failed({"trial": t, "kind": "intertwine"})
     return {"samples": cfg.samples}
 
@@ -497,11 +495,13 @@ def _check_kac(cfg):
     rep = ergodic.kac_check(sys, 2**8, 20, seed=cfg.seed)
     if rep.max_abs_dev != 0:
         raise Failed({"spec": "dyadic_pair_left"})
-    # agreement with 64 single walker steps
-    d = SeededDigits(f"kaco:{cfg.seed}", sys.cuts)
-    w = BaseOrbitWalker(sys, d)
-    if (ergodic.return_time_average(sys, d, 64)
-            != Fraction(sum(w.step(512) for _ in range(64)), 64)):
+    # agreement with 64 single induced steps
+    d = e = SeededDigits(f"kaco:{cfg.seed}", sys.cuts)
+    total = 0
+    for _ in range(64):
+        r, e = sys.advance(e, 1, 512)
+        total += r
+    if ergodic.return_time_average(sys, d, 64) != Fraction(total, 64):
         raise Failed({"kind": "fast_vs_naive"})
     return {"n": n}
 

@@ -24,7 +24,7 @@ from cutstack.errors import (
 from cutstack.induction import IntervalUnion, lift
 from cutstack.matching import build_frame
 from cutstack.quadratic import _reduce_root
-from cutstack.towers import BaseOrbitWalker, RankOnePoint
+from cutstack.towers import RankOnePoint
 
 SPACER = "spacer"
 
@@ -158,35 +158,40 @@ def walker_return_window(system, digits, window, budget=256):
 def walked_side(system, digits, window, forward, budget=256):
     """{i: r(i)} for i = 0..window forward or 0, -1, .., -window backward,
     walked one step at a time."""
-    w = BaseOrbitWalker(system, digits)
     if forward:
-        r = {i: w.step(budget) for i in range(window)}
-        r[window] = system.return_time(*w.carry(budget))
+        r = {}
+        for i in range(window):
+            r[i], digits = system.advance(digits, 1, budget)
+        r[window] = system.return_time(*system.carry(digits, budget=budget))
         return r
-    r = {0: system.return_time(*w.carry(budget))}
+    r = {0: system.return_time(*system.carry(digits, budget=budget))}
     for i in range(1, window + 1):
-        r[-i] = w.step_back(budget)
+        back, digits = system.advance(digits, -1, budget)
+        r[-i] = -back
     return r
 
 
 def stepped_return_time_average(system, digits, n):
     """Average return time over n induced steps, walked one step at a time
     (ergodic.return_time_average before the telescoped advance)."""
-    w = BaseOrbitWalker(system, digits)
-    return Fraction(sum(w.step(512) for _ in range(n)), n)
+    total = 0
+    for _ in range(n):
+        r, digits = system.advance(digits, 1, 512)
+        total += r
+    return Fraction(total, n)
 
 
 def stepped_estimate_N(system, target, eps, samples=32, horizon=256, seed=0):
-    """ergodic.estimate_N as it was before it read the stage word: one walker
-    step and one Fraction comparison per n."""
+    """ergodic.estimate_N as it was before it read the stage word: one
+    induced step and one Fraction comparison per n."""
     worst = 1
     for s in range(samples):
-        w = BaseOrbitWalker(system, SeededDigits(f"estN:{seed}:{s}",
-                                                 system.cuts))
+        digits = SeededDigits(f"estN:{seed}:{s}", system.cuts)
         pos = 0
         last_bad = 0
         for n in range(1, horizon + 1):
-            pos += w.step(512)
+            r, digits = system.advance(digits, 1, 512)
+            pos += r
             if abs(Fraction(pos, n) - target) >= eps:
                 last_bad = n
         if last_bad >= horizon:
@@ -270,7 +275,8 @@ def apply(system, point, steps, budget=64):
 
 
 # The base-orbit walker as it was before the return-time table: every step
-# folds two full stack positions.  Kept verbatim as the table walker's oracle.
+# folds two full stack positions.  Kept verbatim as the oracle of
+# RankOneSystem.carry and advance.
 
 
 class PositionWalker:
@@ -576,37 +582,40 @@ class InverseMatchRecord:
 
 
 def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
-    """(n, d, margin, fw): n <= horizon least with h + r_1 + ... + r_n <=
-    f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... + f_{n-1}),
-    margin the right side minus the left, fw the f walker at step n.  r, f
-    are the X, Y return times along the matched base orbits, or backward
-    the Y, X ones.  Past the horizon n, d are None and margin is the best
-    seen.  step returns the time of the point it leaves, step_back of the
-    point it reaches."""
-    wx = BaseOrbitWalker(pair.sys_x, digits)
-    wy = BaseOrbitWalker(pair.sys_y, digits)
-    rw, fw = (wx, wy) if forward else (wy, wx)
+    """(n, d, margin, image base): n <= horizon least with h + r_1 + ... +
+    r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
+    f_{n-1}), margin the right side minus the left, and the f system's base
+    point at step n.  r, f are the X, Y return times along the matched base
+    orbits, or backward the Y, X ones, each system stepping its own copy of
+    the digits.  Past the horizon n, d and the point are None and margin
+    is the best seen.  A step forward spans the time of the point it
+    leaves, a step back that of the point it reaches."""
+    rsys, fsys = ((pair.sys_x, pair.sys_y) if forward
+                  else (pair.sys_y, pair.sys_x))
+    rd = fd = digits
     reach = h
     psi = 0
-    f = fw.sys.return_time(*fw.carry(budget))
+    f = fsys.return_time(*fsys.carry(fd, budget=budget))
     best = None
     for n in range(horizon + 1):
         if n and forward:
-            if n == 1:
-                rw.step(budget)  # skip r_0; the sums start at r_1
-            reach += rw.step(budget)
-            fw.step(budget)
-            f = fw.sys.return_time(*fw.carry(budget))
+            if n == 1:  # skip r_0; the sums start at r_1
+                rd = rsys.advance(rd, 1, budget)[1]
+            r, rd = rsys.advance(rd, 1, budget)
+            reach += r
+            fd = fsys.advance(fd, 1, budget)[1]
+            f = fsys.return_time(*fsys.carry(fd, budget=budget))
         elif n:
-            f = fw.step_back(budget)
-            reach += rw.step_back(budget)
+            f, fd = fsys.advance(fd, -1, budget)
+            r, rd = rsys.advance(rd, -1, budget)
+            f, reach = -f, reach - r
         psi += f
         margin = psi - slack - reach
         if margin >= 0:
-            return n, reach - psi + f, margin, fw
+            return n, reach - psi + f, margin, RankOnePoint(1, 0, fd)
         if best is None or margin > best:
             best = margin
-    return None, None, best, fw
+    return None, None, best, None
 
 
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
@@ -619,13 +628,12 @@ def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
     """
     _refuse_by_carry(pair.sys_x, digits, True, h, budget)
     slack = 1 if strict else 0
-    n, d, margin, wy = _partial_sum_walk(pair, digits, True, h, slack,
-                                         horizon, budget)
+    n, d, margin, y_base = _partial_sum_walk(pair, digits, True, h, slack,
+                                             horizon, budget)
     if n is None:
         raise WindowExhausted(
             f"no pit found within {horizon} shifts", window=horizon
         )
-    y_base = wy.point()
     y = pair.sys_y.apply(y_base, d) if d else y_base
     x_base = RankOnePoint(1, 0, digits)
     x = pair.sys_x.apply(x_base, h) if h else x_base
@@ -655,15 +663,16 @@ def _refuse_outside(forward, k, size):
 
 
 def _refuse_by_carry(src, digits, forward, k, budget):
-    """_refuse_outside, the size read off one walker's carry."""
-    w = BaseOrbitWalker(src, digits)
-    _refuse_outside(forward, k, src.return_time(*w.carry(budget)))
+    """_refuse_outside, the size read off one carry."""
+    _refuse_outside(forward, k,
+                    src.return_time(*src.carry(digits, budget=budget)))
 
 
 def _machine_record(pair, digits, forward, k, hit, window, budget):
     """The record of item (0, k) dropped into slot hit = (j, d) forward, or
     of slot (0, k) filled by item hit = (i, H) backward; WindowEdge when
-    hit is None."""
+    hit is None.  The image base point is reached one induced step at a
+    time."""
     if hit is None:
         what, done = ("item", "placed") if forward else ("slot", "filled")
         raise WindowEdge(
@@ -673,9 +682,10 @@ def _machine_record(pair, digits, forward, k, hit, window, budget):
     j, d = hit
     base = RankOnePoint(1, 0, digits)
     src, img = (pair.sys_x, pair.sys_y) if forward else (pair.sys_y, pair.sys_x)
-    w = BaseOrbitWalker(img, digits)
-    w.advance(j, budget)
-    there = img.apply(w.point(), d) if k else base
+    moved = digits
+    for _ in range(abs(j)):
+        moved = img.advance(moved, 1 if j > 0 else -1, budget)[1]
+    there = img.apply(RankOnePoint(1, 0, moved), d) if k else base
     here = src.apply(base, k) if k else base
     if forward:
         return MatchRecord(here, k, j, d, there, "machine", stable=True)
@@ -692,13 +702,12 @@ def even_match_inverse_formula(pair, digits, D, strict=False, horizon=4096,
     """
     _refuse_by_carry(pair.sys_y, digits, False, D, budget)
     slack = 1 if strict else 0
-    m, H, margin, wx = _partial_sum_walk(pair, digits, False, D, slack,
-                                         horizon, budget)
+    m, H, margin, x_base = _partial_sum_walk(pair, digits, False, D, slack,
+                                             horizon, budget)
     if m is None:
         raise WindowExhausted(
             f"no source pile found within {horizon} shifts", window=horizon
         )
-    x_base = wx.point()
     x = pair.sys_x.apply(x_base, H) if H else x_base
     y_base = RankOnePoint(1, 0, digits)
     y = pair.sys_y.apply(y_base, D) if D else y_base
@@ -754,9 +763,9 @@ def rebuilt_edge_violations(pair, digits, window):
     return matching._frame_audit(f1, f2)[1]
 
 
-# The partial-sum walk as it was before block descent: one walker moves a
-# shift at a time and reads both return times off each carry.  Kept as the
-# descent's oracle.
+# The partial-sum walk as it was before block descent: one digit state moves
+# a shift at a time and both return times are read off each carry.  Kept as
+# the descent's oracle.
 
 
 def one_walker_walk(pair, digits, forward, h, slack, horizon, budget):
@@ -764,27 +773,26 @@ def one_walker_walk(pair, digits, forward, h, slack, horizon, budget):
     r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
     f_{n-1}), margin the right side minus the left, and the base point at
     orbit index n (-n backward).  r, f are the source and image return times
-    along the shared base orbit of `digits`, forward or backward: one walker
-    moves, and the carry (s, e) of the step from each point gives r =
-    R_src(s, e) and f = R_img(s, e).  Past the horizon n, d and the point
-    are None and margin is the best seen."""
+    along the shared base orbit of `digits`, forward or backward: one digit
+    state moves a step at a time, and the carry (s, e) of the step from
+    each point gives r = R_src(s, e) and f = R_img(s, e).  Past the horizon
+    n, d and the point are None and margin is the best seen."""
     src, img = ((pair.sys_x, pair.sys_y) if forward
                 else (pair.sys_y, pair.sys_x))
-    w = BaseOrbitWalker(src, digits)
-    move = w.step if forward else w.step_back
+    step = 1 if forward else -1
     reach = h
-    f = psi = img.return_time(*w.carry(budget))
+    f = psi = img.return_time(*src.carry(digits, budget=budget))
     best = None
     for n in range(horizon + 1):
         if n:
-            move(budget)
-            s, e = w.carry(budget)
+            digits = src.advance(digits, step, budget)[1]
+            s, e = src.carry(digits, budget=budget)
             reach += src.return_time(s, e)
             f = img.return_time(s, e)
             psi += f
         margin = psi - slack - reach
         if margin >= 0:
-            return n, reach - psi + f, margin, w.point()
+            return n, reach - psi + f, margin, RankOnePoint(1, 0, digits)
         if best is None or margin > best:
             best = margin
     return None, None, best, None

@@ -29,7 +29,7 @@ from cutstack.arithmetic import (
 from cutstack.digits import SeededDigits
 from cutstack.quadratic import Surd
 from cutstack.specs import builtin_spec, random_spec
-from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
+from cutstack.towers import LevelSet, RankOneSystem
 
 
 class criterion:
@@ -102,14 +102,13 @@ def test_criterion_03_induced_map_identities():
     with criterion("criterion-03 induced-map identities", 10):
         # induced base map = mixed-radix odometer, 10^4 steps
         sys = RankOneSystem(builtin_spec("odometer(2,3)"))
-        w = BaseOrbitWalker(sys, SeededDigits("acc3", sys.cuts))
+        state = SeededDigits("acc3", sys.cuts)
         bases = [sys.cuts(k) for k in range(1, 20)]
-        digits = [w._digit(k) for k in range(1, 20)]
+        digits = [state.digit(k) for k in range(1, 20)]
         for _ in range(10**4):
-            w.step()
+            state = sys.advance(state, 1)[1]
             digits = oracles.naive_odometer_successor(digits, bases)
-            got = list(w.state())
-            assert got == digits[: len(got)]
+            assert [state.digit(k) for k in range(1, 20)] == digits
         # rotation first-return = two-piece exchange, 10^3 points per angle
         for make in (sqrt2_minus_1, golden_minus_1):
             angle = make()
@@ -195,8 +194,8 @@ def test_criterion_06_formula_machine_boundary():
         out_of_window = 0
         for s in range(2000):
             stream = SeededDigits(f"acc6:{s}", pair.sys_x.cuts)
-            w = BaseOrbitWalker(pair.sys_x, stream)
-            for h in range(w.return_time()):
+            for h in range(pair.sys_x.return_time(
+                    *pair.sys_x.carry(stream))):
                 strict = matching.even_match_formula(pair, stream, h,
                                                      strict=True)
                 loose = matching.even_match_formula(pair, stream, h,

@@ -85,6 +85,11 @@ def test_estimate_N_refuses_empty_estimates(count):
                            **{count: 0})
 
 
+def test_pushforward_check_refuses_no_samples():
+    with pytest.raises(ValueError, match="need samples >= 1"):
+        ergodic.pushforward_check(matching.dyadic_even_pair(), 0)
+
+
 def test_estimate_N_benchmark_pair():
     # the orbit_formula benchmark's set-up: N_x = 6, N_y = 17
     pair = matching.chacon_triple_noneven_pair()

@@ -11,7 +11,7 @@ from cutstack.arithmetic import golden_minus_1, sqrt2_minus_1
 from cutstack.digits import SeededDigits
 from cutstack.quadratic import Surd
 from cutstack.specs import builtin_spec
-from cutstack.towers import BaseOrbitWalker, LevelSet, RankOneSystem
+from cutstack.towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 def test_level_set_algebra():
@@ -111,15 +111,14 @@ def test_return_time_and_induced_apply_rank_one():
     sys = RankOneSystem(builtin_spec("chacon"))
     ad = induction.RankOneAdapter(sys)
     base = LevelSet(1, {0})
-    stream = SeededDigits("ind", sys.cuts)
-    w = BaseOrbitWalker(sys, stream)
-    p = w.point()
+    digits = SeededDigits("ind", sys.cuts)
+    p = RankOnePoint(1, 0, digits)
     for _ in range(30):
         r = induction.return_time(ad, base, p)
-        assert r == w.return_time()
+        assert r == sys.return_time(*sys.carry(digits))
         q = induction.induced_apply(ad, base, p)
-        w.step()
-        assert sys.same_point(q, w.point())
+        digits = sys.advance(digits, 1)[1]
+        assert sys.same_point(q, RankOnePoint(1, 0, digits))
         back = induction.induced_inverse(ad, base, q)
         assert sys.same_point(back, p)
         p = q

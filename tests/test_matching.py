@@ -25,8 +25,7 @@ from cutstack.specs import (
     parse_spec_json,
     random_spec,
 )
-from cutstack.towers import (BaseOrbitWalker, LevelSet, RankOnePoint,
-                             RankOneSystem)
+from cutstack.towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 def dyadic():
@@ -208,9 +207,11 @@ def test_return_window_matches_walker():
     pair = dyadic()
     stream = SeededDigits("rw", pair.sys_x.cuts)
     win = matching.return_window(pair.sys_x, stream, 8)
-    w = BaseOrbitWalker(pair.sys_x, stream)
-    assert win[0] == w.return_time()
-    fwd = [w.step() for _ in range(8)]
+    assert win[0] == pair.sys_x.return_time(*pair.sys_x.carry(stream))
+    fwd = []
+    for _ in range(8):
+        r, stream = pair.sys_x.advance(stream, 1)
+        fwd.append(r)
     assert [win[i] for i in range(8)] == fwd
 
 
@@ -399,8 +400,7 @@ def test_machine_agrees_with_strict_formula():
     pair = dyadic()
     for s in range(40):
         stream = SeededDigits(f"agree:{s}", pair.sys_x.cuts)
-        w = BaseOrbitWalker(pair.sys_x, stream)
-        for h in range(w.return_time()):
+        for h in range(pair.sys_x.return_time(*pair.sys_x.carry(stream))):
             mach = matching.even_match_machine(pair, stream, h, window=64)
             form = matching.even_match_formula(pair, stream, h, strict=True)
             assert (mach.n, mach.d) == (form.n, form.d)
@@ -411,8 +411,7 @@ def test_nonstrict_disagreements_only_on_boundary():
     seen = 0
     for s in range(300):
         stream = SeededDigits(f"bdy:{s}", pair.sys_x.cuts)
-        w = BaseOrbitWalker(pair.sys_x, stream)
-        for h in range(w.return_time()):
+        for h in range(pair.sys_x.return_time(*pair.sys_x.carry(stream))):
             strict = matching.even_match_formula(pair, stream, h, strict=True)
             loose = matching.even_match_formula(pair, stream, h, strict=False)
             if (strict.n, strict.d) != (loose.n, loose.d):
@@ -460,7 +459,7 @@ def test_stopping_time_finite_and_consistent():
         stream = SeededDigits(f"stop:{s}", pair.sys_x.cuts)
         n = matching.stopping_time(pair, stream)
         assert 0 <= n < 2**16
-        top = BaseOrbitWalker(pair.sys_x, stream).return_time() - 1
+        top = pair.sys_x.return_time(*pair.sys_x.carry(stream)) - 1
         top_item = matching.even_match_formula(pair, stream, top,
                                                strict=True, horizon=2**16)
         assert n == top_item.n
@@ -529,7 +528,7 @@ def match_cases(draw):
     mode = draw(st.sampled_from(("formula", "machine")))
     src_sys, src_digits = ((pair.sys_x, stream) if forward
                            else (pair.sys_y, stream))
-    top = BaseOrbitWalker(src_sys, src_digits).return_time() - 1
+    top = src_sys.return_time(*src_sys.carry(src_digits)) - 1
     k = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 12)))
     budget = draw(st.one_of(st.integers(0, 12), st.just(256)))
     if mode == "formula":
@@ -565,7 +564,7 @@ def test_two_way_readers_on_whole_columns():
         stream = SeededDigits(f"cols:{s}", pair.sys_x.cuts)
         for (forward, mode), (new, old) in READERS.items():
             src = pair.sys_x if forward else pair.sys_y
-            top = BaseOrbitWalker(src, stream).return_time()
+            top = src.return_time(*src.carry(stream))
             for opts in ([{"strict": False}, {"strict": True}]
                          if mode == "formula" else [{"window": 64}]):
                 for k in range(top):
@@ -600,7 +599,7 @@ def one_sided_cases(draw):
     forward = draw(st.booleans())
     src = pair.sys_x if forward else pair.sys_y
     try:
-        top = BaseOrbitWalker(src, stream).return_time() - 1
+        top = src.return_time(*src.carry(stream)) - 1
     except NeedMoreDepth:
         top = 0
     k = draw(st.one_of(st.just(top), st.integers(0, top), st.integers(0, 12)))
@@ -700,8 +699,8 @@ def walk_cases(draw):
     src, img = ((pair.sys_x, pair.sys_y) if forward
                 else (pair.sys_y, pair.sys_x))
     try:
-        top = BaseOrbitWalker(src, stream).return_time() - 1
-        pit = BaseOrbitWalker(img, stream).return_time()
+        top = src.return_time(*src.carry(stream)) - 1
+        pit = img.return_time(*img.carry(stream))
     except NeedMoreDepth:
         top = pit = 0
     # heights past the pile are arithmetic too; past the pit at shift 0
@@ -714,7 +713,7 @@ def walk_cases(draw):
     return pair, stream, forward, h, slack, horizon, budget
 
 
-def _walk_outcome(walk, image_point, *args):
+def _walk_outcome(walk, *args):
     """(n, d, margin, boundary, the image point's overrides and base
     stream), (margin,) past the horizon, or a failure as (type, message,
     budget)."""
@@ -724,7 +723,7 @@ def _walk_outcome(walk, image_point, *args):
         return type(e), str(e), getattr(e, "budget", None)
     if n is None:
         return (margin,)
-    digits = image_point(image).digits
+    digits = image.digits
     return (n, d, margin, margin == -args[4],
             getattr(digits, "overrides", {}), getattr(digits, "base", digits))
 
@@ -733,15 +732,13 @@ def _walk_outcome(walk, image_point, *args):
 @given(walk_cases())
 def test_one_walker_walk_is_the_two_walker_walk(case):
     # the image point's overrides are compared too: point_id reads them
-    got = _walk_outcome(matching._partial_sum_walk, lambda p: p, *case)
-    want = _walk_outcome(oracles._partial_sum_walk, BaseOrbitWalker.point,
-                         *case)
+    got = _walk_outcome(matching._partial_sum_walk, *case)
+    want = _walk_outcome(oracles._partial_sum_walk, *case)
     assert got == want
 
 
 def _oracle_stopping_time(pair, digits, horizon, strict, budget):
-    w = BaseOrbitWalker(pair.sys_x, digits)
-    h = pair.sys_x.return_time(*w.carry(budget)) - 1
+    h = pair.sys_x.return_time(*pair.sys_x.carry(digits, budget=budget)) - 1
     if h == 0:
         return 0
     n, _, margin, _ = oracles._partial_sum_walk(
@@ -791,8 +788,8 @@ def tail_cases(draw):
         {k: cuts(k) - 1 if forward else 0 for k in range(1, low + 1)})
     src, img = ((pair.sys_x, pair.sys_y) if forward
                 else (pair.sys_y, pair.sys_x))
-    top = BaseOrbitWalker(src, stream).return_time() - 1
-    pit = BaseOrbitWalker(img, stream).return_time()
+    top = src.return_time(*src.carry(stream)) - 1
+    pit = img.return_time(*img.carry(stream))
     # past the pit by j the sums must climb about j stages backward, to
     # shifts near 2^j, and a few forward, so most heights are drawn there
     past_pit = st.integers(pit + 1, pit + 14)
@@ -805,8 +802,7 @@ def tail_cases(draw):
 
 
 def _walk_stopping_time(pair, digits, horizon, strict, budget):
-    w = BaseOrbitWalker(pair.sys_x, digits)
-    h = pair.sys_x.return_time(*w.carry(budget)) - 1
+    h = pair.sys_x.return_time(*pair.sys_x.carry(digits, budget=budget)) - 1
     n, _, margin, _ = oracles.one_walker_walk(
         pair, digits, True, h, 1 if strict else 0, horizon, budget)
     if n is None:
@@ -833,8 +829,8 @@ def test_block_descent_is_the_shift_by_shift_walk(case):
     # equal n, d, margin, boundary and image point (overrides and base),
     # or the same exception, message and budget; the stopping time of the
     # same column, or the same HorizonExhausted horizon and running_min
-    got = _walk_outcome(matching._partial_sum_walk, lambda p: p, *case)
-    assert got == _walk_outcome(oracles.one_walker_walk, lambda p: p, *case)
+    got = _walk_outcome(matching._partial_sum_walk, *case)
+    assert got == _walk_outcome(oracles.one_walker_walk, *case)
     pair, stream, _, _, slack, horizon, budget = case
     args = (pair, stream, horizon, bool(slack), budget)
     assert (_stop_outcome(matching.stopping_time, *args)

@@ -11,7 +11,6 @@ from cutstack.errors import ExhaustedRules, NeedMoreDepth
 from cutstack.specs import StackingSpec, builtin_spec, random_spec
 from cutstack.towers import (
     SPACER,
-    BaseOrbitWalker,
     LevelSet,
     RankOnePoint,
     RankOneSystem,
@@ -157,90 +156,113 @@ def test_build_towers_matches_system():
     assert [s.width for s in stages] == [sys.width(i) for i in range(1, 6)]
 
 
-# -- walker ----------------------------------------------------------------
+# -- the induced base map: carry and advance --------------------------------
+
+
+def _steps(sys, digits, n, budget=256):
+    """n single induced steps: ([return time of each], digits after)."""
+    rs = []
+    for _ in range(n):
+        r, digits = sys.advance(digits, 1, budget)
+        rs.append(r)
+    return rs, digits
+
+
+def _state(digits):
+    """The stage digits the moves have set, from stage 1 up, like the
+    position walker's state()."""
+    over = getattr(digits, "overrides", {})
+    return tuple(over[k] for k in range(1, len(over) + 1))
 
 
 def test_walker_return_times_match_apply():
     # each induced step must agree with iterating T until the base returns
     for sys in systems():
         digits = SeededDigits("wk", sys.cuts)
-        w = BaseOrbitWalker(sys, digits)
-        p = w.point()
+        p = RankOnePoint(1, 0, digits)
         base = LevelSet(1, {0})
         for _ in range(25):
-            r = w.step()
+            r, digits = sys.advance(digits, 1)
             q = p
             for steps in range(1, r + 1):
                 q = sys.apply(q, 1)
                 hit = sys.in_level_set(base, q)
                 assert hit == (steps == r)
-            p = w.point()
+            p = RankOnePoint(1, 0, digits)
             assert sys.same_point(p, q)
 
 
 def test_walker_step_back_inverts_step():
     sys = RankOneSystem(builtin_spec("chacon"))
-    w = BaseOrbitWalker(sys, SeededDigits("bk", sys.cuts))
-    rs = [w.step() for _ in range(30)]
-    back = [w.step_back() for _ in range(30)]
+    start = SeededDigits("bk", sys.cuts)
+    rs, digits = _steps(sys, start, 30)
+    back = []
+    for _ in range(30):
+        r, digits = sys.advance(digits, -1)
+        back.append(-r)
     assert back == rs[::-1]
-    w2 = BaseOrbitWalker(sys, SeededDigits("bk", sys.cuts))
-    assert sys.same_point(w.point(), w2.point())
+    assert sys.same_point(RankOnePoint(1, 0, digits),
+                          RankOnePoint(1, 0, start))
 
 
 def test_walker_advance_equals_sum_of_steps():
     for sys in systems():
-        w1 = BaseOrbitWalker(sys, SeededDigits("adv", sys.cuts))
-        w2 = BaseOrbitWalker(sys, SeededDigits("adv", sys.cuts))
-        total = sum(w1.step() for _ in range(500))
-        assert w2.advance(500) == total
-        assert w1.state() == w2.state()
-        assert w2.advance(-500) == -total
+        start = SeededDigits("adv", sys.cuts)
+        rs, stepped = _steps(sys, start, 500)
+        total, jumped = sys.advance(start, 500)
+        assert total == sum(rs)
+        assert _state(jumped) == _state(stepped)
+        assert sys.advance(jumped, -500) == (-total, jumped.with_overrides(
+            {k: start.digit(k) for k in jumped.overrides}))
 
 
 def test_walker_odometer_matches_naive_carry():
     sys = RankOneSystem(builtin_spec("odometer(2,3)"))
-    w = BaseOrbitWalker(sys, PeriodicDigits((), (0,)))
+    state = PeriodicDigits((), (0,))
     bases = [2, 3, 2, 3, 2, 3, 2, 3]
     digits = [0] * len(bases)
     for _ in range(50):
-        w.step()
+        state = sys.advance(state, 1)[1]
         digits = oracles.naive_odometer_successor(digits, bases)
-        got = list(w.state())
-        assert got == digits[: len(got)]
+        assert [state.digit(k) for k in range(1, 9)] == digits
 
 
 def test_walker_return_time_peek_does_not_move():
     sys = RankOneSystem(builtin_spec("triple_heavy"))
-    w = BaseOrbitWalker(sys, SeededDigits("peek", sys.cuts))
-    r = w.return_time()
-    assert w.step() == r
+    digits = SeededDigits("peek", sys.cuts)
+    s, d = sys.carry(digits)
+    assert sys.advance(digits, 1)[0] == sys.return_time(s, d)
+    assert sys.return_time(*sys.carry(digits, 1, -1)) == -sys.advance(
+        digits, -1)[0]
 
 
-# -- the return-time table walker against the two-position oracle ----------
+# -- carry and advance against the two-position oracle ---------------------
 
 
-def _walker_pair(spec, stream):
-    return (BaseOrbitWalker(RankOneSystem(spec), stream),
-            oracles.PositionWalker(RankOneSystem(spec), stream))
+def _move(sys, digits, m):
+    """0 peeks with carry, anything else advances by m: (result, digits)."""
+    if m == 0:
+        return sys.return_time(*sys.carry(digits)), digits
+    return sys.advance(digits, m)
 
 
-def _move(w, m):
-    """0 peeks, 1 steps, -1 steps back, anything else advances by m."""
+def _oracle_move(w, m):
+    """The same move on the position walker: 0 peeks, 1 steps, -1 steps
+    back (the step's time, negated), anything else advances by m."""
     if m == 0:
         return w.return_time()
     if m == 1:
         return w.step()
     if m == -1:
-        return w.step_back()
+        return -w.step_back()
     return w.advance(m)
 
 
-def _outcome(w, call):
+def _outcome(call, *args):
     try:
-        return call(w), w.state()
+        return call(*args)
     except Exception as e:
-        return (type(e), str(e), getattr(e, "budget", None)), w.state()
+        return type(e), str(e), getattr(e, "budget", None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -249,86 +271,96 @@ def _outcome(w, call):
 def test_table_walker_is_the_position_walker(seed, tail, moves):
     spec = random_spec(seed)
     sys = RankOneSystem(spec)
-    new, old = _walker_pair(spec, SeededDigits(f"tw:{tail}", sys.cuts))
+    digits = SeededDigits(f"tw:{tail}", sys.cuts)
+    old = oracles.PositionWalker(RankOneSystem(spec), digits)
     for m in moves:
-        assert _move(new, m) == _move(old, m)
-        assert new.state() == old.state()
+        got, digits = _move(sys, digits, m)
+        assert got == _oracle_move(old, m)
+        assert _state(digits) == old.state()
 
 
 def _give_up_calls(spec, budget):
-    """(stream, call, error on a finite spec) for calls that carry through
-    every digit: maximal digits forward, zero digits backward.  A borrow
-    over zeros writes c - 1 at every stage it passes, so it reads each
-    cut count and runs out of rules like a forward carry."""
+    """(stream, read, oracle move, error on a finite spec) for moves that
+    carry through every digit: maximal digits forward, zero digits
+    backward.  A borrow over zeros writes c - 1 at every stage it passes,
+    so it reads each cut count and runs out of rules like a forward
+    carry."""
     sys = RankOneSystem(spec)
     top = PeriodicDigits([sys.cuts(k) - 1 for k in range(1, 12)],
                          (sys.cuts(12) - 1,))
     return [
-        (top, lambda w: w.step(budget), ExhaustedRules),
-        (top, lambda w: w.return_time(), ExhaustedRules),
-        (zeros(), lambda w: w.step_back(budget), ExhaustedRules),
-        (top, lambda w: w.advance(1, budget), ExhaustedRules),
+        (top, lambda s, d: s.advance(d, 1, budget)[0],
+         lambda w: w.step(budget), ExhaustedRules),
+        (top, lambda s, d: s.return_time(*s.carry(d)),
+         lambda w: w.return_time(), ExhaustedRules),
+        (zeros(), lambda s, d: -s.advance(d, -1, budget)[0],
+         lambda w: w.step_back(budget), ExhaustedRules),
+        (top, lambda s, d: s.advance(d, 1, budget)[0],
+         lambda w: w.advance(1, budget), ExhaustedRules),
     ]
+
+
+def _give_up(spec, stream, read, move):
+    """The read's outcome, which must be the position walker's, whose point
+    after the give-up must be its point before."""
+    old = oracles.PositionWalker(RankOneSystem(spec), stream)
+    before = old.point()
+    got = _outcome(read, RankOneSystem(spec), stream)
+    assert got == _outcome(move, old)
+    after = old.point()
+    assert all(after.digits.digit(k) == before.digits.digit(k)
+               for k in range(1, len(old.state()) + 2))
+    return got
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), budget=st.integers(0, 12))
 def test_table_walker_gives_up_where_the_position_walker_does(seed, budget):
     spec = random_spec(seed)
-    for stream, call, _ in _give_up_calls(spec, budget):
-        new, old = _walker_pair(spec, stream)
-        got = _outcome(new, call)
-        assert got == _outcome(old, call)
-        assert got[0][0] is NeedMoreDepth
+    for stream, read, move, _ in _give_up_calls(spec, budget):
+        assert _give_up(spec, stream, read, move)[0] is NeedMoreDepth
     # a finite spec runs out of rules at the same stage
     finite = StackingSpec(spec.name, spec.initial_height,
                           spec.prefix + spec.tail, ())
-    for stream, call, error in _give_up_calls(spec, 256):
-        new, old = _walker_pair(finite, stream)
-        got = _outcome(new, call)
-        assert got == _outcome(old, call)
-        assert got[0][0] is error
+    for stream, read, move, error in _give_up_calls(spec, 256):
+        assert _give_up(finite, stream, read, move)[0] is error
 
 
 def test_every_move_reads_a_budget_one_way():
-    # step is advance(1), step_back is -advance(-1) and carry peeks at
-    # advance(1): each gives up past stage budget + 1, and a negative
-    # budget allows no carry at all
+    # a carry and an advance by one give up alike, past stage budget + 1,
+    # forward and backward, and a negative budget allows no carry at all
     sys = RankOneSystem(builtin_spec("chacon"))
     up = PeriodicDigits((2, 2, 2), (0,))  # a step carries into stage 4
     down = PeriodicDigits((0, 0, 0), (1,))
     for budget in range(-2, 6):
-        for stream, one, other in (
-            (zeros(), lambda w: w.step(budget),
-             lambda w: w.advance(1, budget)),
-            (up, lambda w: w.step(budget), lambda w: w.advance(1, budget)),
-            (up, lambda w: sys.return_time(*w.carry(budget)),
-             lambda w: w.advance(1, budget)),
-            (down, lambda w: w.step_back(budget),
-             lambda w: -w.advance(-1, budget)),
-        ):
-            got = _outcome(BaseOrbitWalker(sys, stream), one)
-            assert got[0] == _outcome(BaseOrbitWalker(sys, stream), other)[0]
+        for stream, step in ((zeros(), 1), (up, 1), (down, -1)):
+            got = _outcome(lambda: sys.return_time(
+                *sys.carry(stream, 1, step, budget)))
+            want = _outcome(lambda: step * sys.advance(stream, step,
+                                                       budget)[0])
+            assert got == want
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 def test_a_move_that_gives_up_moves_nothing(budget):
     # the carry runs through stages 1 .. budget + 1 without settling: the
-    # digits it read are kept, and none is changed
+    # read raises, and the stream it was given still reads as before
     sys = RankOneSystem(builtin_spec("chacon"))
-    for digit, edge, moves in (
-            (2, "maximal", (lambda w: w.step(budget),
-                            lambda w: w.advance(2, budget),
-                            lambda w: w.advance(40, budget))),
-            (0, "zero", (lambda w: w.step_back(budget),
-                         lambda w: w.advance(-2, budget),
-                         lambda w: w.advance(-40, budget)))):
-        for move in moves:
-            w = BaseOrbitWalker(sys, PeriodicDigits((), (digit,)))
+    for digit, edge, reads in (
+            (2, "maximal", (lambda d: sys.carry(d, 1, 1, budget),
+                            lambda d: sys.advance(d, 1, budget),
+                            lambda d: sys.advance(d, 2, budget),
+                            lambda d: sys.advance(d, 40, budget))),
+            (0, "zero", (lambda d: sys.carry(d, 1, -1, budget),
+                         lambda d: sys.advance(d, -1, budget),
+                         lambda d: sys.advance(d, -2, budget),
+                         lambda d: sys.advance(d, -40, budget)))):
+        for read in reads:
+            stream = PeriodicDigits((), (digit,))
             with pytest.raises(NeedMoreDepth,
                                match=f"all digits {edge} within budget"):
-                move(w)
-            assert w.state() == (digit,) * (budget + 1)
+                read(stream)
+            assert stream == PeriodicDigits((), (digit,))
 
 
 def test_same_point_compares_periodic_streams_exactly():

@@ -179,6 +179,7 @@ def test_cli_match_negative_count_exit_3(tmp_path, option, value):
 NO_PAIR = "validation_error: match needs --pair, or --left with --right"
 NONEVEN = ("match", "--mode", "noneven", "--pair", "chacon_triple",
            "--samples", "5")
+MATCH5 = ("match", "--pair", "dyadic", "--samples", "5")
 NOT_PERIODIC = "validation_error: induce needs an exact, periodic angle"
 TAIL = '"tail": [{"cuts": 2, "above": [0, 1]}]'
 DSL_TAIL = "\nstage * : cuts=2 above=[0,1] below=0\n"
@@ -187,6 +188,10 @@ BAD_SPECS = {  # spec files: JSON by their suffix, DSL otherwise
     "stages.json": '{"stages": 5}',
     "h1.json": '{"h1": "2", "tail": [{"cuts": 2, "above": [0, 1]}]}',
     "above.json": '{"tail": [{"cuts": 2, "above": [0, 1.5]}]}',
+    "h1bool.json": '{"h1": true, ' + TAIL + "}",
+    "cutsbool.json": '{"tail": [{"cuts": true, "above": [0]}]}',
+    "boolspec.json": ('{"h1": 1, "tail": [{"cuts": 2, "above": [true, false], '
+                      '"below": false}]}'),
     "slash.json": '{"system": "a/b", ' + TAIL + "}",
     "listname.json": '{"system": [1], ' + TAIL + "}",
     "dot.json": '{"system": ".", ' + TAIL + "}",
@@ -248,6 +253,18 @@ NO_FILE_NAME = ("parse_error: bad structured spec: "
      2, "parse_error: system name cannot name a file: '..' (line 1)"),
     (("build", "nul.spec"),
      2, "parse_error: system name cannot name a file: 'a\\x00b' (line 1)"),
+    (("build", "h1bool.json"),
+     2, "parse_error: bad structured spec: h1 must be an integer: True"),
+    (("build", "cutsbool.json"), 2, "parse_error: bad stage object: counts "
+     "must be integers: {'cuts': True, 'above': [0]}"),
+    (("build", "boolspec.json"), 2, "parse_error: bad stage object: counts "
+     "must be integers: {'cuts': 2, 'above': [True, False], 'below': False}"),
+    (MATCH5 + ("--max-unstable", "-1"), 3,
+     "validation_error: --max-unstable must lie in [0, 1], got -1.0"),
+    (MATCH5 + ("--max-unstable", "nan"), 3,
+     "validation_error: --max-unstable must lie in [0, 1], got nan"),
+    (MATCH5 + ("--max-unstable", "1.5"), 3,
+     "validation_error: --max-unstable must lie in [0, 1], got 1.5"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     for name, body in BAD_SPECS.items():
