@@ -12,7 +12,6 @@ into the adding machine with digit sizes (p, q, q, ...).
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digits import DigitStream, OverlayDigits, mixed_radix_add, zeros
 from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
@@ -237,14 +236,6 @@ def odometer_successor(spec, point, budget=256):
 
 def odometer_predecessor(spec, point, budget=256):
     return odometer_apply(spec, point, -1, budget)
-
-
-def cylinder_mass(spec, depth):
-    """Mass of any cylinder fixing the first `depth` digits."""
-    m = Fraction(1)
-    for k in range(1, depth + 1):
-        m /= spec.base(k)
-    return m
 
 
 def truncated_value(spec, point, depth):

@@ -308,8 +308,7 @@ def _match_noneven(ctx, pair):
 
 def cmd_ergodic(ctx):
     args = ctx.args
-    _require_at_least(args, 1, "n")
-    _require_at_least(args, 0, "samples")
+    _require_at_least(args, 1, "n", "samples")
     spec = load_spec(ctx, args.system)
     sys_ = RankOneSystem(spec)
     rep = ergodic.kac_check(sys_, args.n, args.samples, seed=args.seed)

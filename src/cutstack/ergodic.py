@@ -46,7 +46,7 @@ class ErgodicReport:
 
     @property
     def max_abs_dev(self):
-        return max((r.abs_dev for r in self.rows), default=Fraction(0))
+        return max(r.abs_dev for r in self.rows)
 
     def csv_lines(self):
         lines = ["sample_id,n,average_num,average_den,target_num,target_den,abs_dev"]
@@ -61,6 +61,8 @@ class ErgodicReport:
 def kac_check(system, n, samples, seed=0):
     """Sampled return-time averages against the exact expectation
     1 / mass(base level); the expectation equals the spec's total mass."""
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     target = system.spec.total_mass()
     rows = []
     for s in range(samples):

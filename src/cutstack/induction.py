@@ -319,11 +319,6 @@ def induced_apply(system, A, point):
     return _first_hit(system, A, point, 1)[1]
 
 
-def induced_inverse(system, A, point):
-    """The inverse of the induced map: walk backwards to the previous A-hit."""
-    return _first_hit(system, A, point, -1)[1]
-
-
 # ---------------------------------------------------------------------------
 # Column decompositions and skyscrapers
 

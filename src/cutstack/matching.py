@@ -257,8 +257,9 @@ def return_window(system, digits, window, budget=256):
 class PilePitFrame:
     """One machine run: pile i holds items (i, h), 1 <= h < ra[i]; pit j
     offers slots (j, d), 1 <= d < rb[j]; at shift n pile i drops its lowest
-    remaining items into the lowest free slots of pit i + n.  A placed
-    item's slot is the same in every wider window (see _ballot_scan)."""
+    remaining items into the lowest free slots of pit i + n.  _ballot_scan
+    runs it as one pass over a stack of items, and a placed item's slot is
+    the same in every wider window."""
 
     window: int
     ra: dict
@@ -271,41 +272,45 @@ class PilePitFrame:
 
 def _ballot_scan(ra, rb, W):
     """The machine's (assignment, unplaced, unfilled) on piles and pits
-    -W..W, in one left-to-right pass.
+    -W..W, in one left-to-right pass over a stack of items (i, h).
 
-    Pit j is visited by piles j, j-1, j-2, ... in that order, so piles with
-    items left form a stack, newest on top: push pile j, then fill pit j's
-    slots from the top pile's lowest remaining item, popping piles as they
-    empty.  Widening the window cannot move a placed slot: piles added on
-    the left are pushed first, so they sit below every pile of the narrower
-    window and only reach slots it left unfilled, and piles added on the
-    right come after pit W."""
+    Pit j is visited by piles j, j-1, j-2, ... in that order: push pile j's
+    items highest first, so its lowest is on top, then pop one item for
+    each of pit j's slots, lowest slot first.  The items left are
+    unplaced; the stack holds piles in increasing i, so sorting it orders
+    them by pile, then height.  Widening the window cannot move a placed
+    slot: piles added on the left are pushed first, so their items sit
+    below every item of the narrower window and only reach slots it left
+    unfilled, and piles added on the right come after pit W."""
     assignment = {}
     unfilled = []
-    stack = []  # [pile, next item] for piles with items left
+    stack = []
     for j in range(-W, W + 1):
-        if ra[j] > 1:
-            stack.append([j, 1])
-        for d in range(1, rb[j]):
-            if not stack:
-                unfilled.append((j, d))
-                continue
-            top = stack[-1]
-            i, h = top
-            assignment[(i, h)] = (j, d)
-            if h + 1 < ra[i]:
-                top[1] = h + 1
+        a = ra[j]
+        if a == 2:
+            stack.append((j, 1))
+        elif a > 2:
+            stack += [(j, h) for h in range(a - 1, 0, -1)]
+        b = rb[j]
+        if b == 2:
+            if stack:
+                assignment[stack.pop()] = (j, 1)
             else:
-                stack.pop()
-    unplaced = [(i, h) for i, nxt in stack for h in range(nxt, ra[i])]
-    return assignment, unplaced, unfilled
+                unfilled.append((j, 1))
+        elif b > 2:
+            for d in range(1, b):
+                if stack:
+                    assignment[stack.pop()] = (j, d)
+                else:
+                    unfilled.append((j, d))
+    return assignment, sorted(stack), unfilled
 
 
 def build_frame(pair, digits, window, budget=256):
     ra = return_window(pair.sys_x, digits, window, budget)
     rb = return_window(pair.sys_y, digits, window, budget)
     assignment, unplaced, unfilled = _ballot_scan(ra, rb, window)
-    inverse = {v: k for k, v in assignment.items()}
+    inverse = dict(zip(assignment.values(), assignment))
     return PilePitFrame(window, ra, rb, assignment, inverse, unplaced,
                         unfilled)
 

@@ -271,16 +271,3 @@ def surd_from_cf(prefix, period):
     den = t * qb + qa
     return num / den
 
-
-def cf_terms_of(x, count):
-    """First `count` continued fraction terms of a Surd (exact)."""
-    terms = []
-    cur = x
-    for _ in range(count):
-        a = cur.floor()
-        terms.append(a)
-        frac = cur - a
-        if frac.sign() == 0:
-            break
-        cur = Surd(1) / frac
-    return terms

@@ -21,9 +21,9 @@ from cutstack.errors import (
     WindowEdge,
     WindowExhausted,
 )
-from cutstack.induction import IntervalUnion, lift
+from cutstack.induction import IntervalUnion, _first_hit, lift
 from cutstack.matching import build_frame
-from cutstack.quadratic import _reduce_root
+from cutstack.quadratic import Surd, _reduce_root
 from cutstack.towers import RankOnePoint
 
 SPACER = "spacer"
@@ -143,6 +143,33 @@ def deposit_frame(ra, rb, W):
     unfilled = [
         (j, d) for j in range(-W, W + 1) for d in range(fill[j] + 1, cap[j] + 1)
     ]
+    return assignment, unplaced, unfilled
+
+
+def pile_stack_scan(ra, rb, W):
+    """The ballot scan as one pass over a stack of piles, each held as a
+    mutable [pile, next item] pair: push pile j, then fill pit j's slots
+    from the top pile's lowest remaining item, popping piles as they
+    empty.  Returns (assignment, unplaced, unfilled) in the scan's format
+    (matching._ballot_scan before it kept a stack of items)."""
+    assignment = {}
+    unfilled = []
+    stack = []  # [pile, next item] for piles with items left
+    for j in range(-W, W + 1):
+        if ra[j] > 1:
+            stack.append([j, 1])
+        for d in range(1, rb[j]):
+            if not stack:
+                unfilled.append((j, d))
+                continue
+            top = stack[-1]
+            i, h = top
+            assignment[(i, h)] = (j, d)
+            if h + 1 < ra[i]:
+                top[1] = h + 1
+            else:
+                stack.pop()
+    unplaced = [(i, h) for i, nxt in stack for h in range(nxt, ra[i])]
     return assignment, unplaced, unfilled
 
 
@@ -897,3 +924,34 @@ def piece_difference(u, v):
             pieces = nxt
         out.extend(pieces)
     return IntervalUnion(out)
+
+
+# ---------------------------------------------------------------------------
+# Definitions that only the tests call, kept here rather than in the package
+
+
+def cylinder_mass(spec, depth):
+    """Mass of any cylinder fixing the first `depth` digits."""
+    m = Fraction(1)
+    for k in range(1, depth + 1):
+        m /= spec.base(k)
+    return m
+
+
+def induced_inverse(system, A, point):
+    """The inverse of the induced map: walk backwards to the previous A-hit."""
+    return _first_hit(system, A, point, -1)[1]
+
+
+def cf_terms_of(x, count):
+    """First `count` continued fraction terms of a Surd (exact)."""
+    terms = []
+    cur = x
+    for _ in range(count):
+        a = cur.floor()
+        terms.append(a)
+        frac = cur - a
+        if frac.sign() == 0:
+            break
+        cur = Surd(1) / frac
+    return terms

@@ -90,6 +90,12 @@ def test_pushforward_check_refuses_no_samples():
         ergodic.pushforward_check(matching.dyadic_even_pair(), 0)
 
 
+def test_kac_check_refuses_no_samples():
+    # a deviation over no samples would read 0 and pass
+    with pytest.raises(ValueError, match="need samples >= 1"):
+        ergodic.kac_check(system("chacon"), 3, 0)
+
+
 def test_estimate_N_benchmark_pair():
     # the orbit_formula benchmark's set-up: N_x = 6, N_y = 17
     pair = matching.chacon_triple_noneven_pair()

@@ -119,7 +119,7 @@ def test_return_time_and_induced_apply_rank_one():
         q = induction.induced_apply(ad, base, p)
         digits = sys.advance(digits, 1)[1]
         assert sys.same_point(q, RankOnePoint(1, 0, digits))
-        back = induction.induced_inverse(ad, base, q)
+        back = oracles.induced_inverse(ad, base, q)
         assert sys.same_point(back, p)
         p = q
 

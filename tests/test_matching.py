@@ -306,6 +306,36 @@ def test_ballot_scan_is_the_deposit_machine_and_final(case):
     assert all(wider[item] == slot for item, slot in scan[0].items())
 
 
+def _assert_same_scan(ra, rb, W):
+    got = matching._ballot_scan(ra, rb, W)
+    want = oracles.pile_stack_scan(ra, rb, W)
+    assert list(got[0].items()) == list(want[0].items())  # slot order too
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_windows())
+# pile -1 holds one item, pile 0 three; pit 0 has one slot and pit 1 four,
+# so pit 1 runs out of items after three
+@example(({-1: 2, 0: 4, 1: 1}, {-1: 1, 0: 2, 1: 5}, 0, 1))
+def test_item_stack_scan_is_the_pile_stack_scan(case):
+    ra, rb, W, wide = case
+    _assert_same_scan(ra, rb, W)
+    _assert_same_scan(ra, rb, wide)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "identity_chacon"])
+@pytest.mark.parametrize("W", [256, 1024, 4096])
+def test_item_stack_scan_on_real_frames(name, W):
+    pair = (matching.dyadic_even_pair() if name == "dyadic"
+            else matching.identity_pair("chacon"))
+    stream = SeededDigits(f"scan:{name}:{W}", pair.sys_x.cuts)
+    ra = matching.return_window(pair.sys_x, stream, W)
+    rb = matching.return_window(pair.sys_y, stream, W)
+    _assert_same_scan(ra, rb, W)
+
+
 def test_placed_assignments_survive_window_doubling():
     pair = dyadic()
     for s in range(6):

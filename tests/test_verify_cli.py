@@ -215,7 +215,7 @@ NO_FILE_NAME = ("parse_error: bad structured spec: "
     (("ergodic", "--system", "chacon", "--n", "0"),
      3, "validation_error: --n must be >= 1, got 0"),
     (("ergodic", "--system", "chacon", "--samples", "-1"),
-     3, "validation_error: --samples must be >= 0, got -1"),
+     3, "validation_error: --samples must be >= 1, got -1"),
     (("match",), 3, NO_PAIR),
     (("match", "--left", "chacon"), 3, NO_PAIR),
     (("induce",), 3, "validation_error: induce needs --system or --angle"),
@@ -265,6 +265,8 @@ NO_FILE_NAME = ("parse_error: bad structured spec: "
      "validation_error: --max-unstable must lie in [0, 1], got nan"),
     (MATCH5 + ("--max-unstable", "1.5"), 3,
      "validation_error: --max-unstable must lie in [0, 1], got 1.5"),
+    (("ergodic", "--system", "chacon", "--n", "3", "--samples", "0"),
+     3, "validation_error: --samples must be >= 1, got 0"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     for name, body in BAD_SPECS.items():
