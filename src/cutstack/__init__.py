@@ -34,13 +34,8 @@ from .specs import (
     spec_to_json,
     validate_spec,
 )
-from .towers import (
-    LevelSet,
-    RankOnePoint,
-    RankOneSystem,
-    build_towers,
-)
-from .quadratic import Surd, cf_convergents, surd_from_cf
+from .towers import LevelSet, RankOnePoint, RankOneSystem
+from .quadratic import Surd, surd_from_cf
 from .arithmetic import (
     OdometerPoint,
     OdometerSpec,
@@ -80,9 +75,7 @@ __all__ = [
     "LevelSet",
     "RankOnePoint",
     "RankOneSystem",
-    "build_towers",
     "Surd",
-    "cf_convergents",
     "surd_from_cf",
     "OdometerPoint",
     "OdometerSpec",

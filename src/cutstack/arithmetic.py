@@ -234,20 +234,6 @@ def odometer_successor(spec, point, budget=256):
     return odometer_apply(spec, point, 1, budget)
 
 
-def odometer_predecessor(spec, point, budget=256):
-    return odometer_apply(spec, point, -1, budget)
-
-
-def truncated_value(spec, point, depth):
-    """The integer the first `depth` digits encode (mixed radix)."""
-    val = 0
-    mult = 1
-    for k in range(1, depth + 1):
-        val += point.digit(k) * mult
-        mult *= spec.base(k)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Prefix inducing (rational case)
 
@@ -264,7 +250,6 @@ class PrefixInduction:
 
     q: int
     p: int
-    tower_spec: object  # StackingSpec of the q-adic tower
     system: RankOneSystem
     odometer: OdometerSpec
 
@@ -345,7 +330,6 @@ def induce_odometer_prefix(q, p):
     tower induce the (p, q, q, ...) adding machine."""
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
-    spec = q_adic_tower_spec(q)
-    system = RankOneSystem(spec)
+    system = RankOneSystem(q_adic_tower_spec(q))
     odo = OdometerSpec((p,), (q,))
-    return PrefixInduction(q, p, spec, system, odo)
+    return PrefixInduction(q, p, system, odo)

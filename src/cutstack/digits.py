@@ -116,9 +116,6 @@ class OverlayDigits(DigitStream):
             return self.overrides[k]
         return self.base.digit(k)
 
-    def max_override(self):
-        return max(self.overrides)
-
     def __eq__(self, other):
         if not isinstance(other, OverlayDigits):
             return NotImplemented
@@ -146,7 +143,7 @@ def explicit_extent(stream):
     """
     if isinstance(stream, OverlayDigits):
         inner = explicit_extent(stream.base)
-        return max(inner, stream.max_override())
+        return max(inner, max(stream.overrides))
     if isinstance(stream, PeriodicDigits):
         return stream.start - 1 + len(stream.prefix)
     return stream.start - 1

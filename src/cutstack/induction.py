@@ -18,35 +18,7 @@ from .towers import LevelSet
 
 
 # ---------------------------------------------------------------------------
-# Level-set algebra (exact Boolean algebra at a common stage)
-
-
-def _check_common_stage(a, b):
-    if a.stage != b.stage:
-        raise ValueError(
-            f"level sets live at stages {a.stage} and {b.stage}; lift first"
-        )
-
-
-def union(a, b):
-    _check_common_stage(a, b)
-    return LevelSet(a.stage, a.level_indices | b.level_indices)
-
-
-def intersect(a, b):
-    _check_common_stage(a, b)
-    return LevelSet(a.stage, a.level_indices & b.level_indices)
-
-
-def difference(a, b):
-    _check_common_stage(a, b)
-    return LevelSet(a.stage, a.level_indices - b.level_indices)
-
-
-def complement(system, a):
-    """Complement within the stage-k union of levels (the stack)."""
-    full = frozenset(range(system.height(a.stage)))
-    return LevelSet(a.stage, full - a.level_indices)
+# Level sets
 
 
 def lift(system, a, to_stage):

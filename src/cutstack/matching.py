@@ -45,7 +45,7 @@ from .errors import (
     WindowExhausted,
 )
 from .specs import builtin_spec
-from .towers import LevelSet, RankOnePoint, RankOneSystem, odometer_add
+from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +837,8 @@ def noneven_prepare(pair, eps, N, samples=64, seed=0):
     a block longer than 2N, and certify pile <= pit on samples.
 
     eps must be an admissible rate gap (noneven_eps_bound)."""
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     noneven_eps_bound(pair, eps)
     m0 = 1
     while _block_size(pair, m0) <= 2 * N:
@@ -909,12 +911,10 @@ def noneven_image_successor(plan, y):
     Above a b-set point the image is the first pile levels of its pit, so
     the successor of a point at depth D is the next level when D + 1 <
     pile, and otherwise the next b-set point on the Y orbit: the digits
-    advanced by one block, one add from stage m + 1."""
+    advanced by one block, one RankOneSystem.advance (digits 1..m of a
+    b-set point are 0, so the carry starts at stage m + 1)."""
     sys_y = plan.pair.sys_y
     D, y_base = height_above_base(sys_y, plan.b_set, y)
     if D + 1 < pile_height(plan, y_base.digits):
         return sys_y.apply(y, 1, 256)
-    digits = y_base.digits
-    new = odometer_add(digits.digit, sys_y.cuts, 1, plan.m + 1, 256)
-    return RankOnePoint(1, 0, digits.with_overrides(
-        {plan.m + 1 + j: v for j, v in enumerate(new)}))
+    return RankOnePoint(1, 0, sys_y.advance(y_base.digits, plan.block)[1])

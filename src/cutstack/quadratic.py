@@ -230,18 +230,6 @@ class Surd:
 # Continued fractions
 
 
-def cf_convergents(terms):
-    """Successive convergents p/q of a finite term list."""
-    p0, q0 = 1, 0
-    p1, q1 = terms[0], 1
-    out = [(p1, q1)]
-    for a in terms[1:]:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append((p1, q1))
-    return out
-
-
 def surd_from_cf(prefix, period):
     """Exact value of the eventually periodic continued fraction
     [prefix; period, period, ...] (a quadratic irrational).

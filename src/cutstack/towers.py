@@ -12,7 +12,6 @@ one signed add.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .digits import (
@@ -49,14 +48,6 @@ class LevelSet:
 
     def __len__(self):
         return len(self.level_indices)
-
-
-@dataclass
-class TowerStage:
-    index: int
-    height: int
-    width: Fraction
-    level_provenance: list  # per level: ("spacer",) or ("copy", column, level)
 
 
 SPACER = object()  # residual symbol for read_names
@@ -181,9 +172,6 @@ class RankOneSystem:
         """Mass not yet inside the stage-i stack (the spacer reservoir)."""
         return 1 - self.height(i) * self.width(i)
 
-    def stage(self, i):
-        return TowerStage(i, self.height(i), self.width(i), self.provenance(i))
-
     def decompose(self, k, idx):
         """One provenance step for stage-k level idx (k >= 2).
 
@@ -197,17 +185,12 @@ class RankOneSystem:
             return ("copy", a, idx - offs[a])
         return ("spacer",)
 
-    def provenance(self, i):
-        if i == 1:
-            return [("spacer",)] * self.height(1)  # primordial levels
-        return [self.decompose(i, idx) for idx in range(self.height(i))]
-
     # -- points -------------------------------------------------------------
 
-    def base_point(self, digits=None, level=0):
+    def base_point(self, digits=None):
         if digits is None:
             digits = zeros()
-        return RankOnePoint(1, level, digits)
+        return RankOnePoint(1, 0, digits)
 
     def random_point(self, rng, stage, seed=None):
         """Uniform over the stage-`stage` stack (all levels equal width),
@@ -381,14 +364,6 @@ class RankOneSystem:
                 }
             )
         return rows
-
-
-def build_towers(spec, depth):
-    """Stages 1..depth with exact heights, widths, and provenance."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    sys = RankOneSystem(spec)
-    return [sys.stage(i) for i in range(1, depth + 1)]
 
 
 # ---------------------------------------------------------------------------

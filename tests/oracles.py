@@ -955,3 +955,13 @@ def cf_terms_of(x, count):
             break
         cur = Surd(1) / frac
     return terms
+
+
+def truncated_value(spec, point, depth):
+    """The integer the first `depth` digits encode (mixed radix)."""
+    val = 0
+    mult = 1
+    for k in range(1, depth + 1):
+        val += point.digit(k) * mult
+        mult *= spec.base(k)
+    return val

@@ -24,7 +24,6 @@ from cutstack.arithmetic import (
     induced_exchange,
     odometer_successor,
     sqrt2_minus_1,
-    truncated_value,
 )
 from cutstack.digits import SeededDigits
 from cutstack.quadratic import Surd

@@ -14,18 +14,6 @@ from cutstack.specs import builtin_spec
 from cutstack.towers import LevelSet, RankOnePoint, RankOneSystem
 
 
-def test_level_set_algebra():
-    a = LevelSet(3, {0, 1, 5})
-    b = LevelSet(3, {1, 2})
-    assert induction.union(a, b).level_indices == {0, 1, 2, 5}
-    assert induction.intersect(a, b).level_indices == {1}
-    assert induction.difference(a, b).level_indices == {0, 5}
-    sys = RankOneSystem(builtin_spec("chacon"))
-    comp = induction.complement(sys, a)
-    assert len(comp) == sys.height(3) - 3
-    assert induction.intersect(a, comp).level_indices == frozenset()
-
-
 def test_lift_preserves_measure():
     sys = RankOneSystem(builtin_spec("triple_heavy"))
     a = LevelSet(2, {0, 3})

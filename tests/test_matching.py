@@ -941,6 +941,14 @@ def test_noneven_eps_guard():
         matching.noneven_prepare(pair, Fraction(0), 12)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_noneven_prepare_refuses_no_samples(samples):
+    # a plan certified on no point has no margins for min() to read
+    pair = matching.chacon_triple_noneven_pair()
+    with pytest.raises(ValueError, match="need samples >= 1"):
+        matching.noneven_prepare(pair, Fraction(1, 4), 12, samples=samples)
+
+
 def test_noneven_plan_block_and_margins():
     pair, plan = noneven_plan()
     assert plan.block == 3**plan.m

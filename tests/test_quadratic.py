@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack.quadratic import Surd, cf_convergents, surd_from_cf
+from cutstack.quadratic import Surd, surd_from_cf
 
 SQRT2 = Surd.sqrt(2)
 SQRT5 = Surd.sqrt(5)
@@ -66,11 +66,6 @@ def test_approx_is_close_rational():
     x = (SQRT5 - 1) / 2
     golden = (math.sqrt(5) - 1) / 2
     assert abs(float(x.approx(bits=80)) - golden) < 1e-15
-
-
-def test_cf_convergents_sqrt2():
-    conv = cf_convergents([1, 2, 2, 2, 2, 2])
-    assert conv[-1] == (99, 70)
 
 
 def test_surd_from_cf_known_values():

@@ -9,13 +9,7 @@ import oracles
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
 from cutstack.errors import ExhaustedRules, NeedMoreDepth
 from cutstack.specs import StackingSpec, builtin_spec, random_spec
-from cutstack.towers import (
-    SPACER,
-    LevelSet,
-    RankOnePoint,
-    RankOneSystem,
-    build_towers,
-)
+from cutstack.towers import SPACER, LevelSet, RankOnePoint, RankOneSystem
 
 NAMES = ["chacon", "dyadic_pair_left", "dyadic_pair_right", "triple_heavy",
          "odometer(2)", "odometer(2,3)"]
@@ -55,7 +49,8 @@ def test_provenance_matches_explicit_lists():
             prev = stages[i - 2]
             cur = stages[i - 1]
             offs = sys.offsets(i - 1)
-            for pos, step in enumerate(sys.provenance(i)):
+            for pos in range(sys.height(i)):
+                step = sys.decompose(i, pos)
                 if step[0] == "spacer":
                     assert cur[pos] == ("level", i, pos)
                 else:
@@ -146,14 +141,6 @@ def test_random_specs_recover_spacers(seed):
         below, above = sys.recover_spacers(i)
         rule = sys.spec.rule(i)
         assert (below, above) == (rule.spacers_below, rule.spacers_above)
-
-
-def test_build_towers_matches_system():
-    spec = builtin_spec("triple_heavy")
-    sys = RankOneSystem(spec)
-    stages = build_towers(spec, 5)
-    assert [s.height for s in stages] == [sys.height(i) for i in range(1, 6)]
-    assert [s.width for s in stages] == [sys.width(i) for i in range(1, 6)]
 
 
 # -- the induced base map: carry and advance --------------------------------
