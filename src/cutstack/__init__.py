@@ -37,8 +37,6 @@ from .specs import (
 from .towers import LevelSet, RankOnePoint, RankOneSystem
 from .quadratic import Surd, surd_from_cf
 from .arithmetic import (
-    OdometerPoint,
-    OdometerSpec,
     RotationAngle,
     RotationPoint,
     golden_minus_1,
@@ -77,8 +75,6 @@ __all__ = [
     "RankOneSystem",
     "Surd",
     "surd_from_cf",
-    "OdometerPoint",
-    "OdometerSpec",
     "RotationAngle",
     "RotationPoint",
     "golden_minus_1",

@@ -5,18 +5,18 @@ an eventually periodic continued fraction: a point is an integer pair
 (a, b) meaning frac(a + b*alpha), and every membership or comparison
 query is decided exactly.
 
-Odometers are add-one-with-carry maps on mixed-radix digit streams; the
-prefix-inducing construction turns the first p levels of a height-q tower
-into the adding machine with digit sizes (p, q, q, ...).
+The prefix-inducing construction turns the first p levels of a height-q
+tower into the adding machine with digit sizes (p, q, q, ...), a
+spacer-free RankOneSystem whose base digits `advance` moves.
 """
 
 import re
 from dataclasses import dataclass
 
-from .digits import DigitStream, OverlayDigits, mixed_radix_add, zeros
-from .errors import BudgetExhausted, CutstackError, DslError, SpecInvalid
+from .digits import DigitStream, OverlayDigits
+from .errors import BudgetExhausted, DslError, SpecInvalid
 from .quadratic import Surd, surd_from_cf
-from .specs import q_adic_tower_spec
+from .specs import q_adic_tower_spec, spacer_free_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
@@ -161,80 +161,6 @@ def first_return_rotation(angle, p):
 
 
 # ---------------------------------------------------------------------------
-# Odometers
-
-
-@dataclass(frozen=True)
-class OdometerSpec:
-    """Mixed-radix base sequence with a periodic tail, bases >= 1.
-
-    Base 1 digits are frozen at 0; they appear when inducing with p = 1.
-    """
-
-    prefix: tuple
-    tail: tuple
-
-    def __post_init__(self):
-        if not self.tail:
-            raise SpecInvalid("odometer tail must be non-empty")
-        if any(b < 1 for b in self.prefix + self.tail):
-            raise SpecInvalid("odometer bases must be >= 1")
-        if all(b == 1 for b in self.tail):
-            raise SpecInvalid("odometer tail must contain a base >= 2")
-
-    def base(self, k):
-        """Base of digit k (1-based)."""
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.tail[(k - len(self.prefix) - 1) % len(self.tail)]
-
-    @classmethod
-    def parse(cls, text):
-        """Syntax od:[b1,b2,*]; the final starred base repeats."""
-        m = re.match(r"^od:\[([^\]]*)\]$", text.replace(" ", ""))
-        if not m:
-            raise DslError(f"cannot parse odometer syntax: {text!r}")
-        toks = [t for t in m.group(1).split(",") if t]
-        if not toks or toks[-1] != "*" or len(toks) < 2:
-            raise DslError("odometer syntax needs bases then a trailing *")
-        try:
-            bases = [int(t) for t in toks[:-1]]
-        except ValueError:
-            raise DslError(f"bad odometer base in {text!r}") from None
-        return cls(tuple(bases[:-1]), (bases[-1],))
-
-
-@dataclass(frozen=True)
-class OdometerPoint:
-    digits: object  # DigitStream
-
-    def digit(self, k):
-        return self.digits.digit(k)
-
-
-class NeedMoreDigits(CutstackError):
-    """An odometer carry ran past the digit budget."""
-
-
-def odometer_zero(spec):
-    return OdometerPoint(zeros())
-
-
-def odometer_apply(spec, point, steps, budget=256):
-    """Add `steps` (either sign) in one mixed-radix add with a signed
-    carry; exact cylinder-mass preserving.  Base-1 digits stay 0."""
-    new, carry = mixed_radix_add(point.digit, spec.base, steps, 1, budget)
-    if carry:
-        edge = "maximal" if carry > 0 else "zero"
-        raise NeedMoreDigits(f"all digits {edge} through {budget}")
-    return OdometerPoint(point.digits.with_overrides(dict(enumerate(new, 1))))
-
-
-def odometer_successor(spec, point, budget=256):
-    return odometer_apply(spec, point, 1, budget)
-
-
-# ---------------------------------------------------------------------------
 # Prefix inducing (rational case)
 
 
@@ -243,43 +169,42 @@ class PrefixInduction:
     """Inducing the q-adic tower on its first p levels.
 
     The induced map is the adding machine with digit sizes (p, q, q, ...),
-    the inverse limit Z/p x Z/pq x Z/pq^2 x ...; `to_odometer` and
-    `from_odometer` give the digit-level isomorphism intertwining the
-    induced map with the new odometer's successor.
+    the inverse limit Z/p x Z/pq x Z/pq^2 x ...; `odometer` is its
+    spacer-free system, and `to_odometer` and `from_odometer` give the
+    digit-level isomorphism intertwining the induced map with one
+    `odometer.advance` step.
     """
 
     q: int
     p: int
     system: RankOneSystem
-    odometer: OdometerSpec
+    odometer: RankOneSystem
 
     def base_set(self):
         return LevelSet(1, frozenset(range(self.p)))
 
     def to_odometer(self, point):
-        """RankOnePoint in the first p levels -> OdometerPoint."""
+        """RankOnePoint in the first p levels -> the odometer's digits."""
         if point.birth_stage != 1 or not 0 <= point.birth_level < self.p:
             raise ValueError("point is not in the induced base set")
-        return OdometerPoint(_ShiftedDigits(point.digits, point.birth_level))
+        return _ShiftedDigits(point.digits, point.birth_level)
 
-    def from_odometer(self, opoint):
-        """OdometerPoint -> RankOnePoint.  A stream made by to_odometer
-        (a _ShiftedDigits, bare or under an overlay) gives back its source
-        stream, with the overlay's digits moved down one stage, so the
-        point compares exactly with the points of that stream."""
-        level = opoint.digit(1)
+    def from_odometer(self, digits):
+        """The odometer's digits -> RankOnePoint.  A stream made by
+        to_odometer (a _ShiftedDigits, bare or under an overlay) gives back
+        its source stream, with the overlay's digits moved down one stage,
+        so the point compares exactly with the points of that stream."""
+        level = digits.digit(1)
         if not 0 <= level < self.p:
             raise ValueError("first digit out of range")
-        digits = opoint.digits
-        overrides = {}
+        base, overrides = digits, {}
         if isinstance(digits, OverlayDigits):
+            base = digits.base
             overrides = {k - 1: v for k, v in digits.overrides.items()
                          if k > 1}
-            digits = digits.base
-        if isinstance(digits, _ShiftedDigits):
-            return RankOnePoint(1, level,
-                                digits.src.with_overrides(overrides))
-        return RankOnePoint(1, level, _UnshiftedDigits(opoint.digits))
+        if isinstance(base, _ShiftedDigits):
+            return RankOnePoint(1, level, base.src.with_overrides(overrides))
+        return RankOnePoint(1, level, _UnshiftedDigits(digits))
 
 
 class _ShiftedDigits(DigitStream):
@@ -331,5 +256,5 @@ def induce_odometer_prefix(q, p):
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
     system = RankOneSystem(q_adic_tower_spec(q))
-    odo = OdometerSpec((p,), (q,))
+    odo = RankOneSystem(spacer_free_spec(f"od:[{p},{q},*]", (p,), (q,)))
     return PrefixInduction(q, p, system, odo)

@@ -23,13 +23,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import __version__, ergodic, induction, matching, verify
-from .arithmetic import (
-    OdometerSpec,
-    RotationAngle,
-    odometer_successor,
-    odometer_zero,
-)
-from .digits import SeededDigits
+from .arithmetic import RotationAngle
+from .digits import SeededDigits, zeros
 from .errors import (
     CutstackError,
     DslError,
@@ -39,7 +34,8 @@ from .errors import (
     WindowExhausted,
 )
 from .quadratic import Surd
-from .specs import builtin_spec, parse_spec, parse_spec_json, validate_spec
+from .specs import (builtin_spec, parse_odometer, parse_spec, parse_spec_json,
+                    validate_spec)
 from .towers import LevelSet, RankOneSystem
 
 
@@ -136,15 +132,16 @@ def cmd_orbit(ctx):
     _require_at_least(args, 0, "budget")
     _require_at_least(args, 1, "steps", "depth")
     if args.system.startswith("od:"):
-        spec = OdometerSpec.parse(args.system)
-        point = odometer_zero(spec)
+        odometer = RankOneSystem(parse_odometer(args.system))
+        digits = zeros()
         lines = ["step,digits"]
         for step in range(args.steps + 1):
+            if step:
+                digits = odometer.advance(digits, 1, args.budget)[1]
             digs = ",".join(
-                str(point.digit(k)) for k in range(1, args.depth + 1)
+                str(digits.digit(k)) for k in range(1, args.depth + 1)
             )
             lines.append(f'{step},"{digs}"')
-            point = odometer_successor(spec, point, args.budget)
         ctx.write("orbit_odometer.csv", "\n".join(lines) + "\n")
         print(f"odometer orbit: {args.steps} steps")
         return 0
@@ -350,14 +347,15 @@ def build_parser():
     b.add_argument("--stages", type=int, default=8)
     b.set_defaults(func=cmd_build)
 
-    o = sub.add_parser("orbit", help="orbit traces (walker or odometer)")
+    o = sub.add_parser("orbit", help="return times, or an odometer's "
+                       "digits for od:[...]")
     o.add_argument("--system", required=True,
                    help="spec path, built-in name, or od:[b1,b2,*]")
     o.add_argument("--steps", type=int, default=16)
     o.add_argument("--depth", type=int, default=8,
                    help="digits shown per odometer step")
     o.add_argument("--budget", type=int, default=256,
-                   help="stage/carry budget for orbit resolution")
+                   help="a carry may reach stage budget + 1")
     o.set_defaults(func=cmd_orbit)
 
     i = sub.add_parser("induce", help="first-return decomposition histogram")

@@ -303,7 +303,10 @@ def parse_spec_json(text):
             raise DslError(f"bad stage object: {e}")
         if not all(type(v) is int for v in (cuts, below, *above)):
             raise DslError(f"bad stage object: counts must be integers: {o!r}")
-        return StageRule(cuts, above, below)
+        try:
+            return StageRule(cuts, above, below)
+        except SpecInvalid as e:
+            raise DslError(f"bad stage object: {e}") from None
 
     def rules(key):
         objs = obj.get(key, [])
@@ -311,9 +314,12 @@ def parse_spec_json(text):
             raise DslError(f"bad structured spec: {key} must be a list: {objs!r}")
         return [rule(o) for o in objs]
 
-    return StackingSpec.make(
-        _file_name(obj.get("system", "unnamed"), "bad structured spec: "),
-        h1, rules("stages"), rules("tail"))
+    name = _file_name(obj.get("system", "unnamed"), "bad structured spec: ")
+    prefix, tail = rules("stages"), rules("tail")
+    try:
+        return StackingSpec.make(name, h1, prefix, tail)
+    except SpecInvalid as e:
+        raise DslError(f"bad structured spec: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,37 @@ def validate_spec(spec):
 _ODOMETER_RE = re.compile(r"^odometer\((\d+(?:,\d+)*)\)$")
 
 
+def spacer_free_spec(name, prefix, tail):
+    """The mixed-radix odometer with bases `prefix`, then `tail` repeating
+    forever, as a spec that cuts stage k into base-k columns and inserts
+    no spacers; its induced base map is the odometer itself."""
+    def rules(bases):
+        return [StageRule(b, (0,) * b) for b in bases]
+
+    return StackingSpec.make(name, 1, rules(prefix), rules(tail))
+
+
+def parse_odometer(text):
+    """Odometer syntax od:[b1,...,bk,*]: bases b1 .. bk, the last one
+    repeating forever, as a spacer-free spec.  Bases are >= 1 (a base-1
+    digit is frozen at 0) and the repeating base is >= 2."""
+    m = re.match(r"^od:\[([^\]]*)\]$", text.replace(" ", ""))
+    if not m:
+        raise DslError(f"cannot parse odometer syntax: {text!r}")
+    toks = [t for t in m.group(1).split(",") if t]
+    if not toks or toks[-1] != "*" or len(toks) < 2:
+        raise DslError("odometer syntax needs bases then a trailing *")
+    try:
+        bases = [int(t) for t in toks[:-1]]
+    except ValueError:
+        raise DslError(f"bad odometer base in {text!r}") from None
+    if any(b < 1 for b in bases):
+        raise SpecInvalid("odometer bases must be >= 1")
+    if bases[-1] < 2:
+        raise SpecInvalid("odometer tail must contain a base >= 2")
+    return spacer_free_spec(m.group(0), bases[:-1], bases[-1:])
+
+
 def builtin_spec(name):
     """Classic systems by name.
 
@@ -364,8 +401,7 @@ def builtin_spec(name):
         bases = [int(b) for b in m.group(1).split(",")]
         if any(b < 2 for b in bases):
             raise SpecInvalid("odometer bases must be >= 2")
-        rules = tuple(StageRule(b, (0,) * b) for b in bases)
-        return StackingSpec.make(f"odometer({m.group(1)})", 1, (), rules)
+        return spacer_free_spec(f"odometer({m.group(1)})", (), bases)
     raise SpecInvalid(f"unknown built-in spec: {name!r}")
 
 

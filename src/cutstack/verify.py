@@ -16,13 +16,11 @@ from fractions import Fraction
 
 from . import ergodic, induction, matching
 from .arithmetic import (
-    OdometerSpec,
     RotationPoint,
     first_return_rotation,
     golden_minus_1,
     induce_odometer_prefix,
     induced_exchange,
-    odometer_successor,
     point_value,
     sqrt2_minus_1,
 )
@@ -277,7 +275,7 @@ def _check_prefix_inducing(cfg):
     o = ind.to_odometer(x)
     for step in range(cfg.big_samples):
         x = induction.induced_apply(ad, base, x)
-        o = odometer_successor(ind.odometer, o)
+        o = ind.odometer.advance(o, 1)[1]
         if not ind.system.same_point(ind.from_odometer(o), x):
             raise Failed({"step": step})
     return {"steps": cfg.big_samples}

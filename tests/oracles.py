@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import isqrt
 
 from cutstack import matching
-from cutstack.arithmetic import NeedMoreDigits, OdometerPoint
 from cutstack.digits import OverlayDigits, SeededDigits, explicit_extent, zeros
 from cutstack.errors import (
     CutstackError,
@@ -826,45 +825,42 @@ def one_walker_walk(pair, digits, forward, h, slack, horizon, budget):
 
 
 # The odometer as it was before the signed carry: one carry loop for each
-# direction, and apply as a loop of single steps.  Kept verbatim as the
-# one-add odometer_apply's oracle.
+# direction, and apply as a loop of single steps, over the bases cuts(k).
+# Kept as the oracle of RankOneSystem.advance on a spacer-free system.
 
 
-def odometer_successor(spec, point, budget=256):
-    """Add one with carry; exact cylinder-mass preserving."""
-    k = 1
+class OdometerGaveUp(Exception):
+    """A carry of the step-loop odometer ran past its stage limit."""
+
+
+def odometer_successor(cuts, digits, limit):
+    """Add one with carry at stages 1 .. limit."""
     overrides = {}
-    while k <= budget:
-        d = point.digit(k)
-        if d + 1 < spec.base(k):
+    for k in range(1, limit + 1):
+        d = digits.digit(k)
+        if d + 1 < cuts(k):
             overrides[k] = d + 1
-            return OdometerPoint(point.digits.with_overrides(overrides))
+            return digits.with_overrides(overrides)
         overrides[k] = 0
-        k += 1
-    raise NeedMoreDigits(f"all digits maximal through {budget}")
+    raise OdometerGaveUp(f"all digits maximal through {limit}")
 
 
-def odometer_predecessor(spec, point, budget=256):
-    k = 1
+def odometer_predecessor(cuts, digits, limit):
     overrides = {}
-    while k <= budget:
-        d = point.digit(k)
+    for k in range(1, limit + 1):
+        d = digits.digit(k)
         if d > 0:
             overrides[k] = d - 1
-            return OdometerPoint(point.digits.with_overrides(overrides))
-        overrides[k] = spec.base(k) - 1
-        k += 1
-    raise NeedMoreDigits(f"all digits zero through {budget}")
+            return digits.with_overrides(overrides)
+        overrides[k] = cuts(k) - 1
+    raise OdometerGaveUp(f"all digits zero through {limit}")
 
 
-def odometer_apply(spec, point, steps, budget=256):
+def odometer_apply(cuts, digits, steps, limit):
+    move = odometer_successor if steps > 0 else odometer_predecessor
     for _ in range(abs(steps)):
-        point = (
-            odometer_successor(spec, point, budget)
-            if steps > 0
-            else odometer_predecessor(spec, point, budget)
-        )
-    return point
+        digits = move(cuts, digits, limit)
+    return digits
 
 
 # The height search as it was before the climb: lift the base to each stage
@@ -930,11 +926,12 @@ def piece_difference(u, v):
 # Definitions that only the tests call, kept here rather than in the package
 
 
-def cylinder_mass(spec, depth):
-    """Mass of any cylinder fixing the first `depth` digits."""
+def cylinder_mass(cuts, depth):
+    """Mass of any cylinder fixing the first `depth` digits of the odometer
+    with bases cuts(1), cuts(2), ..."""
     m = Fraction(1)
     for k in range(1, depth + 1):
-        m /= spec.base(k)
+        m /= cuts(k)
     return m
 
 
@@ -957,11 +954,11 @@ def cf_terms_of(x, count):
     return terms
 
 
-def truncated_value(spec, point, depth):
+def truncated_value(cuts, digits, depth):
     """The integer the first `depth` digits encode (mixed radix)."""
     val = 0
     mult = 1
     for k in range(1, depth + 1):
-        val += point.digit(k) * mult
-        mult *= spec.base(k)
+        val += digits.digit(k) * mult
+        mult *= cuts(k)
     return val

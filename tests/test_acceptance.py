@@ -22,7 +22,6 @@ from cutstack.arithmetic import (
     in_interval,
     induce_odometer_prefix,
     induced_exchange,
-    odometer_successor,
     sqrt2_minus_1,
 )
 from cutstack.digits import SeededDigits
@@ -138,7 +137,7 @@ def test_criterion_03_induced_map_identities():
         o = ind.to_odometer(p)
         for _ in range(10**4):
             p = induction.induced_apply(ad, base, p)
-            o = odometer_successor(ind.odometer, o)
+            o = ind.odometer.advance(o, 1)[1]
         assert sysq.same_point(ind.from_odometer(o), p)
 
 

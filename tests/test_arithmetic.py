@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from cutstack import arithmetic
 from cutstack.arithmetic import (
-    NeedMoreDigits,
-    OdometerPoint,
-    OdometerSpec,
     RotationAngle,
     RotationPoint,
     first_return_rotation,
@@ -16,16 +13,15 @@ from cutstack.arithmetic import (
     in_interval,
     induce_odometer_prefix,
     induced_exchange,
-    odometer_apply,
-    odometer_successor,
-    odometer_zero,
     point_value,
     rotate,
     sqrt2_minus_1,
 )
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
+from cutstack.errors import NeedMoreDepth
 from cutstack.quadratic import Surd
-from cutstack.towers import RankOnePoint
+from cutstack.specs import parse_odometer, spacer_free_spec
+from cutstack.towers import RankOnePoint, RankOneSystem
 
 ANGLES = [sqrt2_minus_1, golden_minus_1]
 
@@ -89,54 +85,64 @@ def test_exchange_cut_splits_by_return_time():
 
 
 # -- odometers --------------------------------------------------------------
+# An odometer is a spacer-free RankOneSystem: its induced base map is the
+# odometer itself, and `advance` moves its digits.
+
+
+def odometer(text):
+    return RankOneSystem(parse_odometer(text))
+
+
+def successor(system, digits):
+    return system.advance(digits, 1)[1]
 
 
 def test_odometer_successor_matches_naive_carry():
-    spec = OdometerSpec((2,), (3,))
+    odo = odometer("od:[2,3,*]")
     bases = [2, 3, 3, 3, 3, 3, 3, 3]
-    p = odometer_zero(spec)
+    digits = zeros()
     want = oracles.odometer_orbit_positions(bases, 80)
     for i in range(80):
-        assert oracles.truncated_value(spec, p, 8) == want[i]
-        p = odometer_successor(spec, p)
+        assert oracles.truncated_value(odo.cuts, digits, 8) == want[i]
+        digits = successor(odo, digits)
 
 
 def test_odometer_predecessor_inverts_successor():
-    spec = OdometerSpec.parse("od:[2,3,2,*]")
-    p = odometer_zero(spec)
-    p = odometer_apply(spec, p, 57)
-    q = odometer_apply(spec, p, -57)
+    odo = odometer("od:[2,3,2,*]")
+    p = odo.advance(zeros(), 57)[1]
+    q = odo.advance(p, -57)[1]
     assert all(q.digit(k) == 0 for k in range(1, 12))
-    assert odometer_apply(spec, odometer_successor(spec, p), -1).digit(1) \
-        == p.digit(1)
+    assert odo.advance(successor(odo, p), -1)[1].digit(1) == p.digit(1)
 
 
 @st.composite
 def odometer_cases(draw):
-    """(spec, point): random bases 1..4 with a tail holding a base >= 2,
+    """(system, digits): random bases 1..4 with a tail holding a base >= 2,
     and seeded digits or low digits over an all-maximal or all-zero tail,
     so long carries reach the budget."""
     prefix = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
     tail = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     if max(tail) < 2:
         tail += (2,)
-    spec = OdometerSpec(prefix, tail)
+    odo = RankOneSystem(spacer_free_spec("case", prefix, tail))
     kind = draw(st.sampled_from(("seeded", "top", "zero")))
     if kind == "seeded":
-        return spec, OdometerPoint(SeededDigits(
-            f"odo:{draw(st.integers(0, 10**6))}", spec.base))
+        return odo, SeededDigits(f"odo:{draw(st.integers(0, 10**6))}",
+                                 odo.cuts)
     base = (PeriodicDigits([b - 1 for b in prefix], [b - 1 for b in tail])
             if kind == "top" else zeros())
     low = draw(st.lists(st.integers(0, 3), max_size=8))
-    return spec, OdometerPoint(base.with_overrides(
-        {k: v % spec.base(k) for k, v in enumerate(low, 1)}))
+    return odo, base.with_overrides(
+        {k: v % odo.cuts(k) for k, v in enumerate(low, 1)})
 
 
-def _odometer_outcome(move, spec, point, *args):
+def _outcome(move, *args):
+    """The first 19 digits after a move, or the edge where it gave up:
+    "maximal" forward, "zero" backward."""
     try:
-        out = move(spec, point, *args)
-    except NeedMoreDigits as e:
-        return type(e), str(e)
+        out = move(*args)
+    except (NeedMoreDepth, oracles.OdometerGaveUp) as e:
+        return "gave up", str(e).split()[2]
     return [out.digit(k) for k in range(1, 20)]
 
 
@@ -144,31 +150,36 @@ def _odometer_outcome(move, spec, point, *args):
 @given(odometer_cases(), st.integers(-300, 300),
        st.one_of(st.integers(0, 12), st.just(256)))
 def test_one_add_odometer_is_the_step_loop(case, steps, budget):
-    # the same digits, or the same NeedMoreDigits message, as the loops
-    spec, point = case
-    assert (_odometer_outcome(odometer_apply, spec, point, steps, budget)
-            == _odometer_outcome(oracles.odometer_apply, spec, point, steps,
-                                 budget))
-    assert (_odometer_outcome(odometer_successor, spec, point, budget)
-            == _odometer_outcome(oracles.odometer_successor, spec, point,
-                                 budget))
-    assert (_odometer_outcome(odometer_apply, spec, point, -1, budget)
-            == _odometer_outcome(oracles.odometer_predecessor, spec, point,
-                                 budget))
+    # advance within budget b gives the same digits as the step loops with
+    # stage limit b + 1, or gives up where they do, at the same edge
+    odo, digits = case
+
+    def advance(n):
+        return odo.advance(digits, n, budget)[1]
+
+    limit = budget + 1
+    assert (_outcome(advance, steps)
+            == _outcome(oracles.odometer_apply, odo.cuts, digits, steps,
+                        limit))
+    assert (_outcome(advance, 1)
+            == _outcome(oracles.odometer_successor, odo.cuts, digits, limit))
+    assert (_outcome(advance, -1)
+            == _outcome(oracles.odometer_predecessor, odo.cuts, digits,
+                        limit))
 
 
 def test_cylinder_mass_mixed_radix():
-    spec = OdometerSpec((2,), (3,))
-    assert oracles.cylinder_mass(spec, 1) == Fraction(1, 2)
-    assert oracles.cylinder_mass(spec, 3) == Fraction(1, 18)
+    odo = odometer("od:[2,3,*]")
+    assert oracles.cylinder_mass(odo.cuts, 1) == Fraction(1, 2)
+    assert oracles.cylinder_mass(odo.cuts, 3) == Fraction(1, 18)
 
 
 def test_base_one_digits_are_frozen():
-    spec = OdometerSpec((1,), (2,))
-    p = odometer_zero(spec)
+    odo = odometer("od:[1,2,*]")
+    digits = zeros()
     for _ in range(10):
-        p = odometer_successor(spec, p)
-        assert p.digit(1) == 0
+        digits = successor(odo, digits)
+        assert digits.digit(1) == 0
 
 
 # -- prefix inducing --------------------------------------------------------
@@ -176,8 +187,8 @@ def test_base_one_digits_are_frozen():
 
 def test_prefix_induction_conjugacy():
     ind = induce_odometer_prefix(3, 2)
-    assert ind.odometer.base(1) == 2
-    assert ind.odometer.base(2) == 3
+    assert ind.odometer.cuts(1) == 2
+    assert ind.odometer.cuts(2) == 3
     sys = ind.system
     base = ind.base_set()
     from cutstack import induction
@@ -187,7 +198,7 @@ def test_prefix_induction_conjugacy():
     o = ind.to_odometer(p)
     for _ in range(200):
         p = induction.induced_apply(ad, base, p)
-        o = odometer_successor(ind.odometer, o)
+        o = successor(ind.odometer, o)
         assert sys.same_point(ind.from_odometer(o), p)
 
 
@@ -217,18 +228,18 @@ def test_prefix_induction_gives_back_the_source_stream():
     ad = induction.RankOneAdapter(sys)
     for _ in range(200):
         x = induction.induced_apply(ad, ind.base_set(), x)
-        o = odometer_successor(ind.odometer, o)
+        o = successor(ind.odometer, o)
         y = ind.from_odometer(o)
         assert getattr(y.digits, "base", y.digits) is seeded
         assert getattr(x.digits, "base", x.digits) is seeded
         assert sys.same_point(y, x)
-        shifted = arithmetic._UnshiftedDigits(o.digits)
+        shifted = arithmetic._UnshiftedDigits(o)
         assert [y.digits.digit(k) for k in range(1, 40)] == [
             shifted.digit(k) for k in range(1, 40)]
     # any other stream is still read through the level digit
-    other = OdometerPoint(PeriodicDigits((1, 2), (0,)))
+    other = PeriodicDigits((1, 2), (0,))
     assert ind.from_odometer(other) == RankOnePoint(
-        1, 1, arithmetic._UnshiftedDigits(other.digits))
+        1, 1, arithmetic._UnshiftedDigits(other))
 
 
 def test_prefix_induction_measure_bookkeeping():
@@ -237,5 +248,5 @@ def test_prefix_induction_measure_bookkeeping():
     # base set has p levels of width 1/1 each at stage 1; cylinder masses of
     # the odometer match the conditional measure on the base
     base_mass = sys.measure(ind.base_set())
-    assert oracles.cylinder_mass(ind.odometer, 1) == Fraction(1, 2)
+    assert oracles.cylinder_mass(ind.odometer.cuts, 1) == Fraction(1, 2)
     assert base_mass == 2 * sys.width(1)

@@ -103,6 +103,12 @@ PINNED = (
      {"orbit_odometer.csv":
       "87c2c47f385ca2c4629bd141f4a3f7bc6ab99b1d9fda583c874ac7b6e59e1675"},
      "23a251b0a2e8e06478ce2face6d5db3fe1e80f882db394980c349b131bb8beaf"),
+    # taken before od:[...] became a spacer-free RankOneSystem; a base-1
+    # stage keeps its digit at 0
+    (("orbit", "--system", "od:[1,2,*]", "--steps", "20", "--depth", "4"),
+     {"orbit_odometer.csv":
+      "6bd5bfea9d43b0fe45b6dd863a7ec4955b925e156824317b7df2535ae1701cd8"},
+     "23a251b0a2e8e06478ce2face6d5db3fe1e80f882db394980c349b131bb8beaf"),
     (("ergodic", "--system", "chacon", "--n", "729", "--samples", "10"),
      {"ergodic_chacon.csv":
       "f6f3aab0fedc26ade68636c9c0fa1e5c18ac44eb1eaadb04a8148e9c32d7cde3"},

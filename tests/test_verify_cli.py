@@ -198,6 +198,17 @@ BAD_SPECS = {  # spec files: JSON by their suffix, DSL otherwise
     "slash.spec": "system a/b" + DSL_TAIL,
     "dotdot.spec": "system .." + DSL_TAIL,
     "nul.spec": "system a\0b" + DSL_TAIL,
+    # the same malformed rule in both formats is a parse error (exit 2)
+    "h1zero.json": '{"h1": 0, ' + TAIL + "}",
+    "h1zero.spec": "h1=0" + DSL_TAIL,
+    "cutszero.json": '{"tail": [{"cuts": 0, "above": []}]}',
+    "cutszero.spec": "stage * : cuts=0 above=[] below=0\n",
+    "negative.json": '{"tail": [{"cuts": 2, "above": [0, -1]}]}',
+    "negative.spec": "stage * : cuts=2 above=[0,-1] below=0\n",
+    "arity.json": '{"tail": [{"cuts": 2, "above": [0]}]}',
+    "arity.spec": "stage * : cuts=2 above=[0] below=0\n",
+    "norules.json": "{}",
+    "norules.spec": "system e\n",
 }
 NO_FILE_NAME = ("parse_error: bad structured spec: "
                 "system name cannot name a file: ")
@@ -267,6 +278,25 @@ NO_FILE_NAME = ("parse_error: bad structured spec: "
      "validation_error: --max-unstable must lie in [0, 1], got 1.5"),
     (("ergodic", "--system", "chacon", "--n", "3", "--samples", "0"),
      3, "validation_error: --samples must be >= 1, got 0"),
+    (("build", "h1zero.json"),
+     2, "parse_error: bad structured spec: initial height must be >= 1"),
+    (("build", "h1zero.spec"), 2, "parse_error: h1 must be >= 1 (line 1)"),
+    (("build", "cutszero.json"),
+     2, "parse_error: bad stage object: cuts must be >= 1"),
+    (("build", "cutszero.spec"),
+     2, "parse_error: cuts must be >= 1 (line 1, col 11)"),
+    (("build", "negative.json"),
+     2, "parse_error: bad stage object: spacer counts must be non-negative"),
+    (("build", "negative.spec"), 2, "parse_error: spacer counts must be "
+     "non-negative (line 1, col 11)"),
+    (("build", "arity.json"), 2, "parse_error: bad stage object: need "
+     "exactly 2 above-spacer counts, got 1"),
+    (("build", "arity.spec"), 2, "parse_error: need exactly 2 above-spacer "
+     "counts, got 1 (line 1, col 11)"),
+    (("build", "norules.json"), 2,
+     "parse_error: bad structured spec: spec needs at least one stage rule"),
+    (("build", "norules.spec"),
+     2, "parse_error: no stage lines found (line 1)"),
 ])
 def test_cli_malformed_input_is_refused(tmp_path, argv, code, status):
     for name, body in BAD_SPECS.items():
@@ -362,6 +392,23 @@ def test_cli_unresolved_error_exit_6(tmp_path, capsys):
     assert manifest["status"] == (
         "unresolved: NeedMoreDepth: all digits maximal within budget")
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_odometer_orbit_budget_has_one_meaning(tmp_path):
+    # as for a spec's return times, a carry may reach stage budget + 1:
+    # from zero, od:[2,*] takes 7 successors within stages 1..3, and rows
+    # 0..7 need no more; the eighth successor carries past stage 3
+    rc, out, _ = run_cli(tmp_path, "orbit", "--system", "od:[2,*]",
+                         "--budget", "2", "--steps", "7")
+    assert rc == 0
+    rows = (out / "orbit_odometer.csv").read_text().splitlines()
+    assert rows[-1] == '7,"1,1,1,0,0,0,0,0"'
+    rc, _, manifest = run_cli(tmp_path, "orbit", "--system", "od:[2,*]",
+                              "--budget", "2", "--steps", "8")
+    assert rc == 6
+    assert manifest["status"] == (
+        "unresolved: NeedMoreDepth: all digits maximal within budget")
+    assert manifest["outputs"] == []
 
 
 def test_cli_negative_budget_exit_3(tmp_path, capsys):
