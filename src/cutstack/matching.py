@@ -11,9 +11,11 @@ sliding piles over pits and dropping items into free slots.  The machine,
 computed on a finite window by one left-to-right scan, is authoritative,
 and a slot it places never moves when the window grows.  One item, or one
 slot, is placed by the same scan run on its own side of the window only,
-with no frame (_one_item_scan).  The strict closed-form sum reproduces
-the machine; the non-strict sum differs exactly on the boundary cells
-where a pile height ties a pit capacity.
+with no frame (_one_item_scan), reading both systems' return times from
+one digit block as far as the scan goes, and no further (_scan_times).
+The strict closed-form sum reproduces the machine; the non-strict sum
+differs exactly on the boundary cells where a pile height ties a pit
+capacity.
 
 The closed form's shift is a first passage: the margin changes by
 Delta(s, e) = R_Y(s, e) - R_X(s, e) per shift, (s, e) the shift's carry,
@@ -31,6 +33,8 @@ deep common cylinder so that every pile fits strictly inside its pit.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .digits import OverlayDigits, SeededDigits, explicit_extent
@@ -209,21 +213,29 @@ def height_above_base(system, base, point):
 # Pile/pit frames (the machine)
 
 
-def return_times_from(system, digits, window, forward, budget=256):
-    """Return times of the induced base map on one side of the given base
-    digit state: [r(0), r(1), ..., r(window)] forward, [r(0), r(-1), ...,
-    r(-window)] backward.
-
-    r(i) is stage_word(K)[N + i], N the state's position in the least digit
-    block (stages 1..K <= budget + 1) of P > window positions.  The step
-    out of the block's last position (forward, or for r(0) when N is last)
-    or into its first (backward, past r(-N)) is one carry from stage
-    K + 1, and gives up where a step-by-step walk would."""
+def _digit_block(system, digits, window, budget):
+    """(N, P, K): the digit state's position N in the least block of stages
+    1..K <= budget + 1 with P > window positions; ValueError for window < 0."""
+    if window < 0:
+        raise ValueError(f"window {window} is below 0")
     N, P, K = 0, 1, 0
     while P <= window and K <= budget:
         K += 1
         N += digits.digit(K) * P
         P *= system.cuts(K)
+    return N, P, K
+
+
+def return_times_from(system, digits, window, forward, budget=256):
+    """Return times of the induced base map on one side of the given base
+    digit state: [r(0), r(1), ..., r(window)] forward, [r(0), r(-1), ...,
+    r(-window)] backward.
+
+    r(i) is stage_word(K)[N + i], (N, P, K) the _digit_block.  The step
+    out of the block's last position (forward, or for r(0) when N is last)
+    or into its first (backward, past r(-N)) is one carry from stage
+    K + 1, and gives up where a step-by-step walk would."""
+    N, P, K = _digit_block(system, digits, window, budget)
     word = system.stage_word(K)
     last = P - 1
 
@@ -265,9 +277,13 @@ class PilePitFrame:
     ra: dict
     rb: dict
     assignment: dict  # (i, h) -> (j, d)
-    inverse: dict  # (j, d) -> (i, h)
     unplaced: list  # items whose pit lies past the window edge
     unfilled: list  # slots the window's piles never reached
+
+    @cached_property
+    def inverse(self):
+        """(j, d) -> (i, h), built on first read."""
+        return dict(zip(self.assignment.values(), self.assignment))
 
 
 def _ballot_scan(ra, rb, W):
@@ -309,10 +325,7 @@ def _ballot_scan(ra, rb, W):
 def build_frame(pair, digits, window, budget=256):
     ra = return_window(pair.sys_x, digits, window, budget)
     rb = return_window(pair.sys_y, digits, window, budget)
-    assignment, unplaced, unfilled = _ballot_scan(ra, rb, window)
-    inverse = dict(zip(assignment.values(), assignment))
-    return PilePitFrame(window, ra, rb, assignment, inverse, unplaced,
-                        unfilled)
+    return PilePitFrame(window, ra, rb, *_ballot_scan(ra, rb, window))
 
 
 def _frame_audit(f1, f2):
@@ -587,11 +600,26 @@ def _match_formula(pair, digits, forward, k, strict, horizon, budget):
                    boundary=margin == -slack)
 
 
-def _one_item_scan(a, b, k):
+def _scan_times(pair, digits, window, forward, budget):
+    """(a_t, b_t), t = 0..window: both systems' return times at orbit index
+    t (-t backward) from one _digit_block, the shared edge carry on demand."""
+    src, img = _sides(pair, forward)
+    N, P, K = _digit_block(src, digits, window, budget)
+    u, v = src.stage_word(K), img.stage_word(K)
+    step = 1 if forward else -1
+    for p in range(N, N + step * (window + 1), step):  # block positions
+        if (q := p % P) < P - 1:
+            yield u[q], v[q]
+        else:  # out of the block's last position, or back from its first
+            s, e = src.carry(digits, K + 1, 1 if p >= 0 else -1, budget)
+            yield src.return_time(s, e), img.return_time(s, e)
+
+
+def _one_item_scan(times, k):
     """(t, d): the ballot scan from the base point on, which at step t
-    pushes the a[t] - 1 items of pile t and then pops b[t] - 1 slots of pit
-    t, pops item k (0 < k < a[0]) of pile 0 as the d-th slot of step t;
-    None if no step within len(b) reaches it.
+    pushes the a_t - 1 items of pile t and then pops b_t - 1 slots of pit
+    t, pops item k (0 < k < a_0) of pile 0 as the d-th slot of step t;
+    None if no step reaches it.  Reads each (a_t, b_t) of `times` in turn.
 
     Forward a, b are r_X(0..W) and r_Y(0..W).  Backward they are r_Y(0),
     r_Y(-1), .. and r_X(0), r_X(-1), ..: the scan read right to left,
@@ -600,7 +628,7 @@ def _one_item_scan(a, b, k):
     the items above it decide, k - 1 of its own pile, then every later
     pile's, less every pit's slots."""
     above = k - 1
-    for t, (pile, pit) in enumerate(zip(a, b)):
+    for t, (pile, pit) in enumerate(times):
         if t:
             above += pile - 1
         if above < pit - 1:
@@ -613,14 +641,16 @@ def _match_machine(pair, digits, forward, k, window, budget):
     """even_match_machine forward (item (0, k) dropped into a pit at shift
     0..window), even_match_inverse_machine backward (slot (0, k) filled
     from a pile at shift 0..-window), by _one_item_scan on one side's
-    return times: the source's piles, the image's pits."""
+    return times (_scan_times): the source's piles, the image's pits."""
+    if window < 0:
+        raise ValueError(f"window {window} is below 0")
     if k == 0:
         return _record(pair, digits, forward, 0, 0, 0,
                        RankOnePoint(1, 0, digits), "machine")
-    a, b = (return_times_from(s, digits, window, forward, budget)
-            for s in _sides(pair, forward))
-    _refuse_outside(forward, k, a[0])
-    hit = _one_item_scan(a, b, k)
+    times = _scan_times(pair, digits, window, forward, budget)
+    first = next(times)
+    _refuse_outside(forward, k, first[0])
+    hit = _one_item_scan(chain([first], times), k)
     if hit is None:
         what, done = ("item", "placed") if forward else ("slot", "filled")
         raise WindowEdge(f"{what} (0, {k}) not {done} within window {window}",
@@ -652,8 +682,11 @@ def even_match_machine(pair, digits, h, window=32, budget=256):
     """The same assignment, as the machine on the window centered at the
     base point places it: a scan of pits 0..window, which alone can reach
     the item (_one_item_scan); raises WindowEdge if the item's pit lies
-    past the window.  A placed slot is final (see _ballot_scan).  No
-    base-mass check."""
+    past the window.  A placed slot is final (see _ballot_scan).  The scan
+    reads return times only up to the pit that places the item, so it
+    raises NeedMoreDepth only for a carry it reaches: it answers as the
+    read at the least window that places the item.  ValueError for a
+    window below 0.  No base-mass check."""
     return _match_machine(pair, digits, True, h, window, budget)
 
 
@@ -672,7 +705,9 @@ def even_match_inverse_machine(pair, digits, D, window=32, budget=256):
     """The inverse assignment: the item the machine drops into slot D of
     the pit over the base point, found by the mirrored scan of piles and
     pits 0..-window (_one_item_scan); raises WindowEdge if the slot stays
-    unfilled within the window.  No base-mass check."""
+    unfilled within the window.  Like even_match_machine, it reads only as
+    far as the pile that fills the slot, and refuses a window below 0.  No
+    base-mass check."""
     return _match_machine(pair, digits, False, D, window, budget)
 
 
@@ -681,37 +716,47 @@ def phi_hat(pair, x, mode="machine", window=32, strict=True, budget=256,
     """The full point matching X -> Y: locate the pile item for x, then
     match it.  Base points (h = 0) map to the Y base point with the same
     digits.  Raises InadmissiblePair unless the base masses are equal."""
-    return _phi_hat(pair, x, True, mode, window, strict, budget, horizon)
+    return _phi_hat(pair, True, *_above_base(pair, x, True), mode, window,
+                    strict, budget, horizon)
 
 
 def phi_hat_inverse(pair, y, mode="machine", window=32, strict=True,
                     budget=256, horizon=2**15):
-    return _phi_hat(pair, y, False, mode, window, strict, budget, horizon)
+    return _phi_hat(pair, False, *_above_base(pair, y, False), mode, window,
+                    strict, budget, horizon)
 
 
-def _phi_hat(pair, point, forward, mode, window, strict, budget, horizon):
-    """phi_hat forward, phi_hat_inverse backward: the point's height above
-    the source base, matched by the public even_match_* reader of the mode
-    (a module global, read at call time)."""
+def _above_base(pair, point, forward):
+    """(k, digits): the point's height above the source base and its base
+    point's digits; InadmissiblePair unless the base masses are equal."""
     pair.require_even()
     base = pair.base_x() if forward else pair.base_y()
     k, base_point = height_above_base(_sides(pair, forward)[0], base, point)
+    return k, base_point.digits
+
+
+def _phi_hat(pair, forward, k, digits, mode, window, strict, budget, horizon):
+    """phi_hat forward, phi_hat_inverse backward: item k over the base
+    digits, matched by the public even_match_* reader of the mode (a
+    module global, read at call time)."""
     if mode == "machine":
         read = even_match_machine if forward else even_match_inverse_machine
-        return read(pair, base_point.digits, k, window, budget=budget)
+        return read(pair, digits, k, window, budget=budget)
     read = even_match_formula if forward else even_match_inverse_formula
-    return read(pair, base_point.digits, k, strict=strict, budget=budget,
+    return read(pair, digits, k, strict=strict, budget=budget,
                 horizon=horizon)
 
 
 def _escalate(pair, point, forward):
+    k, digits = _above_base(pair, point, forward)  # one climb, every read
     for window in (16, 64, 256):
         try:
-            return _phi_hat(pair, point, forward, "machine", window, True,
+            return _phi_hat(pair, forward, k, digits, "machine", window, True,
                             256, None)
         except WindowEdge:
             pass
-    return _phi_hat(pair, point, forward, "formula", None, True, 256, 2**16)
+    return _phi_hat(pair, forward, k, digits, "formula", None, True, 256,
+                    2**16)
 
 
 def phi_hat_stable(pair, x):

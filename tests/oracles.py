@@ -777,6 +777,23 @@ def one_sided_machine(pair, digits, forward, k, window=32, budget=256):
                            window, budget)
 
 
+# The machine read takes each return time only when its scan gets there, so
+# it answers as the one-sided read at the least window that places the item:
+# a wider window only adds steps the scan never reaches, and the carry out
+# of the digit block that one of them may need.  Kept as its oracle.
+
+
+def least_window_machine(pair, digits, forward, k, window=32, budget=256):
+    """one_sided_machine at the least window 0..window that places item k
+    (fills slot k, backward), else at `window`."""
+    for w in range(window):
+        try:
+            return one_sided_machine(pair, digits, forward, k, w, budget)
+        except WindowEdge:
+            pass
+    return one_sided_machine(pair, digits, forward, k, window, budget)
+
+
 # The edge audit as it was before frame_stability kept its result: build the
 # frame and its doubled-window frame afresh, and audit them.  Kept as the
 # memo's oracle; the audit is read off the module at call time, so a test

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cutstack import ergodic, matching
-from cutstack.digits import (PeriodicDigits, SeededDigits, explicit_extent,
-                             zeros)
+from cutstack.digits import (OverlayDigits, PeriodicDigits, SeededDigits,
+                             explicit_extent, zeros)
 from cutstack.errors import (
     HorizonExhausted,
     InadmissiblePair,
@@ -644,9 +644,18 @@ _FAR_SIDE_PAST_BUDGET = (PAIRS["dyadic"], SeededDigits("two:2", dyadic_cuts),
                          True, 1, 1, 1)
 
 
+# found while sizing the on-demand read: the slot is filled from pile 0, and
+# only window 2 reaches position -1, one step back from the block's first,
+# whose backward carry runs past budget 0
+_EDGE_NEVER_REACHED = (PAIRS["chacon_triple"],
+                       OverlayDigits(PeriodicDigits((), (2,)), {1: 1}),
+                       False, 1, 2, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(one_sided_cases())
 @example(_FAR_SIDE_PAST_BUDGET)
+@example(_EDGE_NEVER_REACHED)
 # backward, window 5 past the position N = 3 in the stage-1..3 block: the
 # edge carry reads r(-4); the slot is filled from the pile at shift 1
 @example((PAIRS["dyadic"], SeededDigits("two:0", dyadic_cuts), False, 2, 5,
@@ -662,7 +671,7 @@ def test_one_sided_read_is_the_deposit_machine_on_its_side(case):
             else matching.even_match_inverse_machine)
     assert (_match_outcome(read, pair, stream, k, window=window,
                            budget=budget)
-            == _match_outcome(oracles.one_sided_machine, pair, stream,
+            == _match_outcome(oracles.least_window_machine, pair, stream,
                               forward, k, window=window, budget=budget))
 
 
@@ -674,6 +683,58 @@ def test_a_read_needs_only_its_own_side():
         oracles.even_match_machine(pair, stream, k, window, budget)
     with pytest.raises(WindowEdge, match=r"item \(0, 1\) not placed"):
         matching.even_match_machine(pair, stream, k, window, budget)
+
+
+def test_a_read_carries_only_where_its_scan_goes():
+    # the eager one-sided read took every edge carry its window covered;
+    # the on-demand read answers the sizing case, whose edge it never reaches
+    pair, stream, forward, k, window, budget = _EDGE_NEVER_REACHED
+    with pytest.raises(NeedMoreDepth):
+        oracles.one_sided_machine(pair, stream, forward, k, window, budget)
+    rec = matching.even_match_inverse_machine(pair, stream, k, window, budget)
+    assert isinstance(rec, matching.InverseMatchRecord) and rec.m == 0
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_a_read_placed_inside_the_block_takes_no_carry(monkeypatch, forward):
+    # low digits 1, 1, 1, 1, 0 put the base point at position 15 of the
+    # 32-position block a window of 16 reads on the dyadic pair: both edge
+    # carries lie 16 steps away, inside the window, and item or slot 1 is
+    # placed sooner
+    pair = PAIRS["dyadic"]
+    stream = SeededDigits("inside", dyadic_cuts).with_overrides(
+        {1: 1, 2: 1, 3: 1, 4: 1, 5: 0})
+    calls = []
+
+    def counted(self, *args, _carry=RankOneSystem.carry, **kwargs):
+        calls.append(args)
+        return _carry(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankOneSystem, "carry", counted)
+    read = (matching.even_match_machine if forward
+            else matching.even_match_inverse_machine)
+    rec = read(pair, stream, 1, 16)
+    assert calls == []
+    assert 0 <= (rec.n if forward else rec.m) < 16
+
+
+@pytest.mark.parametrize("read", [
+    lambda pair, s: matching.even_match_machine(pair, s, 1, window=-1),
+    lambda pair, s: matching.even_match_inverse_machine(pair, s, 1, -1),
+    lambda pair, s: matching.even_match_machine(pair, s, 0, window=-1),
+    lambda pair, s: matching.return_times_from(pair.sys_x, s, -1, True),
+    lambda pair, s: matching.return_times_from(pair.sys_y, s, -1, False),
+    lambda pair, s: matching.return_window(pair.sys_x, s, -1),
+    lambda pair, s: matching.build_frame(pair, s, -1),
+], ids=["machine", "inverse_machine", "machine_base_point",
+        "return_times_forward", "return_times_backward", "return_window",
+        "build_frame"])
+def test_a_window_below_zero_is_refused(read):
+    # the machine read once died with a bare IndexError, the inverse read
+    # answered at shift 0, and the return-time reads and the frame came
+    # back empty
+    with pytest.raises(ValueError, match=r"^window -1 is below 0$"):
+        read(PAIRS["dyadic"], SeededDigits("two:2", dyadic_cuts))
 
 
 @pytest.mark.parametrize("forward,mode", list(READERS))
@@ -907,6 +968,24 @@ def test_phi_hat_reaches_the_readers_through_the_module(monkeypatch):
         y = matching.phi_hat(pair, x, mode=mode, window=256).y
         matching.phi_hat_inverse(pair, y, mode=mode, window=256)
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_an_escalating_read_climbs_once(monkeypatch):
+    # the stable readers climb the point's height once and try every window
+    # from there, each attempt still through the public reader
+    calls = []
+    for name in ("height_above_base", "even_match_machine"):
+        def counted(*args, _name=name, _call=getattr(matching, name),
+                    **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(matching, name, counted)
+    pair = dyadic()
+    x = pair.sys_x.random_point(random.Random(113), 6, seed="esc")
+    rec = matching.phi_hat_stable(pair, x)
+    assert (rec.n, rec.mode) == (127, "machine")  # windows 16, 64, 256
+    assert calls == ["height_above_base"] + ["even_match_machine"] * 3
 
 
 def test_trace_rows_format():
