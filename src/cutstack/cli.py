@@ -269,7 +269,7 @@ def _match_noneven(ctx, pair):
                            horizon=128, seed=args.seed)
         for s in (pair.sys_x, pair.sys_y)
     )
-    plan = matching.noneven_prepare(pair, eps, N, samples=64, seed=args.seed)
+    plan = matching.noneven_prepare(pair, eps, N)
     rng = random.Random(f"nematch:{args.seed}")
     lines = [matching.TRACE_HEADER]
     failures = 0
@@ -291,14 +291,14 @@ def _match_noneven(ctx, pair):
         "N": plan.N,
         "m": plan.m,
         "block": plan.block,
-        "min_margin": min(plan.margins),
+        "min_margin": plan.margin,
         "round_trip_failures": failures,
     }
     ctx.write("noneven_plan.json",
               json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"non-even plan m={plan.m} block={plan.block} "
-        f"min_margin={min(plan.margins)}; {failures} round-trip failures"
+        f"min_margin={plan.margin}; {failures} round-trip failures"
     )
     return 1 if failures else 0
 

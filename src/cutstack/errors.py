@@ -87,4 +87,5 @@ class InadmissiblePair(CutstackError):
 
 
 class MarginViolation(CutstackError):
-    """A sampled pile exceeded its pit in a non-even plan."""
+    """A pile exceeds its pit in a non-even plan: at every inducing depth
+    tried, or at every depth when the margin falls without bound."""

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 
-from .digits import OverlayDigits, SeededDigits, explicit_extent
+from .digits import explicit_extent, zeros
 from .errors import (
     ExhaustedDigits,
     HorizonExhausted,
@@ -107,15 +107,18 @@ class PairSpec:
 def validate_pair(pair, even=None):
     """Admissibility: two infinite specs, with equal cut counts at every
     stage, so one advance moves the digits of both systems alike, and (when
-    `even` is set) equal base masses.  A finite spec has no odometer to
-    match on.  Past the longer prefix the cut counts repeat with period
-    lcm(tail lengths), so comparing the stages up to that prefix plus one
-    period is exact."""
+    `even` is set) equal base masses.  A finite spec, or a tail that never
+    cuts in more than one, has no infinite odometer to match on.  Past the
+    longer prefix the cut counts repeat with period lcm(tail lengths), so
+    comparing the stages up to that prefix plus one period is exact."""
     spec_x, spec_y = pair.sys_x.spec, pair.sys_y.spec
     for spec in (spec_x, spec_y):
         if not spec.tail:
             raise InadmissiblePair(f"spec {spec.name!r} is finite: "
                                    f"no odometer to match on")
+        if all(rule.cuts == 1 for rule in spec.tail):
+            raise InadmissiblePair(f"spec {spec.name!r} has a tail of 1-cut "
+                                   f"stages: its odometer is finite")
     last = (max(len(spec_x.prefix), len(spec_y.prefix))
             + lcm(len(spec_x.tail), len(spec_y.tail)))
     for k in range(1, last + 1):
@@ -823,10 +826,10 @@ def trace_rows(pair, records):
 class NonEvenPlan:
     """Parameters of a pile-in-pit embedding for bases of unequal mass.
 
-    Both systems are induced on the all-zero cylinder of `m` digits (the
-    bottom level of stage m + 1), whose induced return time is exactly
-    `block` base steps; the plan is usable once every sampled pile height
-    stays at or below its pit depth."""
+    Both systems are induced on the all-zero cylinder of `m` digits (its
+    level in stage m + 1 of each system), whose induced return time is
+    exactly `block` base steps; `margin` is the least pit depth less pile
+    height over that cylinder, exact (see noneven_prepare) and >= 0."""
 
     pair: object
     eps: Fraction
@@ -835,19 +838,7 @@ class NonEvenPlan:
     block: int
     a_set: LevelSet
     b_set: LevelSet
-    margins: list
-
-
-def _block_size(pair, m):
-    prod = 1
-    for k in range(1, m + 1):
-        prod *= pair.sys_x.cuts(k)
-    return prod
-
-
-def _deep_zero_digits(pair, m, seed):
-    tail = SeededDigits(seed, pair.sys_x.cuts)
-    return OverlayDigits(tail, {k: 0 for k in range(1, m + 1)})
+    margin: int
 
 
 def pile_height(plan, digits):
@@ -877,41 +868,47 @@ def noneven_eps_bound(pair, eps):
     return gap / 2
 
 
-def noneven_prepare(pair, eps, N, samples=64, seed=0):
-    """Choose the inducing depth m, at most 4 stages past the least m with
-    a block longer than 2N, and certify pile <= pit on samples.
+def noneven_prepare(pair, eps, N, *, samples=None):
+    """The plan at the first of 5 inducing depths m, from the least with a
+    block longer than 2N, whose exact margin is >= 0.
 
-    eps must be an admissible rate gap (noneven_eps_bound)."""
-    if samples < 1:
-        raise ValueError("need samples >= 1")
+    Over the all-zero m-cylinder, pit - pile = sums[m] + delta[j][d] of the
+    forward _DeltaWords, j the least stage above m whose digit is not
+    maximal and d that digit.  Past the longer prefix each row exceeds the
+    one a tail period (lcm of the tail lengths) before it by one drift: if
+    that is negative the margin falls without bound (MarginViolation), and
+    otherwise its minimum is reached by stage max(m, prefix) + period.
+    Refuses what validate_pair and noneven_eps_bound refuse.  `samples` is
+    ignored, accepted from callers of the sampled check this replaced."""
+    validate_pair(pair)
     noneven_eps_bound(pair, eps)
-    m0 = 1
-    while _block_size(pair, m0) <= 2 * N:
+    specs = (pair.sys_x.spec, pair.sys_y.spec)
+    prefix = max(len(spec.prefix) for spec in specs)
+    period = lcm(*(len(spec.tail) for spec in specs))
+    m0, block = 1, pair.sys_x.cuts(1)
+    while block <= 2 * N:
         m0 += 1
-    last_margins = None
+        block *= pair.sys_x.cuts(m0)
+    words = pair._delta_words(True)
+    words._grow(max(m0 + 4, prefix + period) + period)
+    delta = words.delta
+    s = next(s for s in range(prefix + 1, prefix + period + 1) if delta[s])
+    drift = delta[s + period][0] - delta[s][0]
+    if drift < 0:
+        raise MarginViolation(f"pit - pile falls by {-drift} per tail "
+                              f"period of {period} stages without bound")
     for m in range(m0, m0 + 5):
-        block = _block_size(pair, m)
-        plan = NonEvenPlan(
-            pair,
-            Fraction(eps),
-            N,
-            m,
-            block,
-            LevelSet(m + 1, frozenset({0})),
-            LevelSet(m + 1, frozenset({0})),
-            [],
-        )
-        margins = []
-        for s in range(samples):
-            digits = _deep_zero_digits(pair, m, f"margin:{seed}:{m}:{s}")
-            margins.append(pit_depth(plan, digits) - pile_height(plan, digits))
-        last_margins = margins
-        if all(mg >= 0 for mg in margins):
-            plan.margins = margins
-            return plan
+        rows = delta[m + 1:max(m, prefix) + period + 1]
+        margin = words.sums[m] + min(chain.from_iterable(rows))
+        if margin >= 0:
+            zero = RankOnePoint(1, 0, zeros())
+            a_set, b_set = (LevelSet(m + 1, {sys.level_index(zero, m + 1)})
+                            for sys in (pair.sys_x, pair.sys_y))
+            return NonEvenPlan(pair, Fraction(eps), N, m, words.lengths[m] + 1,
+                               a_set, b_set, margin)
     raise MarginViolation(
         f"piles still exceed pits at inducing depth {m}; "
-        f"worst margin {min(last_margins)}"
+        f"worst margin {margin}"
     )
 
 

@@ -15,6 +15,7 @@ from cutstack.errors import (
     CutstackError,
     ExhaustedDigits,
     HorizonExhausted,
+    MarginViolation,
     NeedMoreDepth,
     SpecInvalid,
     WindowEdge,
@@ -910,6 +911,65 @@ def noneven_image_successor(plan, y):
         if matching.noneven_in_image(plan, cur):
             return cur
     raise HorizonExhausted("no image point within 4096 steps", horizon=4096)
+
+
+# The non-even margin check as it was before the exact Delta-row minimum:
+# pit - pile on seeded points of the all-zero m-cylinder, at the first of
+# 5 depths where no sampled pile outgrows its pit.  Kept as its oracle,
+# with the brute-force minimum over explicit (j, d) cylinders.
+
+
+def deep_zero_digits(pair, m, seed):
+    tail = SeededDigits(seed, pair.sys_x.cuts)
+    return OverlayDigits(tail, {k: 0 for k in range(1, m + 1)})
+
+
+def cylinder_block(pair, m):
+    block = 1
+    for k in range(1, m + 1):
+        block *= pair.sys_x.cuts(k)
+    return block
+
+
+def cylinder_margin(pair, m, digits):
+    """pit - pile from a base point with digits 1..m zero, by two advances."""
+    block = cylinder_block(pair, m)
+    return (pair.sys_y.advance(digits, block)[0]
+            - pair.sys_x.advance(digits, block)[0])
+
+
+def sampled_noneven_depth(pair, eps, N, samples=64, seed=0):
+    """(m, sampled margins) as noneven_prepare chose them by sampling."""
+    matching.noneven_eps_bound(pair, eps)
+    m0 = 1
+    while cylinder_block(pair, m0) <= 2 * N:
+        m0 += 1
+    for m in range(m0, m0 + 5):
+        margins = [cylinder_margin(
+            pair, m, deep_zero_digits(pair, m, f"margin:{seed}:{m}:{s}"))
+            for s in range(samples)]
+        if all(mg >= 0 for mg in margins):
+            return m, margins
+    raise MarginViolation(
+        f"piles still exceed pits at inducing depth {m}; "
+        f"worst margin {min(margins)}")
+
+
+def brute_margin(pair, m, j, d):
+    """pit - pile on the m-cylinder point whose digits m+1..j-1 are
+    maximal and whose stage-j digit is d, the rest zero."""
+    cuts = pair.sys_x.cuts
+    digits = {k: 0 for k in range(1, m + 1)}
+    digits.update({k: cuts(k) - 1 for k in range(m + 1, j)})
+    digits[j] = d
+    return cylinder_margin(pair, m, OverlayDigits(zeros(), digits))
+
+
+def brute_min_margin(pair, m, last):
+    """The least brute_margin over stages j = m + 1 .. last."""
+    cuts = pair.sys_x.cuts
+    return min(brute_margin(pair, m, j, d)
+               for j in range(m + 1, last + 1) for d in range(cuts(j) - 1))
 
 
 # IntervalUnion.difference as it was before the one-pass subtraction: each

@@ -80,6 +80,37 @@ def test_golden_noneven_match(tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == stdout_digest
 
 
+# A pair with one spacer below each stage's first column, so the all-zero
+# m-cylinder is not level 0 of stage m + 1.  Taken when each system's
+# plan came to read its own level of that cylinder: before, this run
+# ended in ExhaustedDigits.  (spec files, argv, digests, stdout digest)
+BELOW_SPACERS = (
+    {"x.spec": "h1=2\nstage * : cuts=2 above=[0,1] below=1\n",
+     "y.spec": "h1=2\nstage * : cuts=2 above=[2,1] below=1\n"},
+    ("--seed", "0", "match", "--mode", "noneven", "--eps", "1/8",
+     "--left", "x.spec", "--right", "y.spec"),
+    {"match_noneven_trace.csv":
+     "f946531a867d648f8d3b3cc718a376a8bcd23b1e3b8ec5695aaabc743b5aace9",
+     "noneven_plan.json":
+     "dbec8dbe02bc752d39e18735be16ff451a3cc9cc36afa7e0e0faf4750718465d"},
+    "87d2416454bc27eed5639fae74f9342aa8137c3fc47b2e202e56025d73dda7fc",
+)
+
+
+def test_golden_noneven_below_spacers(tmp_path, capsys):
+    files, argv, digests, stdout_digest = BELOW_SPACERS
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out)] + argv) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in digests}
+    stdout = capsys.readouterr().out.encode()
+    assert got == digests
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+
+
 # Taken before validation became exact and each induction adapter owned its
 # decompositions: (argv, {output file: digest}, stdout digest).
 PINNED = (

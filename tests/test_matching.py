@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import fields
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +22,9 @@ from cutstack.errors import (
 )
 from cutstack.specs import (
     StackingSpec,
+    StageRule,
     builtin_spec,
+    parse_spec,
     parse_spec_json,
     random_spec,
 )
@@ -1008,7 +1011,7 @@ def test_trace_rows_format():
 
 def noneven_plan(eps=Fraction(1, 4), N=12):
     pair = matching.chacon_triple_noneven_pair()
-    return pair, matching.noneven_prepare(pair, eps, N, samples=32, seed=0)
+    return pair, matching.noneven_prepare(pair, eps, N)
 
 
 def test_noneven_eps_guard():
@@ -1020,19 +1023,136 @@ def test_noneven_eps_guard():
         matching.noneven_prepare(pair, Fraction(0), 12)
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-def test_noneven_prepare_refuses_no_samples(samples):
-    # a plan certified on no point has no margins for min() to read
-    pair = matching.chacon_triple_noneven_pair()
-    with pytest.raises(ValueError, match="need samples >= 1"):
-        matching.noneven_prepare(pair, Fraction(1, 4), 12, samples=samples)
-
-
 def test_noneven_plan_block_and_margins():
     pair, plan = noneven_plan()
     assert plan.block == 3**plan.m
     assert plan.block > 2 * plan.N
-    assert min(plan.margins) >= 0
+    # the exact minimum, at (j, d) = (4, 1); the chacon cylinder is level 0
+    assert (plan.m, plan.margin) == (3, 26)
+    assert plan.margin == oracles.brute_min_margin(pair, 3, 12)
+    assert plan.margin == oracles.brute_margin(pair, 3, 4, 1)
+    assert plan.a_set == plan.b_set == LevelSet(4, {0})
+    _, margins = oracles.sampled_noneven_depth(pair, Fraction(1, 4), 12)
+    assert min(margins) >= plan.margin
+
+
+def spec_pair(x_text, y_text):
+    return matching.PairSpec("drawn", RankOneSystem(parse_spec(x_text)),
+                             RankOneSystem(parse_spec(y_text)))
+
+
+def quarter_gap(pair):
+    """An admissible eps: a quarter of the rate gap 1/mass(B) - 1/mass(A)."""
+    mx, my = pair.base_measures()
+    return (1 / my - 1 / mx) / 4
+
+
+@st.composite
+def noneven_pairs(draw):
+    """Two specs that cut alike (prefix 0-2 stages, tail 1-2), with 0 or 1
+    spacers below; X is the one of larger base mass."""
+    n_prefix = draw(st.integers(0, 2))
+    cuts = draw(st.lists(st.integers(2, 3), min_size=n_prefix + 1,
+                         max_size=n_prefix + 2))
+
+    def system(name):
+        rules = [StageRule(c, tuple(draw(st.lists(st.integers(0, 2),
+                                                  min_size=c, max_size=c))),
+                           draw(st.integers(0, 1)))
+                 for c in cuts]
+        return RankOneSystem(StackingSpec.make(
+            name, draw(st.integers(1, 3)), rules[:n_prefix],
+            rules[n_prefix:]))
+
+    a, b = system("a"), system("b")
+    assume(a.unit_width() != b.unit_width())
+    if a.unit_width() < b.unit_width():
+        a, b = b, a
+    return matching.PairSpec("drawn", a, b)
+
+
+# Motivated by a sample miss: 64 seeded points per depth accepted m = 3 here
+X51 = "h1=2\nstage * : cuts=2 above=[0,2] below=1\n"
+Y51 = "h1=2\nstage * : cuts=2 above=[2,1] below=1\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(noneven_pairs(), st.integers(0, 8))
+@example(spec_pair(X51, Y51), 2)
+def test_noneven_margin_is_the_brute_force_minimum(pair, N):
+    specs = (pair.sys_x.spec, pair.sys_y.spec)
+    prefix = max(len(spec.prefix) for spec in specs)
+    period = lcm(*(len(spec.tail) for spec in specs))
+    # the drift of a row over one tail period, from two one-step cylinders
+    j = next(j for j in range(prefix + 1, prefix + period + 1)
+             if pair.sys_x.cuts(j) > 1)
+    drift = (oracles.brute_margin(pair, 0, j + period, 0)
+             - oracles.brute_margin(pair, 0, j, 0))
+    m0 = 1
+    while oracles.cylinder_block(pair, m0) <= 2 * N:
+        m0 += 1
+    eps = quarter_gap(pair)
+    if drift < 0:  # every depth has cylinders with pile > pit
+        with pytest.raises(MarginViolation, match="without bound"):
+            matching.noneven_prepare(pair, eps, N)
+        return
+    # prefix plus three periods past m: the rows only rise beyond one
+    mins = {m: oracles.brute_min_margin(pair, m, max(m, prefix) + 3 * period)
+            for m in range(m0, m0 + 5)}
+    fits = [m for m in mins if mins[m] >= 0]
+    if not fits:
+        with pytest.raises(MarginViolation, match="still exceed"):
+            matching.noneven_prepare(pair, eps, N)
+        return
+    plan = matching.noneven_prepare(pair, eps, N)
+    assert (plan.m, plan.margin) == (fits[0], mins[fits[0]])
+    assert plan.block == oracles.cylinder_block(pair, plan.m)
+
+
+def test_a_sampled_margin_missed_a_pile_above_its_pit():
+    pair = spec_pair(X51, Y51)
+    m, margins = oracles.sampled_noneven_depth(pair, Fraction(1, 4), 2)
+    assert (m, min(margins)) == (3, 4)
+    # digits 1..3 = 0, 4..13 = 1, 14 = 0: pile 67 over a pit of 66
+    digits = OverlayDigits(zeros(), {k: int(k > 3) for k in range(1, 14)})
+    assert pair.sys_x.advance(digits, 8)[0] == 67
+    assert pair.sys_y.advance(digits, 8)[0] == 66
+    assert oracles.brute_margin(pair, 3, 14, 0) == -1
+    with pytest.raises(MarginViolation,
+                       match="falls by 1 per tail period of 1 stages"):
+        matching.noneven_prepare(pair, Fraction(1, 4), 2)
+
+
+def test_noneven_cylinder_is_each_systems_own_level():
+    # spacers below the first column put the all-zero cylinder above
+    # level 0 of stage m + 1
+    pair = spec_pair("h1=2\nstage * : cuts=2 above=[0,1] below=1\n",
+                     "h1=2\nstage * : cuts=2 above=[2,1] below=1\n")
+    plan = matching.noneven_prepare(pair, Fraction(1, 8), 30)
+    assert plan.m == 6 and plan.margin == oracles.brute_min_margin(
+        pair, 6, 9) == 128
+    zero = RankOnePoint(1, 0, zeros())
+    assert plan.a_set == LevelSet(7, {pair.sys_x.level_index(zero, 7)})
+    assert plan.b_set == LevelSet(7, {pair.sys_y.level_index(zero, 7)})
+    assert min(plan.a_set.level_indices) > 0
+    rng = random.Random("below")
+    for t in range(40):
+        x = pair.sys_x.random_point(rng, plan.m + 2, seed=f"below:{t}")
+        y, _, _ = matching.noneven_match(plan, x)
+        assert matching.noneven_in_image(plan, y)
+        assert pair.sys_x.same_point(matching.noneven_inverse(plan, y), x)
+
+
+def test_a_tail_of_one_cut_stages_is_refused():
+    # its odometer is finite: no depth ever has a block longer than 2N
+    pair = spec_pair(
+        "h1=2\nstage 1 : cuts=2 above=[0,1]\nstage * : cuts=1 above=[0]\n",
+        "h1=2\nstage 1 : cuts=2 above=[1,1]\nstage * : cuts=1 above=[0]\n")
+    message = "tail of 1-cut stages: its odometer is finite"
+    with pytest.raises(InadmissiblePair, match=message):
+        matching.validate_pair(pair)
+    with pytest.raises(InadmissiblePair, match=message):
+        matching.noneven_prepare(pair, quarter_gap(pair), 12)
 
 
 def test_noneven_match_roundtrip_and_conjugacy():

@@ -436,6 +436,23 @@ def test_cli_finite_spec_in_a_pair_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_cli_one_cut_tail_in_a_pair_exit_4(tmp_path, capsys):
+    # a tail that never cuts in more than one leaves a finite odometer;
+    # the N estimate once ran out of depth on it instead (exit 6)
+    for name, above in (("x.spec", "[0,1]"), ("y.spec", "[1,1]")):
+        (tmp_path / name).write_text(
+            f"h1=2\nstage 1 : cuts=2 above={above}\n"
+            "stage * : cuts=1 above=[0]\n")
+    rc, _, manifest = run_cli(tmp_path, "match", "--mode", "noneven",
+                              "--left", str(tmp_path / "x.spec"),
+                              "--right", str(tmp_path / "y.spec"))
+    assert rc == 4
+    assert manifest["status"] == (
+        "inadmissible_pair: spec 'unnamed' has a tail of 1-cut stages: "
+        "its odometer is finite")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_cli_crash_is_recorded_and_reraised(tmp_path, monkeypatch):
     # an exception that is not a CutstackError is a bug, not an outcome
     def crash(ctx):
