@@ -87,5 +87,5 @@ class InadmissiblePair(CutstackError):
 
 
 class MarginViolation(CutstackError):
-    """A pile exceeds its pit in a non-even plan: at every inducing depth
-    tried, or at every depth when the margin falls without bound."""
+    """A pile exceeds its pit in a non-even plan at every inducing depth:
+    the margin falls without bound."""

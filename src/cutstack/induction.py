@@ -1,17 +1,16 @@
 """Return-time structure and induced maps, generic over the system.
 
-Works for any system exposing apply/contains/measure through a small
-adapter: rank-one systems act on level-set unions, rotations on exact
-interval unions, and each adapter owns its column decomposition and
-skyscraper.  Every search has a limit: a return within 4,096 steps,
-each step resolved within 64 stages; running out raises BudgetExhausted or
-NeedMoreDepth rather than guessing.
+A small adapter gives each system its measure and column decomposition:
+rank-one systems act on level-set unions, rotations on exact interval
+unions.  First returns (apply/contains) and skyscrapers are read on
+rank-one adapters only.  Every search has a limit: a return within 4,096
+steps, each step resolved within 64 stages; running out raises
+BudgetExhausted or NeedMoreDepth rather than guessing.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import point_value, rotate
 from .errors import BudgetExhausted, NeedMoreDepth
 from .quadratic import Surd
 from .towers import LevelSet
@@ -64,9 +63,6 @@ class IntervalUnion:
 
     def contains(self, value):
         return any(l <= value < r for l, r in self.intervals)
-
-    def union(self, other):
-        return IntervalUnion(self.intervals + other.intervals)
 
     def intersect(self, other):
         out = []
@@ -168,9 +164,6 @@ class RankOneAdapter:
     def measure(self, lset):
         return self.sys.measure(lset)
 
-    def same_point(self, p, q):
-        return self.sys.same_point(p, q)
-
     def column_decomposition(self, A, working_stage):
         """Cells resolved at the working stage via level gaps; the topmost
         lifted level stays unresolved (its return leaves the stack)."""
@@ -223,17 +216,8 @@ class RotationAdapter:
     def __init__(self, angle):
         self.angle = angle
 
-    def apply(self, point, steps):
-        return rotate(self.angle, point, steps)
-
-    def contains(self, iu, point):
-        return iu.contains(point_value(self.angle, point))
-
     def measure(self, iu):
         return iu.measure()
-
-    def same_point(self, p, q):
-        return self.angle.compare_points(p, q) == 0
 
     def column_decomposition(self, A, max_r):
         """The clopen cells B_r = (T^-r A ∩ A) \\ earlier, r = 1..max_r."""
@@ -249,17 +233,6 @@ class RotationAdapter:
                 break
         return ReturnTimeDecomposition(A, cells, remaining,
                                        remaining.measure(), self.measure)
-
-    def skyscraper(self, A, bound, working_stage=None):
-        """Exact interval levels; a rotation has no working stage."""
-        alpha = self.angle.value
-        levels = [A]
-        seen = A
-        for _ in range(bound):
-            new = levels[-1].shift_mod1(alpha).difference(seen)
-            seen = seen.union(new)
-            levels.append(new)
-        return Skyscraper(A, levels)
 
 
 # ---------------------------------------------------------------------------

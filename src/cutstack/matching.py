@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from math import lcm
 
 from .digits import explicit_extent, zeros
@@ -829,7 +829,8 @@ class NonEvenPlan:
     Both systems are induced on the all-zero cylinder of `m` digits (its
     level in stage m + 1 of each system), whose induced return time is
     exactly `block` base steps; `margin` is the least pit depth less pile
-    height over that cylinder, exact (see noneven_prepare) and >= 0."""
+    height over the whole cylinder, exact (see noneven_prepare) and >= 0,
+    so every pile fits its pit and the readers check no pile again."""
 
     pair: object
     eps: Fraction
@@ -844,11 +845,6 @@ class NonEvenPlan:
 def pile_height(plan, digits):
     """Base steps in X across one induced block from this cylinder point."""
     return plan.pair.sys_x.advance(digits, plan.block)[0]
-
-
-def pit_depth(plan, digits):
-    """Base steps in Y across the same induced block of digits."""
-    return plan.pair.sys_y.advance(digits, plan.block)[0]
 
 
 def noneven_eps_bound(pair, eps):
@@ -869,8 +865,8 @@ def noneven_eps_bound(pair, eps):
 
 
 def noneven_prepare(pair, eps, N, *, samples=None):
-    """The plan at the first of 5 inducing depths m, from the least with a
-    block longer than 2N, whose exact margin is >= 0.
+    """The plan at the least inducing depth m whose block is longer than
+    2N and whose exact margin is >= 0.
 
     Over the all-zero m-cylinder, pit - pile = sums[m] + delta[j][d] of the
     forward _DeltaWords, j the least stage above m whose digit is not
@@ -878,27 +874,37 @@ def noneven_prepare(pair, eps, N, *, samples=None):
     one a tail period (lcm of the tail lengths) before it by one drift: if
     that is negative the margin falls without bound (MarginViolation), and
     otherwise its minimum is reached by stage max(m, prefix) + period.
-    Refuses what validate_pair and noneven_eps_bound refuse.  `samples` is
-    ignored, accepted from callers of the sampled check this replaced."""
+
+    The search ends.  With drift >= 0 every row past the prefix is at least
+    the row one period earlier, so the minimum over stages m + 1 ..
+    max(m, prefix) + period is at least L, the least entry of rows 1 ..
+    prefix + period.  sums[m], the Y-minus-X step count across the m-block,
+    is P_m * gap - O(m), gap = 1/mass(B) - 1/mass(A) > 0
+    (noneven_eps_bound), and P_m grows geometrically (validate_pair
+    refuses a tail of 1-cut stages); so the search stops by the first m
+    with sums[m] >= -L.  The margin is not monotone in m: the search goes
+    upward and must not bisect.  Refuses what validate_pair and
+    noneven_eps_bound refuse.  `samples` is ignored, accepted from callers
+    of the sampled check this replaced."""
     validate_pair(pair)
     noneven_eps_bound(pair, eps)
     specs = (pair.sys_x.spec, pair.sys_y.spec)
     prefix = max(len(spec.prefix) for spec in specs)
     period = lcm(*(len(spec.tail) for spec in specs))
-    m0, block = 1, pair.sys_x.cuts(1)
-    while block <= 2 * N:
-        m0 += 1
-        block *= pair.sys_x.cuts(m0)
     words = pair._delta_words(True)
-    words._grow(max(m0 + 4, prefix + period) + period)
+    words._grow(prefix + 2 * period)
     delta = words.delta
     s = next(s for s in range(prefix + 1, prefix + period + 1) if delta[s])
     drift = delta[s + period][0] - delta[s][0]
     if drift < 0:
         raise MarginViolation(f"pit - pile falls by {-drift} per tail "
                               f"period of {period} stages without bound")
-    for m in range(m0, m0 + 5):
-        rows = delta[m + 1:max(m, prefix) + period + 1]
+    for m in count(1):
+        last = max(m, prefix) + period
+        words._grow(last)
+        if words.lengths[m] + 1 <= 2 * N:
+            continue
+        rows = delta[m + 1:last + 1]
         margin = words.sums[m] + min(chain.from_iterable(rows))
         if margin >= 0:
             zero = RankOnePoint(1, 0, zeros())
@@ -906,45 +912,42 @@ def noneven_prepare(pair, eps, N, *, samples=None):
                             for sys in (pair.sys_x, pair.sys_y))
             return NonEvenPlan(pair, Fraction(eps), N, m, words.lengths[m] + 1,
                                a_set, b_set, margin)
-    raise MarginViolation(
-        f"piles still exceed pits at inducing depth {m}; "
-        f"worst margin {margin}"
-    )
 
 
 def noneven_match(plan, x):
     """Embed x into the Y skyscraper: descend to the cylinder point below,
     hop to the Y point with the same digits, climb the same number of
-    steps.  Raises MarginViolation where the pile outgrows its pit."""
+    steps.  The plan's margin covers the whole cylinder, so the pile fits
+    its pit and nothing is checked here."""
     pair = plan.pair
     h, base = height_above_base(pair.sys_x, plan.a_set, x)
-    digits = base.digits
-    pile = pile_height(plan, digits)
-    pit = pit_depth(plan, digits)
-    if pile > pit:
-        raise MarginViolation(
-            f"pile {pile} exceeds pit {pit} at this cylinder point"
-        )
-    y_base = RankOnePoint(1, 0, digits)
+    y_base = RankOnePoint(1, 0, base.digits)
     y = pair.sys_y.apply(y_base, h) if h else y_base
     return y, h, base
+
+
+def _pit_read(plan, y):
+    """(D, y_base, pile): y's depth above its b-set point y_base, and the
+    height of the pile over the same digits."""
+    D, y_base = height_above_base(plan.pair.sys_y, plan.b_set, y)
+    return D, y_base, pile_height(plan, y_base.digits)
 
 
 def noneven_in_image(plan, y):
     """Membership in the embedded copy of X: the depth of y above its
     cylinder point must fall short of the corresponding pile height."""
-    pair = plan.pair
-    D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    return D < pile_height(plan, y_base.digits)
+    D, _, pile = _pit_read(plan, y)
+    return D < pile
 
 
 def noneven_inverse(plan, y):
-    pair = plan.pair
-    D, y_base = height_above_base(pair.sys_y, plan.b_set, y)
-    if D >= pile_height(plan, y_base.digits):
-        raise ValueError("point lies outside the embedded image")
+    """The X point embedded at y; SpecInvalid for a y outside the image."""
+    D, y_base, pile = _pit_read(plan, y)
+    if D >= pile:
+        raise SpecInvalid(f"point at depth {D} lies outside the embedded "
+                          f"pile of height {pile} over its cylinder point")
     x_base = RankOnePoint(1, 0, y_base.digits)
-    return pair.sys_x.apply(x_base, D) if D else x_base
+    return plan.pair.sys_x.apply(x_base, D) if D else x_base
 
 
 def noneven_image_successor(plan, y):
@@ -956,7 +959,7 @@ def noneven_image_successor(plan, y):
     advanced by one block, one RankOneSystem.advance (digits 1..m of a
     b-set point are 0, so the carry starts at stage m + 1)."""
     sys_y = plan.pair.sys_y
-    D, y_base = height_above_base(sys_y, plan.b_set, y)
-    if D + 1 < pile_height(plan, y_base.digits):
+    D, y_base, pile = _pit_read(plan, y)
+    if D + 1 < pile:
         return sys_y.apply(y, 1, 256)
     return RankOnePoint(1, 0, sys_y.advance(y_base.digits, plan.block)[1])

@@ -955,6 +955,12 @@ def sampled_noneven_depth(pair, eps, N, samples=64, seed=0):
         f"worst margin {min(margins)}")
 
 
+def pit_depth(plan, digits):
+    """Base steps in Y across one induced block of the plan from this
+    cylinder point: the pit that matching.pile_height's pile fills."""
+    return plan.pair.sys_y.advance(digits, plan.block)[0]
+
+
 def brute_margin(pair, m, j, d):
     """pit - pile on the m-cylinder point whose digits m+1..j-1 are
     maximal and whose stage-j digit is d, the rest zero."""

@@ -249,7 +249,7 @@ def test_criterion_08_noneven_pipeline():
         # margins: piles fit inside pits on 10^3 sampled cylinder points
         for s in range(10**3):
             digits = oracles.deep_zero_digits(pair, plan.m, f"acc8m:{s}")
-            assert matching.pit_depth(plan, digits) >= \
+            assert oracles.pit_depth(plan, digits) >= \
                 matching.pile_height(plan, digits)
         # round trips on 10^3 points
         rng = random.Random("acc8")

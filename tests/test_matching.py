@@ -1074,11 +1074,16 @@ def noneven_pairs(draw):
 # Motivated by a sample miss: 64 seeded points per depth accepted m = 3 here
 X51 = "h1=2\nstage * : cuts=2 above=[0,2] below=1\n"
 Y51 = "h1=2\nstage * : cuts=2 above=[2,1] below=1\n"
+# Drift 0 and minima -199, -196, -187, -160, -79, 164 at m = 1..6: the
+# least fitting depth lies past the first five
+X6 = "h1=201\nstage * : cuts=3 above=[0,0,0]\n"
+Y6 = "h1=1\nstage * : cuts=3 above=[0,401,0]\n"
 
 
 @settings(max_examples=80, deadline=None)
 @given(noneven_pairs(), st.integers(0, 8))
 @example(spec_pair(X51, Y51), 2)
+@example(spec_pair(X6, Y6), 0)
 def test_noneven_margin_is_the_brute_force_minimum(pair, N):
     specs = (pair.sys_x.spec, pair.sys_y.spec)
     prefix = max(len(spec.prefix) for spec in specs)
@@ -1096,17 +1101,28 @@ def test_noneven_margin_is_the_brute_force_minimum(pair, N):
         with pytest.raises(MarginViolation, match="without bound"):
             matching.noneven_prepare(pair, eps, N)
         return
-    # prefix plus three periods past m: the rows only rise beyond one
-    mins = {m: oracles.brute_min_margin(pair, m, max(m, prefix) + 3 * period)
-            for m in range(m0, m0 + 5)}
-    fits = [m for m in mins if mins[m] >= 0]
-    if not fits:
-        with pytest.raises(MarginViolation, match="still exceed"):
-            matching.noneven_prepare(pair, eps, N)
-        return
+    # the least m >= m0 whose minimum over prefix plus three periods past m
+    # (the rows only rise beyond one) is >= 0, searched upward
+    m = m0
+    while (low := oracles.brute_min_margin(
+            pair, m, max(m, prefix) + 3 * period)) < 0:
+        m += 1
     plan = matching.noneven_prepare(pair, eps, N)
-    assert (plan.m, plan.margin) == (fits[0], mins[fits[0]])
+    assert (plan.m, plan.margin) == (m, low)
     assert plan.block == oracles.cylinder_block(pair, plan.m)
+
+
+def test_a_pair_past_five_depths_gets_its_deeper_plan():
+    pair = spec_pair(X6, Y6)
+    assert pair.base_measures() == (Fraction(1, 201), Fraction(2, 403))
+    plan = matching.noneven_prepare(pair, Fraction(1, 8), 0)
+    assert (plan.m, plan.margin, plan.block) == (6, 164, 729)
+    rng = random.Random("deeper")
+    for t in range(200):
+        x = pair.sys_x.random_point(rng, plan.m + 2, seed=f"deeper:{t}")
+        y, _, _ = matching.noneven_match(plan, x)
+        assert matching.noneven_in_image(plan, y)
+        assert pair.sys_x.same_point(matching.noneven_inverse(plan, y), x)
 
 
 def test_a_sampled_margin_missed_a_pile_above_its_pit():
@@ -1209,7 +1225,7 @@ def test_image_successor_is_the_step_by_step_return(N, m):
             {k: 0 for k in range(1, m + 1)})
         y_base = RankOnePoint(1, 0, digits)
         pile = matching.pile_height(plan, digits)
-        pit = matching.pit_depth(plan, digits)
+        pit = oracles.pit_depth(plan, digits)
         ys += [sys_y.apply(y_base, d) for d in (pile - 1, pile, pit - 1)]
     assert sum(not matching.noneven_in_image(plan, y) for y in ys) > 40
     for y in ys:
@@ -1220,6 +1236,38 @@ def test_image_successor_is_the_step_by_step_return(N, m):
         got = matching.noneven_image_successor(plan, y)
         assert sys_y.same_point(got, oracles.noneven_image_successor(plan, y))
         y = got
+
+
+def test_noneven_match_trusts_the_plan(monkeypatch):
+    # the plan's margin is the cylinder minimum, so matching a point
+    # advances neither system across a block to compare its pile and pit
+    pair, plan = noneven_plan()
+    rng = random.Random("trust")
+    xs = [pair.sys_x.random_point(rng, plan.m + 2, seed=f"trust:{t}")
+          for t in range(20)]
+    calls = []
+
+    def counted(self, *args, _advance=RankOneSystem.advance, **kwargs):
+        calls.append(self)
+        return _advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankOneSystem, "advance", counted)
+    for x in xs:
+        matching.noneven_match(plan, x)
+    assert calls == []
+
+
+def test_noneven_inverse_refuses_a_point_outside_the_image():
+    # the first level past a pile lies in its pit but outside the image
+    pair, plan = noneven_plan()
+    digits = SeededDigits("outside", pair.sys_y.cuts).with_overrides(
+        {k: 0 for k in range(1, plan.m + 1)})
+    pile = matching.pile_height(plan, digits)
+    y = pair.sys_y.apply(RankOnePoint(1, 0, digits), pile)
+    assert not matching.noneven_in_image(plan, y)
+    with pytest.raises(SpecInvalid, match=f"depth {pile} lies outside the "
+                                          f"embedded pile of height {pile} "):
+        matching.noneven_inverse(plan, y)
 
 
 def test_matching_keeps_no_stage_data_on_the_systems():
