@@ -3,7 +3,9 @@
 Rotations work in Z + Z*alpha for a quadratic irrational alpha, given by
 an eventually periodic continued fraction: a point is an integer pair
 (a, b) meaning frac(a + b*alpha), and every membership or comparison
-query is decided exactly.
+query is decided exactly.  The integer a never changes the value:
+frac(a + b*alpha) = frac(b*alpha), one floor of b*alpha
+(Surd.floor_times), so values are read on the lattice Z*alpha alone.
 
 The prefix-inducing construction turns the first p levels of a height-q
 tower into the adding machine with digit sizes (p, q, q, ...), a
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .digits import DigitStream, OverlayDigits
 from .errors import BudgetExhausted, DslError, SpecInvalid
-from .quadratic import Surd, surd_from_cf
+from .quadratic import ONE, ZERO, Surd, surd_from_cf
 from .specs import q_adic_tower_spec, spacer_free_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
 
@@ -33,7 +35,7 @@ class RotationAngle:
         self.prefix = tuple(prefix)
         self.period = tuple(period)
         self.value = surd_from_cf(self.prefix, self.period)
-        if not (Surd(0) < self.value < Surd(1)):
+        if not (ZERO < self.value < ONE):
             raise ValueError("angle must lie in (0,1)")
         self.n = (1 / self.value).floor()  # floor(1/alpha)
 
@@ -63,8 +65,8 @@ class RotationAngle:
             raise SpecInvalid(f"{e}: {text!r}") from None
 
     def frac_value(self, a, b):
-        """frac(a + b*alpha) as a Surd."""
-        return (self.value * b + a).frac()
+        """frac(a + b*alpha) = frac(b*alpha) as a Surd; a never changes it."""
+        return self.value.frac_times(b)
 
     def compare_points(self, p, q):
         """Sign of frac(p) - frac(q) for RotationPoints."""
@@ -85,7 +87,8 @@ def golden_minus_1():
 
 @dataclass(frozen=True)
 class RotationPoint:
-    """Integers (a, b) denoting frac(a + b*alpha)."""
+    """Integers (a, b) denoting frac(a + b*alpha), which is frac(b*alpha):
+    a is an integer, so it never changes the value."""
 
     a: int
     b: int
@@ -148,15 +151,22 @@ def induced_exchange(angle):
 def first_return_rotation(angle, p):
     """Least r >= 1 with frac(p + r*alpha) in [0, alpha), plus the landing
     point.  For irrational alpha, r is n or n+1, so the search stops at
-    n + 2."""
-    alpha = angle.value
-    if not in_interval(angle, p, 0, alpha):
+    n + 2.
+
+    One floor per step: frac(c*alpha) < alpha exactly when
+    floor(c*alpha) - floor((c-1)*alpha) = 1.  For frac(c*alpha) =
+    frac((c-1)*alpha) + alpha - that difference, which is 0 or 1 as
+    0 < alpha < 1; so 1 gives a value below alpha, 0 one at least alpha."""
+    floor = angle.value.floor_times
+    last = floor(p.b)
+    if last - floor(p.b - 1) != 1:
         raise ValueError("point must lie in [0, alpha)")
     limit = angle.n + 2
     for r in range(1, limit + 1):
-        q = rotate(angle, p, r)
-        if in_interval(angle, q, 0, alpha):
-            return r, q
+        here = floor(p.b + r)
+        if here - last == 1:
+            return r, rotate(angle, p, r)
+        last = here
     raise BudgetExhausted(f"no return within {limit} steps")
 
 

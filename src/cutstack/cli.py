@@ -33,7 +33,7 @@ from .errors import (
     WindowEdge,
     WindowExhausted,
 )
-from .quadratic import Surd
+from .quadratic import ZERO
 from .specs import (builtin_spec, parse_odometer, parse_spec, parse_spec_json,
                     validate_spec)
 from .towers import LevelSet, RankOneSystem
@@ -165,7 +165,7 @@ def cmd_induce(ctx):
         _require_at_least(args, 1, "max_return")
         angle = RotationAngle.parse(args.angle)
         ad = induction.RotationAdapter(angle)
-        base = induction.IntervalUnion([(Surd(0), angle.value)])
+        base = induction.IntervalUnion([(ZERO, angle.value)])
         dec = induction.column_decomposition(ad, base, args.max_return)
         name = "rotation"
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhausted, NeedMoreDepth
-from .quadratic import Surd
+from .quadratic import ONE, ZERO, Surd
 from .towers import LevelSet
 
 
@@ -37,10 +37,14 @@ def lift(system, a, to_stage):
 
 class IntervalUnion:
     """Finite union of half-open intervals [l, r) in [0, 1), exact Surd
-    endpoints, kept sorted and disjoint."""
+    endpoints, kept sorted and disjoint, no two touching.
 
-    def __init__(self, intervals=()):
-        self.intervals = self._normalize(intervals)
+    intersect, difference and shift_mod1 keep that invariant in one pass
+    over sorted inputs and pass `ordered=True`, so their output skips the
+    sort and merge of _normalize."""
+
+    def __init__(self, intervals=(), ordered=False):
+        self.intervals = intervals if ordered else self._normalize(intervals)
 
     @staticmethod
     def _normalize(intervals):
@@ -56,7 +60,7 @@ class IntervalUnion:
         return out
 
     def measure(self):
-        total = Surd(0)
+        total = ZERO
         for l, r in self.intervals:
             total = total + (r - l)
         return total
@@ -65,14 +69,24 @@ class IntervalUnion:
         return any(l <= value < r for l, r in self.intervals)
 
     def intersect(self, other):
+        """One merge pass: the pair (i, j) meets in [max l, min r), then the
+        interval that ends first gives way.  Meets of sorted, disjoint,
+        non-touching intervals come out sorted, disjoint and apart."""
         out = []
-        for l1, r1 in self.intervals:
-            for l2, r2 in other.intervals:
-                lo = max(l1, l2)
-                hi = min(r1, r2)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(out)
+        a, b = self.intervals, other.intervals
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (l1, r1), (l2, r2) = a[i], b[j]
+            lo = l2 if l1 < l2 else l1
+            if r1 < r2:
+                hi = r1
+                i += 1
+            else:
+                hi = r2
+                j += 1
+            if lo < hi:
+                out.append((lo, hi))
+        return IntervalUnion(out, ordered=True)
 
     def difference(self, other):
         """Self less other, in one left-to-right pass: each interval of
@@ -91,23 +105,32 @@ class IntervalUnion:
                 k += 1
             if l < r:
                 out.append((l, r))
-        return IntervalUnion(out)
+        return IntervalUnion(out, ordered=True)
 
     def shift_mod1(self, beta):
-        """Translate by beta and reduce mod 1, splitting wrapped intervals."""
-        beta = beta - beta.floor()
-        out = []
-        one = Surd(1)
+        """Translate by beta and reduce mod 1, splitting wrapped intervals.
+
+        With beta in [0, 1) and top = 1 - beta, the pieces at or past top
+        wrap to [l + beta - 1, r + beta - 1) below beta, in order, after the
+        low part [0, r + beta - 1) of the one straddling top; the rest move
+        to [l + beta, r + beta), then the straddler's high part [l + beta,
+        1).  So the output is sorted with no sort; only the two pieces that
+        meet at beta, the images of 1 and 0, can touch, and they merge."""
+        beta = beta.frac()
+        down = beta - ONE
+        top = -down
+        low, high = [], []
         for l, r in self.intervals:
-            l2, r2 = l + beta, r + beta
-            if r2 <= one:
-                out.append((l2, r2))
-            elif l2 >= one:
-                out.append((l2 - 1, r2 - 1))
+            if r <= top:
+                high.append((l + beta, r + beta))
+            elif l >= top:
+                low.append((l + down, r + down))
             else:
-                out.append((l2, one))
-                out.append((Surd(0), r2 - 1))
-        return IntervalUnion(out)
+                low.append((ZERO, r + down))  # nothing has wrapped yet
+                high.append((l + beta, ONE))
+        if low and high and low[-1][1] == high[0][0]:
+            low[-1] = (low[-1][0], high.pop(0)[1])
+        return IntervalUnion(low + high, ordered=True)
 
     def is_empty(self):
         return not self.intervals
@@ -120,7 +143,7 @@ class IntervalUnion:
 
 
 def whole_circle():
-    return IntervalUnion([(Surd(0), Surd(1))])
+    return IntervalUnion([(ZERO, ONE)])
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +244,11 @@ class RotationAdapter:
 
     def column_decomposition(self, A, max_r):
         """The clopen cells B_r = (T^-r A ∩ A) \\ earlier, r = 1..max_r."""
-        alpha = self.angle.value
+        angle = self.angle
         cells = []
         remaining = A
         for r in range(1, max_r + 1):
-            cell = remaining.intersect(A.shift_mod1(Surd(0) - alpha * r))
+            cell = remaining.intersect(A.shift_mod1(angle.frac_value(0, -r)))
             if not cell.is_empty():
                 cells.append((cell, r))
                 remaining = remaining.difference(cell)

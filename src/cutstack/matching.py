@@ -31,7 +31,7 @@ deep common cylinder so that every pile fits strictly inside its pit.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
@@ -398,26 +398,50 @@ def edge_violations(pair, digits, window):
 # Closed-form matching (formula mode) and the per-point machine
 
 
+class _LazySource:
+    """A record builds its source point (the field named by _point) on
+    first read, by _point_above from the `source` (system, base digits) it
+    was made with and the height in the field named by _height.  The
+    reader's caller holds that point already, so a round trip builds only
+    the image points."""
+
+    def __post_init__(self, source):
+        self._source = source
+
+    def __getattr__(self, name):
+        source = self.__dict__.get("_source")
+        if name != self._point or source is None:
+            raise AttributeError(name)
+        system, digits = source
+        point = _point_above(system, digits, getattr(self, self._height))
+        setattr(self, name, point)
+        return point
+
+
 @dataclass
-class MatchRecord:
-    x: object  # the matched X point
+class MatchRecord(_LazySource):
+    x: object = field(init=False)  # the matched X point
     h: int  # height above its base point
     n: int  # pit shift
     d: int  # slot depth in the target pit
     y: object  # the matched Y point
     mode: str
     boundary: bool = False  # chosen shift tied pile top to pit capacity
+    source: InitVar[tuple] = None  # (X system, base digits) of x
+    _point, _height = "x", "h"
 
 
 @dataclass
-class InverseMatchRecord:
-    y: object
+class InverseMatchRecord(_LazySource):
+    y: object = field(init=False)
     D: int  # slot depth above the Y base point
     m: int  # backward shift to the source pile
     H: int  # item height in that pile
     x: object
     mode: str
     boundary: bool = False
+    source: InitVar[tuple] = None  # (Y system, base digits) of y
+    _point, _height = "y", "D"
 
 
 def _sides(pair, forward):
@@ -425,7 +449,8 @@ def _sides(pair, forward):
     return (pair.sys_x, pair.sys_y) if forward else (pair.sys_y, pair.sys_x)
 
 
-def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
+def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget, *,
+                      first=None, image=True):
     """(n, d, margin, image base): n <= horizon least with h + r_1 + ... +
     r_n <= f_0 + ... + f_n - slack, d = h + r_1 + ... + r_n - (f_0 + ... +
     f_{n-1}), margin the right side minus the left, and the base point at
@@ -433,13 +458,15 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     along the shared base orbit of `digits`, forward or backward; h None
     means the top item of the source pile over the base point.  Past the
     horizon n, d and the point are None and margin is the best seen.
+    `first` is the source's first carry from `digits` when the caller has
+    read it already; with image False the image base point is None.
 
     f_i - r_i is the Delta of the carry from orbit index i, so n is the
     first passage of the Delta partial sums to need = h + slack - f_0,
     found block by block (_first_passage).  One advance then gives the
     image base point, with the digits a walk of n steps would have kept."""
     src, img = _sides(pair, forward)
-    s, e = src.carry(digits, budget=budget)
+    s, e = src.carry(digits, budget=budget) if first is None else first
     if h is None:
         h = src.return_time(s, e) - 1
     f = img.return_time(s, e)
@@ -447,17 +474,20 @@ def _partial_sum_walk(pair, digits, forward, h, slack, horizon, budget):
     if need <= 0:
         return 0, h, -need, RankOnePoint(1, 0, digits)
     words = pair._delta_words(forward)
-    n, acc, s, t = _first_passage(words, digits, need, horizon, budget)
+    n, acc, s, t = _first_passage(words, digits, need, horizon, budget,
+                                  (s, e))
     margin = acc - need
     if n is None:
         return None, None, margin, None
     e = t if forward else len(words.delta[s]) - 1 - t
-    digits = src.advance(digits, n if forward else -n, budget)[1]
-    return (n, img.return_time(s, e) - slack - margin, margin,
-            RankOnePoint(1, 0, digits))
+    base = None
+    if image:
+        base = RankOnePoint(
+            1, 0, src.advance(digits, n if forward else -n, budget)[1])
+    return n, img.return_time(s, e) - slack - margin, margin, base
 
 
-def _first_passage(words, digits, need, horizon, budget):
+def _first_passage(words, digits, need, horizon, budget, start):
     """(n, acc, s, t): the least n <= horizon at which the prefix sum acc
     of the Delta sequence along the orbit reaches `need` > 0, and the
     carry (s, t) of its last shift, in the words' orientation; past the
@@ -473,8 +503,9 @@ def _first_passage(words, digits, need, horizon, budget):
     digit is not maximal.  A block that ends within the horizon with acc +
     its largest prefix below need is skipped whole; the first one that
     does not holds the answer, so the search descends into it and never
-    climbs again.  Forward, the carry from the start itself is left out of
-    the sums.  Each climb is one carry from stage k + 1
+    climbs again.  Forward, the carry from the start itself, which the
+    caller has read (`start`, the source's (s, e)), is left out of the
+    sums.  Each other climb is one carry from stage k + 1
     (RankOneSystem.carry), so a carry past stage budget + 1 raises
     NeedMoreDepth at the shift that would take it, as a step there would."""
     delta, sums, peaks, lengths = (words.delta, words.sums, words.peaks,
@@ -486,8 +517,11 @@ def _first_passage(words, digits, need, horizon, budget):
         if u is None:
             if n >= horizon:
                 return None, best, None, None
-            k, t = words.src.carry(digits, k + 1, 1 if words.forward else -1,
-                                   budget)
+            if skip:
+                k, t = start
+            else:
+                k, t = words.src.carry(digits, k + 1,
+                                       1 if words.forward else -1, budget)
             if k >= len(delta):
                 words._grow(k)
             if not words.forward:
@@ -565,16 +599,21 @@ class _DeltaWords:
             self.lengths.append((len(row) + 1) * (size + 1) - 1)
 
 
-def _record(pair, digits, forward, k, shift, depth, image_base, mode,
+def _point_above(system, digits, k):
+    """The point k levels above the base point with these digits."""
+    base = RankOnePoint(1, 0, digits)
+    return system.apply(base, k) if k else base
+
+
+def _record(pair, digits, forward, k, shift, depth, image_digits, mode,
             boundary=False):
-    """Item k over the source base point matched `depth` steps above
-    `image_base`, as a MatchRecord forward, an InverseMatchRecord backward."""
-    src_sys, img_sys = _sides(pair, forward)
-    src_base = RankOnePoint(1, 0, digits)
-    src = src_sys.apply(src_base, k) if k else src_base
-    img = img_sys.apply(image_base, depth) if depth else image_base
+    """Item k over the source base point matched `depth` steps above the
+    base point with `image_digits`, as a MatchRecord forward, an
+    InverseMatchRecord backward; the source point is built on first read."""
+    src, img = _sides(pair, forward)
     cls = MatchRecord if forward else InverseMatchRecord
-    return cls(src, k, shift, depth, img, mode, boundary)
+    return cls(k, shift, depth, _point_above(img, image_digits, depth), mode,
+               boundary, (src, digits))
 
 
 def _refuse_outside(forward, k, size):
@@ -589,16 +628,16 @@ def _refuse_outside(forward, k, size):
 def _match_formula(pair, digits, forward, k, strict, horizon, budget):
     """even_match_formula forward, even_match_inverse_formula backward."""
     src = _sides(pair, forward)[0]
-    _refuse_outside(forward, k, src.return_time(
-        *src.carry(digits, budget=budget)))
+    first = src.carry(digits, budget=budget)
+    _refuse_outside(forward, k, src.return_time(*first))
     slack = 1 if strict else 0
     n, depth, margin, image_base = _partial_sum_walk(
-        pair, digits, forward, k, slack, horizon, budget)
+        pair, digits, forward, k, slack, horizon, budget, first=first)
     if n is None:
         target = "pit" if forward else "source pile"
         raise WindowExhausted(f"no {target} found within {horizon} shifts",
                               window=horizon)
-    return _record(pair, digits, forward, k, n, depth, image_base,
+    return _record(pair, digits, forward, k, n, depth, image_base.digits,
                    "formula_strict" if strict else "formula",
                    boundary=margin == -slack)
 
@@ -648,8 +687,7 @@ def _match_machine(pair, digits, forward, k, window, budget):
     if window < 0:
         raise ValueError(f"window {window} is below 0")
     if k == 0:
-        return _record(pair, digits, forward, 0, 0, 0,
-                       RankOnePoint(1, 0, digits), "machine")
+        return _record(pair, digits, forward, 0, 0, 0, digits, "machine")
     times = _scan_times(pair, digits, window, forward, budget)
     first = next(times)
     _refuse_outside(forward, k, first[0])
@@ -661,8 +699,7 @@ def _match_machine(pair, digits, forward, k, window, budget):
     t, depth = hit
     # the shared digits move alike in both systems
     image = pair.sys_x.advance(digits, t if forward else -t, budget)[1]
-    return _record(pair, digits, forward, k, t, depth,
-                   RankOnePoint(1, 0, image), "machine")
+    return _record(pair, digits, forward, k, t, depth, image, "machine")
 
 
 def even_match_formula(pair, digits, h, strict=False, horizon=4096, budget=256):
@@ -783,7 +820,8 @@ def stopping_time(pair, digits, horizon=2**16, strict=True, budget=256):
     """Shift at which the whole pile over this base point is swallowed:
     the matching shift of the topmost item h = r_A - 1."""
     n, _, margin, _ = _partial_sum_walk(pair, digits, True, None,
-                                        1 if strict else 0, horizon, budget)
+                                        1 if strict else 0, horizon, budget,
+                                        image=False)
     if n is None:
         raise HorizonExhausted(
             f"pile not swallowed within {horizon} shifts",

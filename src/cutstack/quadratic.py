@@ -6,9 +6,11 @@ a number u + v*sqrt(d) is decided by integer arithmetic, never floats.
 A Surd holds Python integers x, y, q > 0 with gcd(x, y, q) = 1 and the
 value (x + y*sqrt(d)) / q, where d is reduced once, by the public
 constructor.  The sign of x + y*sqrt(d) is read from the signs of x and y,
-then x^2 against y^2 * d; floor is (x + floor(y*sqrt(d))) // q with
-floor(y*sqrt(d)) one isqrt of y^2 * d.  The rational parts u = x/q and
-v = y/q are Fraction properties for callers that want them.
+then x^2 against y^2 * d; the floor of b times it, for an integer b, is
+(b*x + floor(b*y*sqrt(d))) // q with floor(b*y*sqrt(d)) one isqrt of
+b^2 * y^2 * d (floor_times).  The rational parts u = x/q and v = y/q are
+Fraction properties for callers that want them.  ZERO and ONE are built
+once, so hot loops need not call the Fraction-based constructor.
 """
 
 from fractions import Fraction
@@ -209,21 +211,35 @@ class Surd:
     def __float__(self):
         return float(self.approx(64))
 
-    def floor(self):
-        y = self.y
+    def floor_times(self, b):
+        """floor(b * self) for an integer b: (b*x + floor(b*y*sqrt(d))) // q,
+        one isqrt and no normalisation."""
+        x, y = b * self.x, b * self.y
         if y == 0:
-            return self.x // self.q
+            return x // self.q
         # floor(y*sqrt(d)) by one isqrt; y^2*d is never a square
         r = isqrt(y * y * self.d)
-        return (self.x + (r if y > 0 else -r - 1)) // self.q
+        return (x + (r if y > 0 else -r - 1)) // self.q
+
+    def frac_times(self, b):
+        """frac(b * self) for an integer b, by one floor and one _make."""
+        return _make(b * self.x - self.floor_times(b) * self.q, b * self.y,
+                     self.q, self.d)
+
+    def floor(self):
+        return self.floor_times(1)
 
     def frac(self):
-        return _make(self.x - self.floor() * self.q, self.y, self.q, self.d)
+        return self.frac_times(1)
 
     def __repr__(self):
         if self.y == 0:
             return f"Surd({self.u})"
         return f"Surd({self.u} + {self.v}*sqrt({self.d}))"
+
+
+ZERO = _make(0, 0, 1, None)
+ONE = _make(1, 0, 1, None)
 
 
 # ---------------------------------------------------------------------------

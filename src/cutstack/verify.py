@@ -26,7 +26,7 @@ from .arithmetic import (
 )
 from .digits import PeriodicDigits, SeededDigits
 from .errors import WindowEdge
-from .quadratic import Surd
+from .quadratic import ONE, ZERO, Surd
 from .specs import (builtin_spec, parse_spec, parse_spec_json, random_spec,
                     serialize_spec, spec_to_json)
 from .towers import LevelSet, RankOnePoint, RankOneSystem
@@ -250,7 +250,7 @@ def _check_rotation_exchange(cfg):
         while count < cfg.samples and trials < 20 * cfg.samples:
             trials += 1
             p = RotationPoint(rng.randrange(-40, 40), rng.randrange(-400, 400))
-            if not (Surd(0) <= point_value(angle, p) < alpha):
+            if not (ZERO <= point_value(angle, p) < alpha):
                 continue
             count += 1
             r, landing = first_return_rotation(angle, p)
@@ -286,18 +286,18 @@ def _check_rotation_kac(cfg):
     for angle, label in ((sqrt2_minus_1(), "sqrt2-1"),
                          (golden_minus_1(), "golden-1")):
         ad = induction.RotationAdapter(angle)
-        A = induction.IntervalUnion([(Surd(0), angle.value)])
+        A = induction.IntervalUnion([(ZERO, angle.value)])
         dec = induction.column_decomposition(ad, A, 12)
         if not dec.remainder.is_empty():
             raise Failed({"angle": label},
                          {"remainder": float(dec.remainder.measure())})
-        total = Surd(0)
+        total = ZERO
         for cell, r in dec.cells:
             total = total + cell.measure() * r
-        if total != Surd(1):
+        if total != ONE:
             raise Failed({"angle": label, "kac_sum": float(total)})
         comp = induction.whole_circle().difference(A)
-        if comp.measure() + A.measure() != Surd(1):
+        if comp.measure() + A.measure() != ONE:
             raise Failed({"angle": label, "kind": "complement"})
     return {"angles": 2}
 

@@ -10,8 +10,10 @@ from fractions import Fraction
 from math import isqrt
 
 from cutstack import matching
+from cutstack.arithmetic import RotationPoint
 from cutstack.digits import OverlayDigits, SeededDigits, explicit_extent, zeros
 from cutstack.errors import (
+    BudgetExhausted,
     CutstackError,
     ExhaustedDigits,
     HorizonExhausted,
@@ -1003,6 +1005,80 @@ def piece_difference(u, v):
             pieces = nxt
         out.extend(pieces)
     return IntervalUnion(out)
+
+
+# ---------------------------------------------------------------------------
+# Rotation reads as they were before the lattice floor: ring arithmetic on
+# the angle's Surd, one membership test per first-return step, and interval
+# algebra that re-sorts its output.  Kept as oracles for the fast paths.
+
+
+def ring_frac_value(angle, a, b):
+    """frac(a + b*alpha) by a Surd multiply, an add and frac()."""
+    return (angle.value * b + a).frac()
+
+
+def stepped_first_return(angle, p):
+    """(r, landing): the least r >= 1 with frac(p + r*alpha) in [0, alpha),
+    by an exact membership test of each rotated point."""
+    alpha = angle.value
+
+    def inside(b):
+        return Surd(0) <= ring_frac_value(angle, p.a, b) < alpha
+
+    if not inside(p.b):
+        raise ValueError("point must lie in [0, alpha)")
+    limit = angle.n + 2
+    for r in range(1, limit + 1):
+        if inside(p.b + r):
+            return r, RotationPoint(p.a, p.b + r)
+    raise BudgetExhausted(f"no return within {limit} steps")
+
+
+def pairwise_intersect(u, v):
+    """u and v met pair by pair, O(n*m), sorted by the constructor."""
+    out = []
+    for l1, r1 in u.intervals:
+        for l2, r2 in v.intervals:
+            lo = max(l1, l2)
+            hi = min(r1, r2)
+            if lo < hi:
+                out.append((lo, hi))
+    return IntervalUnion(out)
+
+
+def sorted_shift_mod1(u, beta):
+    """u translated by beta mod 1, the pieces sorted by the constructor."""
+    beta = beta - beta.floor()
+    out = []
+    one = Surd(1)
+    for l, r in u.intervals:
+        l2, r2 = l + beta, r + beta
+        if r2 <= one:
+            out.append((l2, r2))
+        elif l2 >= one:
+            out.append((l2 - 1, r2 - 1))
+        else:
+            out.append((l2, one))
+            out.append((Surd(0), r2 - 1))
+    return IntervalUnion(out)
+
+
+def ring_column_decomposition(angle, A, max_r):
+    """(cells, remainder) of the rotation's return-time split of A, with
+    the shift -r*alpha by ring arithmetic and the oracle interval algebra."""
+    alpha = angle.value
+    cells = []
+    remaining = A
+    for r in range(1, max_r + 1):
+        shifted = sorted_shift_mod1(A, Surd(0) - alpha * r)
+        cell = pairwise_intersect(remaining, shifted)
+        if not cell.is_empty():
+            cells.append((cell, r))
+            remaining = piece_difference(remaining, cell)
+        if remaining.is_empty():
+            break
+    return cells, remaining
 
 
 # ---------------------------------------------------------------------------

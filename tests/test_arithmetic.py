@@ -1,10 +1,12 @@
-import pytest
+import random
 from fractions import Fraction
-from hypothesis import given, settings
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack import arithmetic
+from cutstack import arithmetic, induction
 from cutstack.arithmetic import (
     RotationAngle,
     RotationPoint,
@@ -250,3 +252,113 @@ def test_prefix_induction_measure_bookkeeping():
     base_mass = sys.measure(ind.base_set())
     assert oracles.cylinder_mass(ind.odometer.cuts, 1) == Fraction(1, 2)
     assert base_mass == 2 * sys.width(1)
+
+
+# -- lattice reads against the ring-arithmetic oracles ----------------------
+# frac(a + b*alpha) is one floor of b*alpha, first returns jump floors and
+# the return-time split shifts by frac(-r*alpha); tests/oracles.py keeps
+# the ring-arithmetic reads they replaced.
+
+BENCHMARK_ANGLES = [RotationAngle.parse(t)
+                    for t in ("cf:[0;(2)]", "cf:[0;(1)]", "cf:[0;(5,1,1,7)]")]
+
+
+@st.composite
+def rotation_angles(draw):
+    """One of the three benchmark angles, or a short periodic CF."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BENCHMARK_ANGLES))
+    prefix = draw(st.lists(st.integers(1, 9), max_size=2))
+    period = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    return RotationAngle([0] + prefix, period)
+
+
+def normal_form(s):
+    return s.x, s.y, s.q, s.d
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotation_angles(), st.integers(-50, 50),
+       st.integers(-10**6, 10**6))
+@example(BENCHMARK_ANGLES[2], 0, 0)
+@example(BENCHMARK_ANGLES[0], 7, 0)
+@example(BENCHMARK_ANGLES[1], -3, -10**6)
+def test_lattice_frac_is_the_ring_frac(angle, a, b):
+    got = angle.frac_value(a, b)
+    assert normal_form(got) == normal_form(
+        oracles.ring_frac_value(angle, a, b))
+    assert angle.value.floor_times(b) == (angle.value * b).floor()
+
+
+def _return_outcome(read, angle, p):
+    try:
+        return read(angle, p)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_angles(), st.integers(-50, 50), st.integers(-10**6, 10**6),
+       st.booleans())
+def test_floor_jump_first_return_is_the_stepped_one(angle, a, b, inside):
+    # half the points are moved up into [0, alpha); the rest are refused
+    # or not, alike on both paths
+    while inside and not (Surd(0) <= oracles.ring_frac_value(angle, a, b)
+                          < angle.value):
+        b += 1
+    p = RotationPoint(a, b)
+    got = _return_outcome(first_return_rotation, angle, p)
+    assert got == _return_outcome(oracles.stepped_first_return, angle, p)
+    assert (got[0] != "ValueError") >= inside
+
+
+@settings(max_examples=80, deadline=None)
+@given(rotation_angles(),
+       st.lists(st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
+                min_size=1, max_size=3),
+       st.integers(1, 40))
+def test_column_decomposition_is_the_ring_one(angle, ends, max_r):
+    pieces = []
+    for b1, b2 in ends:
+        v1, v2 = angle.frac_value(0, b1), angle.frac_value(0, b2)
+        pieces.append((min(v1, v2), max(v1, v2)))
+    A = induction.IntervalUnion(pieces)
+    dec = induction.column_decomposition(induction.RotationAdapter(angle), A,
+                                         max_r)
+    cells, remainder = oracles.ring_column_decomposition(angle, A, max_r)
+    assert [(c.intervals, r) for c, r in dec.cells] == [
+        (c.intervals, r) for c, r in cells]
+    assert dec.remainder.intervals == remainder.intervals
+
+
+def test_rotation_reads_build_no_fraction_surd(monkeypatch):
+    # the hot loops read the angle's lattice and the ZERO and ONE constants;
+    # none goes through the Fraction-based constructor
+    rng = random.Random(5)
+    angle = BENCHMARK_ANGLES[rng.randrange(3)]
+    while True:
+        b1, b2 = rng.randrange(-400, 400), rng.randrange(-400, 400)
+        left, right = angle.frac_value(0, b1), angle.frac_value(0, b2)
+        if right - left >= Fraction(1, 20):
+            break
+    base = induction.IntervalUnion([(left, right)])
+    points = []
+    for a in BENCHMARK_ANGLES:
+        b = rng.randrange(-400, 400)
+        while not in_interval(a, RotationPoint(0, b), Surd(0), a.value):
+            b += 1
+        points.append((a, RotationPoint(rng.randrange(-40, 40), b)))
+    built = []
+    init = Surd.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Surd, "__init__", counted)
+    dec = induction.column_decomposition(induction.RotationAdapter(angle),
+                                         base, 400)
+    assert dec.remainder.is_empty() and dec.kac_sum() == 1
+    for a, p in points:
+        first_return_rotation(a, p)
+    assert built == []

@@ -74,6 +74,33 @@ def test_one_pass_difference_is_the_piece_splitting_one(a, b):
     assert got.measure() + u.intersect(v).measure() == u.measure()
 
 
+def _apart(u):
+    """Sorted, disjoint and no two touching: the IntervalUnion invariant."""
+    return all(l < r for l, r in u.intervals) and all(
+        r1 < l2 for (_, r1), (l2, _) in zip(u.intervals, u.intervals[1:]))
+
+
+# shifts on both sides of 0 and 1, so pieces wrap, straddle and touch
+SHIFTS = [Surd(Fraction(i, 6)) for i in range(-7, 8)] + [
+    (Surd.sqrt(2) - 1) * Surd(Fraction(i, 2)) for i in (-3, -1, 1, 2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions, unions, st.sampled_from(SHIFTS))
+@example([(0, 3)], [(3, 6)], SHIFTS[8])  # touching, shift 1/6
+@example([(0, 2), (6, 8)], [(0, 8)], SHIFTS[12])  # 0 and 1 meet at 5/6
+@example([(0, 8)], [(2, 4), (5, 6)], SHIFTS[7])  # whole circle, shift 0
+def test_one_pass_intersect_and_shift_are_the_sorting_ones(a, b, beta):
+    u, v = _union(a), _union(b)
+    got = u.intersect(v)
+    assert got.intervals == oracles.pairwise_intersect(u, v).intervals
+    assert _apart(got)
+    shifted = u.shift_mod1(beta)
+    assert shifted.intervals == oracles.sorted_shift_mod1(u, beta).intervals
+    assert _apart(shifted) and shifted.measure() == u.measure()
+    assert _apart(u.difference(v))
+
+
 def test_interval_union_orders_close_endpoints_exactly():
     # b lies within 2^-140 above a: closer than a 96-bit sort key can tell
     a = 2 - Surd.sqrt(2)

@@ -1289,3 +1289,64 @@ def test_matching_keeps_no_stage_data_on_the_systems():
     matching.noneven_image_successor(plan, y)
     for system in (even.sys_x, even.sys_y, pair.sys_x, pair.sys_y):
         assert set(vars(system)) == keys
+
+
+def _counting(monkeypatch, name):
+    """The argument tuples of every RankOneSystem.<name> call from now on."""
+    calls = []
+
+    def counted(self, *args, _read=getattr(RankOneSystem, name), **kwargs):
+        calls.append(args)
+        return _read(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankOneSystem, name, counted)
+    return calls
+
+
+def test_a_round_trip_builds_only_the_image_points(monkeypatch):
+    # each record builds its source point on first read: the caller holds
+    # it, so a round trip applies T only to reach the two image points
+    pair = PAIRS["dyadic"]
+    x = pair.sys_x.random_point(random.Random(2), 6, seed="apply:2")
+    calls = _counting(monkeypatch, "apply")
+    rec = matching.phi_hat_stable(pair, x)
+    inv = matching.phi_hat_inverse_stable(pair, rec.y)
+    assert (rec.h, rec.n, rec.d) == (1, 1, 2)
+    assert len(calls) == 2
+    # read, the source points are the ones the records used to hold, each
+    # built once
+    for _ in range(2):
+        assert pair.sys_x.same_point(rec.x, x)
+        assert pair.sys_y.same_point(inv.y, rec.y)
+    assert pair.sys_x.same_point(inv.x, x)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("forward, seed, k, shift", [
+    (True, "carry", 1, 0), (False, "carry", 1, 0),
+    (True, "c:3", 1, 7), (False, "c:0", 4, 7)])
+def test_a_formula_read_carries_once_from_its_start(monkeypatch, forward,
+                                                    seed, k, shift):
+    # the carry that sizes the pile (the pit, backward) is the walk's first
+    # carry, and forward also the first passage's first climb; every other
+    # climb carries from a stage or in a direction of its own
+    pair = PAIRS["dyadic"]
+    stream = SeededDigits(seed, pair.sys_x.cuts)
+    calls = _counting(monkeypatch, "carry")
+    if forward:
+        assert matching.even_match_formula(pair, stream, k, True).n == shift
+    else:
+        assert matching.even_match_inverse_formula(pair, stream, k,
+                                                   True).m == shift
+    starts = [args[1:3] or (1, 1) for args in calls]  # (stage, step)
+    assert starts[0] == (1, 1) and len(set(starts)) == len(starts)
+    assert len(starts) == (1 if shift == 0 else 4)
+
+
+def test_a_stopping_time_takes_no_advance(monkeypatch):
+    # the shift is all a stopping time reads: no image base point is made
+    pair = PAIRS["dyadic"]
+    stream = SeededDigits("stop:0", pair.sys_x.cuts)
+    calls = _counting(monkeypatch, "advance")
+    assert matching.stopping_time(pair, stream) == 3
+    assert calls == []
