@@ -13,6 +13,7 @@ spacer-free RankOneSystem whose base digits `advance` moves.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .digits import DigitStream, OverlayDigits
@@ -38,6 +39,9 @@ class RotationAngle:
         if not (ZERO < self.value < ONE):
             raise ValueError("angle must lie in (0,1)")
         self.n = (1 / self.value).floor()  # floor(1/alpha)
+        # record returns from above and below, grown by _grow_records
+        self._records = ([(1, self.value)], [])
+        self._k, self._q = 0, (0, 1)  # k and (q_{k-1}, q_k)
 
     @classmethod
     def parse(cls, text):
@@ -69,8 +73,46 @@ class RotationAngle:
         return self.value.frac_times(b)
 
     def compare_points(self, p, q):
-        """Sign of frac(p) - frac(q) for RotationPoints."""
-        return self.frac_value(p.a, p.b)._cmp(self.frac_value(q.a, q.b))
+        """Sign of frac(p) - frac(q) for RotationPoints, by three floors.
+
+        With m = p.b - q.b, frac(p) - frac(q) = m*alpha - D where D =
+        floor(p.b*alpha) - floor(q.b*alpha), and it lies in (-1, 1); so it
+        is positive exactly when floor(m*alpha) >= D, and 0 only at m = 0."""
+        m = p.b - q.b
+        if m == 0:
+            return 0
+        floor = self.value.floor_times
+        return 1 if floor(m) >= floor(p.b) - floor(q.b) else -1
+
+    def _grow_records(self):
+        """Append the records of one more convergent.
+
+        With theta_k = q_k*alpha - p_k, which is positive for even k, the
+        steps q_{k-1} + j*q_k, j = 1..a_{k+1}, land at theta_{k-1} +
+        j*theta_k: the next records from above for odd k, from below for
+        even k (q_0 = 1, the first record from above, starts the table)."""
+        q0, q1 = self._q
+        j = self._k + 1  # a_j of [a_0; a_1, a_2, ...]
+        a = (self.prefix[j] if j < len(self.prefix)
+             else self.period[(j - len(self.prefix)) % len(self.period)])
+        side, sign = (0, 1) if self._k % 2 else (1, -1)
+        self._records[side].extend(
+            (n, self.value.frac_times(sign * n))
+            for n in range(q0 + q1, q0 + (a + 1) * q1, q1))
+        self._q = (q1, q0 + a * q1)
+        self._k += 1
+
+    def first_gap(self, length, side):
+        """(n, gap): the least n >= 1 whose gap is below length > 0, with
+        gap = frac(n*alpha) on side 0 and 1 - frac(n*alpha) on side 1.
+
+        Such a least n sets a record (its gap is below every earlier one),
+        and records have falling gaps, so one bisection of the table finds
+        it."""
+        table = self._records[side]
+        while not (table and table[-1][1] < length):
+            self._grow_records()
+        return table[bisect_left(table, True, key=lambda t: t[1] < length)]
 
     def __repr__(self):
         return f"RotationAngle({list(self.prefix)}+{list(self.period)}*)"
@@ -125,15 +167,19 @@ class ExchangeMap:
     upper_cut: Surd  # (n+1)*alpha - 1, where the image pieces meet
 
     def image(self, p):
-        v = point_value(self.angle, p)
-        if v < self.cut:
+        # v < 1 - n*alpha exactly when v + n*alpha stays below 1, that is
+        # floor((b + n)*alpha) = floor(b*alpha)
+        floor = self.angle.value.floor_times
+        if floor(p.b + self.n) == floor(p.b):
             return RotationPoint(p.a - 1, p.b + self.n + 1)
         return RotationPoint(p.a - 1, p.b + self.n)
 
     def preimage(self, p):
-        # inverse pieces: [(n+1)a-1, a) steps back n+1, [0, (n+1)a-1) back n
-        v = point_value(self.angle, p)
-        if v >= self.upper_cut:
+        # inverse pieces: [(n+1)a-1, a) steps back n+1, [0, (n+1)a-1) back n;
+        # v >= (n+1)*alpha - 1 exactly when v - (n+1)*alpha >= -1, that is
+        # floor((b - n - 1)*alpha) - floor(b*alpha) >= -1
+        floor = self.angle.value.floor_times
+        if floor(p.b - self.n - 1) - floor(p.b) >= -1:
             return RotationPoint(p.a + 1, p.b - self.n - 1)
         return RotationPoint(p.a + 1, p.b - self.n)
 

@@ -1,9 +1,10 @@
 """Return-time structure and induced maps, generic over the system.
 
 A small adapter gives each system its measure and column decomposition:
-rank-one systems act on level-set unions, rotations on exact interval
-unions.  First returns (apply/contains) and skyscrapers are read on
-rank-one adapters only.  Every search has a limit: a return within 4,096
+rank-one systems act on level-set unions, and a rotation splits one exact
+interval into at most three return-time cells by the three-gap theorem.
+First returns (apply/contains) and skyscrapers are read on rank-one
+adapters only.  Every search has a limit: a return within 4,096
 steps, each step resolved within 64 stages; running out raises
 BudgetExhausted or NeedMoreDepth rather than guessing.
 """
@@ -39,9 +40,9 @@ class IntervalUnion:
     """Finite union of half-open intervals [l, r) in [0, 1), exact Surd
     endpoints, kept sorted and disjoint, no two touching.
 
-    intersect, difference and shift_mod1 keep that invariant in one pass
-    over sorted inputs and pass `ordered=True`, so their output skips the
-    sort and merge of _normalize."""
+    difference keeps that invariant in one pass over sorted inputs and
+    passes `ordered=True`, so its output skips the sort and merge of
+    _normalize."""
 
     def __init__(self, intervals=(), ordered=False):
         self.intervals = intervals if ordered else self._normalize(intervals)
@@ -68,26 +69,6 @@ class IntervalUnion:
     def contains(self, value):
         return any(l <= value < r for l, r in self.intervals)
 
-    def intersect(self, other):
-        """One merge pass: the pair (i, j) meets in [max l, min r), then the
-        interval that ends first gives way.  Meets of sorted, disjoint,
-        non-touching intervals come out sorted, disjoint and apart."""
-        out = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (l1, r1), (l2, r2) = a[i], b[j]
-            lo = l2 if l1 < l2 else l1
-            if r1 < r2:
-                hi = r1
-                i += 1
-            else:
-                hi = r2
-                j += 1
-            if lo < hi:
-                out.append((lo, hi))
-        return IntervalUnion(out, ordered=True)
-
     def difference(self, other):
         """Self less other, in one left-to-right pass: each interval of
         self loses the sorted, disjoint intervals of other that meet it."""
@@ -106,31 +87,6 @@ class IntervalUnion:
             if l < r:
                 out.append((l, r))
         return IntervalUnion(out, ordered=True)
-
-    def shift_mod1(self, beta):
-        """Translate by beta and reduce mod 1, splitting wrapped intervals.
-
-        With beta in [0, 1) and top = 1 - beta, the pieces at or past top
-        wrap to [l + beta - 1, r + beta - 1) below beta, in order, after the
-        low part [0, r + beta - 1) of the one straddling top; the rest move
-        to [l + beta, r + beta), then the straddler's high part [l + beta,
-        1).  So the output is sorted with no sort; only the two pieces that
-        meet at beta, the images of 1 and 0, can touch, and they merge."""
-        beta = beta.frac()
-        down = beta - ONE
-        top = -down
-        low, high = [], []
-        for l, r in self.intervals:
-            if r <= top:
-                high.append((l + beta, r + beta))
-            elif l >= top:
-                low.append((l + down, r + down))
-            else:
-                low.append((ZERO, r + down))  # nothing has wrapped yet
-                high.append((l + beta, ONE))
-        if low and high and low[-1][1] == high[0][0]:
-            low[-1] = (low[-1][0], high.pop(0)[1])
-        return IntervalUnion(low + high, ordered=True)
 
     def is_empty(self):
         return not self.intervals
@@ -243,17 +199,51 @@ class RotationAdapter:
         return iu.measure()
 
     def column_decomposition(self, A, max_r):
-        """The clopen cells B_r = (T^-r A ∩ A) \\ earlier, r = 1..max_r."""
-        angle = self.angle
-        cells = []
-        remaining = A
-        for r in range(1, max_r + 1):
-            cell = remaining.intersect(A.shift_mod1(angle.frac_value(0, -r)))
-            if not cell.is_empty():
-                cells.append((cell, r))
-                remaining = remaining.difference(cell)
-            if remaining.is_empty():
-                break
+        """The first-return cells of a one-interval base A = [x, z), by the
+        three-gap theorem; cells past max_r make up the remainder.
+
+        With L = z - x, let r1 be the least n >= 1 with a = frac(n*alpha)
+        below L and r2 the least with b = 1 - frac(n*alpha) below L (the
+        angle's record tables).  The return time is r1 on [x, z - a), r2
+        on [x + b, z) and r1 + r2 on the middle [z - a, x + b), which is
+        empty when a + b = L.  If r1 = r2, the first two are one cell.
+
+        Proof.  A step n moves y by frac(n*alpha) mod 1, so y in A is back
+        in A after n steps exactly when it goes up, by an up-gap c =
+        frac(n*alpha) < L with y < z - c, or down, by a down-gap g =
+        1 - frac(n*alpha) < L with y >= x + g.  For m < n, the step n - m
+        moves by frac(n*alpha) - frac(m*alpha) mod 1.  So:
+        (i) a + b >= L.  Otherwise step r1 - r2 would have up-gap a + b
+        if r1 > r2, and step r2 - r1 down-gap a + b if r2 > r1, below r1
+        or r2; and r1 = r2 gives a + b = 1.  So x < z - a <= x + b < z.
+        (ii) No y >= z - a goes up before r1 + r2: its up-gap c < a, so
+        n > r1, and step n - r1 has down-gap a - c < L, so n - r1 >= r2.
+        (iii) Likewise no y < x + b goes down before r1 + r2: its g < b,
+        and step n - r2 has up-gap b - g < L, so n - r2 >= r1.
+        Now y < z - a goes up at r1 and, by (i) and (iii), not down
+        before; y >= x + b goes down at r2 and, by (ii), not up before; a
+        y in the middle does neither before r1 + r2, and that step moves
+        it by a - b into [z - b, x + a), inside A.
+
+        A base of two or more intervals raises ValueError."""
+        if len(A) > 1:
+            raise ValueError(
+                f"a rotation base must be one interval, not {len(A)}")
+        if A.is_empty():
+            return ReturnTimeDecomposition(A, [], A, ZERO, self.measure)
+        ((x, z),) = A.intervals
+        length = z - x
+        r1, a = self.angle.first_gap(length, 0)
+        r2, b = self.angle.first_gap(length, 1)
+        mid_l, mid_r = z - a, x + b
+        cells, rest = {}, []
+        for l, r, t in ((x, mid_l, r1), (mid_l, mid_r, r1 + r2),
+                        (mid_r, z, r2)):
+            if l < r:
+                group = rest if t > max_r else cells.setdefault(t, [])
+                group.append((l, r))
+        cells = [(IntervalUnion(ivs), t) for t, ivs in sorted(cells.items())]
+        remaining = IntervalUnion(rest)
         return ReturnTimeDecomposition(A, cells, remaining,
                                        remaining.measure(), self.measure)
 

@@ -14,25 +14,92 @@ once, so hot loops need not call the Fraction-based constructor.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 
-def _reduce_root(n):
-    """Write n = s^2 * d with d squarefree-ish (no small square factors).
+# Radicand reduction: trial division below _TRIAL, then the cofactor's
+# primes by Miller-Rabin and Pollard-Brent.  Miller-Rabin with the first
+# 13 prime bases is exact below _MR_BOUND (Sorenson and Webster 2015); a
+# cofactor at or above it is reduced by trial division instead.
+_TRIAL = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
-    Returns (s, d).  Trial division is plenty for the discriminants that
-    periodic continued fractions produce.
-    """
+
+def _is_prime(n):
+    """Miller-Rabin, exact for 41 < n < _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n):
+    """A proper factor of the odd composite n: Pollard's rho on y^2 + c,
+    with Brent's cycle search (y runs r steps from the saved x, r doubling);
+    a cycle that closes mod n itself tries the next c."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def _prime_factors(n, out):
+    """Append the primes of n, which has none below _TRIAL, to out."""
+    if n == 1:
+        return
+    if _is_prime(n):
+        out.append(n)
+        return
+    g = _pollard_brent(n)
+    _prime_factors(g, out)
+    _prime_factors(n // g, out)
+
+
+def _reduce_root(n):
+    """Write n = s^2 * d with d squarefree; returns (s, d)."""
     if n <= 0:
         raise ValueError("radicand must be positive")
-    s = 1
-    d = n
-    f = 2
-    while f * f <= d:
-        while d % (f * f) == 0:
-            d //= f * f
-            s *= f
-        f += 1
+    primes = []
+    for p in range(2, _TRIAL):  # a composite p never divides what is left
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+    s = d = 1
+    if n < _MR_BOUND:
+        _prime_factors(n, primes)
+    else:
+        f = _TRIAL + 1
+        while f * f <= n:
+            while n % (f * f) == 0:
+                n //= f * f
+                s *= f
+            f += 2
+        d = n
+    for p in set(primes):
+        e = primes.count(p)
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
     return s, d
 
 

@@ -25,7 +25,7 @@ from cutstack.errors import (
 )
 from cutstack.induction import IntervalUnion, _first_hit, lift
 from cutstack.matching import build_frame
-from cutstack.quadratic import Surd, _reduce_root
+from cutstack.quadratic import Surd
 from cutstack.towers import RankOnePoint
 
 SPACER = "spacer"
@@ -440,7 +440,7 @@ class FractionSurd:
         if self.v != 0:
             if d is None:
                 raise ValueError("irrational part needs a radicand")
-            s, d0 = _reduce_root(d)
+            s, d0 = trial_reduce_root(d)
             if isqrt(d0) ** 2 == d0:
                 self.u += self.v * s * isqrt(d0)
                 self.v = Fraction(0)
@@ -1065,8 +1065,10 @@ def sorted_shift_mod1(u, beta):
 
 
 def ring_column_decomposition(angle, A, max_r):
-    """(cells, remainder) of the rotation's return-time split of A, with
-    the shift -r*alpha by ring arithmetic and the oracle interval algebra."""
+    """(cells, remainder) of the rotation's return-time split of A, one
+    r = 1..max_r at a time (the loop the three-gap cells replaced), with
+    the shift -r*alpha by ring arithmetic and the oracle interval algebra;
+    A may be any union of intervals."""
     alpha = angle.value
     cells = []
     remaining = A
@@ -1079,6 +1081,48 @@ def ring_column_decomposition(angle, A, max_r):
         if remaining.is_empty():
             break
     return cells, remaining
+
+
+# The rotation comparisons as they were before the floor reads: each builds
+# the Surd value of its points and compares it.  Kept as their oracles.
+
+
+def surd_compare_points(angle, p, q):
+    """Sign of frac(p) - frac(q), by comparing the two Surd values."""
+    return angle.frac_value(p.a, p.b)._cmp(angle.frac_value(q.a, q.b))
+
+
+def surd_image(em, p):
+    """ExchangeMap.image, reading the piece by v < 1 - n*alpha on Surds."""
+    if em.angle.frac_value(p.a, p.b) < em.cut:
+        return RotationPoint(p.a - 1, p.b + em.n + 1)
+    return RotationPoint(p.a - 1, p.b + em.n)
+
+
+def surd_preimage(em, p):
+    """ExchangeMap.preimage, reading v >= (n+1)*alpha - 1 on Surds."""
+    if em.angle.frac_value(p.a, p.b) >= em.upper_cut:
+        return RotationPoint(p.a + 1, p.b - em.n - 1)
+    return RotationPoint(p.a + 1, p.b - em.n)
+
+
+# The radicand reduction as it was before Pollard-Brent: trial division by
+# every f with f^2 <= d.  Kept as its oracle, and as FractionSurd's.
+
+
+def trial_reduce_root(n):
+    """(s, d) with n = s^2 * d and d squarefree, by trial division."""
+    if n <= 0:
+        raise ValueError("radicand must be positive")
+    s = 1
+    d = n
+    f = 2
+    while f * f <= d:
+        while d % (f * f) == 0:
+            d //= f * f
+            s *= f
+        f += 1
+    return s, d
 
 
 # ---------------------------------------------------------------------------

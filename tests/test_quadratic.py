@@ -1,13 +1,14 @@
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack.quadratic import Surd, surd_from_cf
+from cutstack.quadratic import Surd, _reduce_root, surd_from_cf
 
 SQRT2 = Surd.sqrt(2)
 SQRT5 = Surd.sqrt(5)
@@ -79,6 +80,43 @@ def test_cf_terms_of_inverts_surd_from_cf():
     assert oracles.cf_terms_of(x, 6) == [0, 2, 2, 2, 2, 2]
     g = surd_from_cf((0,), (1,))
     assert oracles.cf_terms_of(g, 6) == [0, 1, 1, 1, 1, 1]
+
+
+# primes below and above the trial-division bound of 1000, so that square
+# factors come from both the trial pass and Pollard-Brent
+SQUARE_PRIMES = (2, 3, 5, 7, 997, 1009, 1013, 7919, 65537, 104729)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**9), st.lists(st.sampled_from(SQUARE_PRIMES),
+                                       max_size=4))
+@example(1, [])
+@example(1009 * 1013, [1009])
+@example(7221, [])
+@example(104729, [104729, 104729])
+def test_reduce_root_is_the_trial_one(n, squares):
+    for p in squares:
+        n *= p * p
+    assert _reduce_root(n) == oracles.trial_reduce_root(n)
+
+
+def test_reduce_root_past_the_miller_rabin_bound():
+    # a cofactor above 3.3e24 with no prime below 1000 goes to trial division
+    n = 12 * (1009 * 1013 * 1019 * 1021) ** 2 * 1031 * 1033 * 1039
+    assert n > 3317044064679887385961981
+    assert _reduce_root(n) == oracles.trial_reduce_root(n)
+    # just below the bound, Pollard-Brent splits a 31-bit square
+    p = 2**31 - 1
+    assert _reduce_root(p * p * 524287) == (p, 524287)
+
+
+def test_long_period_builds_fast():
+    # a 60-bit discriminant: trial division up to its root takes seconds
+    period = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7)
+    start = time.perf_counter()
+    x = surd_from_cf((0,), period)
+    assert time.perf_counter() - start < 1.0
+    assert oracles.cf_terms_of(x, 16) == [0, *period, 3]
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,9 +10,9 @@ since its decorator registers it.  The package `__init__` does not count:
 an export alone is not a use.
 
 The scan matches by bare name, so it cannot see a module function that
-shares its name with an attribute used elsewhere: module-level `union`,
-`intersect` or `difference` functions would look reached through the
-`IntervalUnion` methods of those names.
+shares its name with an attribute used elsewhere: a module-level
+`difference` function would look reached through the `IntervalUnion`
+method of that name.
 """
 
 import ast
