@@ -7,8 +7,9 @@ query is decided exactly.  The integer a never changes the value:
 frac(a + b*alpha) = frac(b*alpha), one floor of b*alpha
 (Surd.floor_times), so values are read on the lattice Z*alpha alone.
 
-The prefix-inducing construction turns the first p levels of a height-q
-tower into the adding machine with digit sizes (p, q, q, ...), a
+The prefix-inducing construction induces the q-adic odometer od:[q,*] on
+the first p levels of its height-q tower: the induced map is the adding
+machine with digit sizes (p, q, q, ...) on the same digit stream, a
 spacer-free RankOneSystem whose base digits `advance` moves.
 """
 
@@ -16,10 +17,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .digits import DigitStream, OverlayDigits
 from .errors import BudgetExhausted, DslError, SpecInvalid
 from .quadratic import ONE, ZERO, Surd, surd_from_cf
-from .specs import q_adic_tower_spec, spacer_free_spec
+from .specs import spacer_free_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
 
 
@@ -222,13 +222,17 @@ def first_return_rotation(angle, p):
 
 @dataclass
 class PrefixInduction:
-    """Inducing the q-adic tower on its first p levels.
+    """Inducing the q-adic odometer on its first p stage-2 levels.
 
-    The induced map is the adding machine with digit sizes (p, q, q, ...),
-    the inverse limit Z/p x Z/pq x Z/pq^2 x ...; `odometer` is its
-    spacer-free system, and `to_odometer` and `from_odometer` give the
-    digit-level isomorphism intertwining the induced map with one
-    `odometer.advance` step.
+    `system` is the spacer-free odometer od:[q,*], whose stage-2 stack is
+    the height-q tower: a point's stage-1 digit is its tower level and its
+    later digits are its columns.  The map induced on the first p levels
+    adds one to that digit mod p and carries into the columns, so it is
+    the adding machine with digit sizes (p, q, q, ...), the inverse limit
+    Z/p x Z/pq x Z/pq^2 x ..., on the same digit stream.  `odometer` is
+    that machine's spacer-free system, and `to_odometer` and
+    `from_odometer` are the identity on streams, intertwining the induced
+    map with one `odometer.advance` step.
     """
 
     q: int
@@ -237,80 +241,27 @@ class PrefixInduction:
     odometer: RankOneSystem
 
     def base_set(self):
-        return LevelSet(1, frozenset(range(self.p)))
+        return LevelSet(2, frozenset(range(self.p)))
 
     def to_odometer(self, point):
-        """RankOnePoint in the first p levels -> the odometer's digits."""
-        if point.birth_stage != 1 or not 0 <= point.birth_level < self.p:
+        """A point in the first p levels -> its own digit stream."""
+        if ((point.birth_stage, point.birth_level) != (1, 0)
+                or not 0 <= point.digits.digit(1) < self.p):
             raise ValueError("point is not in the induced base set")
-        return _ShiftedDigits(point.digits, point.birth_level)
+        return point.digits
 
     def from_odometer(self, digits):
-        """The odometer's digits -> RankOnePoint.  A stream made by
-        to_odometer (a _ShiftedDigits, bare or under an overlay) gives back
-        its source stream, with the overlay's digits moved down one stage,
-        so the point compares exactly with the points of that stream."""
-        level = digits.digit(1)
-        if not 0 <= level < self.p:
+        """The odometer's digits -> the point with that stream."""
+        if not 0 <= digits.digit(1) < self.p:
             raise ValueError("first digit out of range")
-        base, overrides = digits, {}
-        if isinstance(digits, OverlayDigits):
-            base = digits.base
-            overrides = {k - 1: v for k, v in digits.overrides.items()
-                         if k > 1}
-        if isinstance(base, _ShiftedDigits):
-            return RankOnePoint(1, level, base.src.with_overrides(overrides))
-        return RankOnePoint(1, level, _UnshiftedDigits(digits))
-
-
-class _ShiftedDigits(DigitStream):
-    """Digit k=1 is the tower level; digit k>=2 is column digit k-1."""
-
-    start = 1
-
-    def __init__(self, src, level):
-        self.src = src
-        self.level = level
-
-    def digit(self, k):
-        if k == 1:
-            return self.level
-        return self.src.digit(k - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _ShiftedDigits)
-            and self.level == other.level
-            and self.src == other.src
-        )
-
-    def __hash__(self):
-        return hash(("shift", self.level, self.src))
-
-
-class _UnshiftedDigits(DigitStream):
-    """Inverse of _ShiftedDigits: drop the level digit."""
-
-    start = 1
-
-    def __init__(self, src):
-        self.src = src
-
-    def digit(self, k):
-        return self.src.digit(k + 1)
-
-    def __eq__(self, other):
-        return isinstance(other, _UnshiftedDigits) and self.src == other.src
-
-    def __hash__(self):
-        return hash(("unshift", self.src))
+        return RankOnePoint(1, 0, digits)
 
 
 def induce_odometer_prefix(q, p):
-    """Rational-case construction: first p levels of the height-q
-    tower induce the (p, q, q, ...) adding machine."""
+    """Rational-case construction: the first p levels of the height-q
+    tower of od:[q,*] induce the (p, q, q, ...) adding machine."""
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
-    system = RankOneSystem(q_adic_tower_spec(q))
+    system = RankOneSystem(spacer_free_spec(f"od:[{q},*]", (), (q,)))
     odo = RankOneSystem(spacer_free_spec(f"od:[{p},{q},*]", (p,), (q,)))
     return PrefixInduction(q, p, system, odo)

@@ -420,13 +420,3 @@ def random_spec(seed, stages=8, max_cuts=4, max_spacers=3):
         rules.append(StageRule(c, above, below))
     h1 = rng.randrange(1, 4)
     return StackingSpec.make(f"random_{seed}", h1, rules, (rules[-1],))
-
-
-def q_adic_tower_spec(q):
-    """The q-adic adding machine whose first canonical tower has height q.
-
-    Heights are q, q^2, q^3, ...; used by the prefix-inducing construction.
-    """
-    if q < 2:
-        raise SpecInvalid("q must be >= 2")
-    return StackingSpec.make(f"q_adic({q})", q, (), (StageRule(q, (0,) * q),))

@@ -271,7 +271,7 @@ def _check_prefix_inducing(cfg):
     ind = induce_odometer_prefix(3, 2)
     ad = induction.RankOneAdapter(ind.system)
     base = ind.base_set()
-    x = ind.system.base_point(SeededDigits(f"pi:{cfg.seed}", ind.system.cuts))
+    x = ind.from_odometer(SeededDigits(f"pi:{cfg.seed}", ind.odometer.cuts))
     o = ind.to_odometer(x)
     for step in range(cfg.big_samples):
         x = induction.induced_apply(ad, base, x)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack import arithmetic, induction, quadratic
+from cutstack import induction, quadratic
 from cutstack.arithmetic import (
     RotationAngle,
     RotationPoint,
@@ -22,8 +22,9 @@ from cutstack.arithmetic import (
 from cutstack.digits import PeriodicDigits, SeededDigits, zeros
 from cutstack.errors import NeedMoreDepth
 from cutstack.quadratic import Surd
-from cutstack.specs import parse_odometer, spacer_free_spec
-from cutstack.towers import RankOnePoint, RankOneSystem
+from cutstack.specs import (StackingSpec, StageRule, parse_odometer,
+                            spacer_free_spec)
+from cutstack.towers import LevelSet, RankOnePoint, RankOneSystem
 
 ANGLES = [sqrt2_minus_1, golden_minus_1]
 
@@ -210,23 +211,23 @@ def test_prefix_induction_roundtrip_addressing():
     from cutstack.digits import zeros
 
     for level in range(2):
-        p = sys.point_at(1, level, zeros())
+        p = sys.point_at(2, level, zeros())
         o = ind.to_odometer(p)
         assert o.digit(1) == level
         assert sys.same_point(ind.from_odometer(o), p)
 
 
 def test_prefix_induction_gives_back_the_source_stream():
-    # from_odometer undoes to_odometer on the stream itself, so same_point
-    # compares the bases exactly instead of over a 64-digit guard
+    # the isomorphism is the identity on streams, so same_point compares
+    # the bases exactly instead of over a 64-digit guard
     from cutstack import induction
 
     ind = induce_odometer_prefix(3, 2)
     sys = ind.system
-    seeded = SeededDigits("pi:0", sys.cuts)
+    seeded = SeededDigits("pi:0", ind.odometer.cuts)
     x = sys.base_point(seeded)
     o = ind.to_odometer(x)
-    assert ind.from_odometer(o).digits is seeded
+    assert o is seeded and ind.from_odometer(o).digits is seeded
     ad = induction.RankOneAdapter(sys)
     for _ in range(200):
         x = induction.induced_apply(ad, ind.base_set(), x)
@@ -235,23 +236,62 @@ def test_prefix_induction_gives_back_the_source_stream():
         assert getattr(y.digits, "base", y.digits) is seeded
         assert getattr(x.digits, "base", x.digits) is seeded
         assert sys.same_point(y, x)
-        shifted = arithmetic._UnshiftedDigits(o)
-        assert [y.digits.digit(k) for k in range(1, 40)] == [
-            shifted.digit(k) for k in range(1, 40)]
-    # any other stream is still read through the level digit
-    other = PeriodicDigits((1, 2), (0,))
-    assert ind.from_odometer(other) == RankOnePoint(
-        1, 1, arithmetic._UnshiftedDigits(other))
+    # tower level p lies outside the base, and so does a first digit p
+    with pytest.raises(ValueError):
+        ind.to_odometer(sys.point_at(2, 2, zeros()))
+    with pytest.raises(ValueError):
+        ind.from_odometer(PeriodicDigits((2,), (0,)))
 
 
 def test_prefix_induction_measure_bookkeeping():
     ind = induce_odometer_prefix(3, 2)
     sys = ind.system
-    # base set has p levels of width 1/1 each at stage 1; cylinder masses of
+    # base set has p stage-2 levels of width 1/q each; cylinder masses of
     # the odometer match the conditional measure on the base
     base_mass = sys.measure(ind.base_set())
     assert oracles.cylinder_mass(ind.odometer.cuts, 1) == Fraction(1, 2)
-    assert base_mass == 2 * sys.width(1)
+    assert base_mass == 2 * sys.width(2) == Fraction(2, 3)
+
+
+@st.composite
+def tower_cases(draw):
+    """(q, p, level, cols, tail): a tower level below 1 <= p < q and a
+    periodic column stream whose tail is not all maximal, so every carry
+    settles."""
+    q = draw(st.integers(2, 6))
+    p = draw(st.integers(1, q - 1))
+    level = draw(st.integers(0, p - 1))
+    digit = st.integers(0, q - 1)
+    cols = tuple(draw(st.lists(digit, max_size=4)))
+    tail = tuple(draw(st.lists(digit, min_size=1, max_size=3)
+                      .filter(lambda t: min(t) < q - 1)))
+    return q, p, level, cols, tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_cases())
+def test_prefix_induction_is_the_height_q_tower_induced(case):
+    # a height-q stage 1 with columns from stage 1 returns to its first p
+    # levels as od:[q,*] does from the stream with the level put in front:
+    # 1 step, or q - p + 1 from level p - 1
+    q, p, level, cols, tail = case
+    ind = induce_odometer_prefix(q, p)
+    tower = RankOneSystem(StackingSpec.make(
+        f"q_adic({q})", q, (), (StageRule(q, (0,) * q),)))
+    old, old_base = induction.RankOneAdapter(tower), LevelSet(1, range(p))
+    new, new_base = induction.RankOneAdapter(ind.system), ind.base_set()
+    x = RankOnePoint(1, level, PeriodicDigits(cols, tail))
+    y = RankOnePoint(1, 0, PeriodicDigits((level,) + cols, tail))
+    for _ in range(60):
+        r = induction.return_time(new, new_base, y)
+        assert induction.return_time(old, old_base, x) == r
+        top = ind.system.level_index(y, 2) == p - 1
+        assert r == (q - p + 1 if top else 1)
+        o = ind.odometer.advance(ind.to_odometer(y), 1)[1]
+        x = induction.induced_apply(old, old_base, x)
+        y = induction.induced_apply(new, new_base, y)
+        assert ind.system.same_point(ind.from_odometer(o), y)
+        assert tower.level_index(x, 3) == ind.system.level_index(y, 4)
 
 
 # -- lattice reads against the ring-arithmetic oracles ----------------------

@@ -1,7 +1,7 @@
 import pytest
 
-from cutstack.arithmetic import _ShiftedDigits, _UnshiftedDigits
 from cutstack.digits import (
+    DigitStream,
     OverlayDigits,
     PeriodicDigits,
     SeededDigits,
@@ -10,6 +10,7 @@ from cutstack.digits import (
     zeros,
 )
 from cutstack.errors import BudgetExhausted
+from cutstack.towers import RankOnePoint
 
 
 def test_periodic_digits_prefix_then_tail():
@@ -80,12 +81,32 @@ def test_periodic_streams_are_compared_over_one_common_period():
                                 PeriodicDigits((0, 0, 1), rotated), 1)
 
 
+class _Forwarded(DigitStream):
+    """A stream of its own kind that reads another stream's digits."""
+
+    def __init__(self, src):
+        self.src = src
+
+    def digit(self, k):
+        return self.src.digit(k)
+
+
 def test_unrelated_streams_that_agree_are_not_guessed_equal():
     # the same digits from two different bases: no difference is found, so
     # the comparison cannot decide
     s = SeededDigits("unshift", lambda k: 3)
-    same = _UnshiftedDigits(_ShiftedDigits(s, 1))
     with pytest.raises(BudgetExhausted):
-        streams_equal_beyond(same, s, 1)
-    other = _UnshiftedDigits(_ShiftedDigits(SeededDigits("x", lambda k: 3), 1))
+        streams_equal_beyond(_Forwarded(s), s, 1)
+    other = _Forwarded(SeededDigits("x", lambda k: 3))
     assert not streams_equal_beyond(other, s, 1)
+
+
+def test_equal_overlays_hash_alike():
+    # equal overlays may override different stages with the base's own
+    # digits; they still hash alike, and so do points on them
+    s = SeededDigits("h", lambda k: 3)
+    a = OverlayDigits(s, {1: s.digit(1)})
+    b = OverlayDigits(s, {2: s.digit(2)})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({RankOnePoint(1, 0, a), RankOnePoint(1, 0, b)}) == 1
