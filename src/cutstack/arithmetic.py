@@ -39,8 +39,8 @@ class RotationAngle:
         if not (ZERO < self.value < ONE):
             raise ValueError("angle must lie in (0,1)")
         self.n = (1 / self.value).floor()  # floor(1/alpha)
-        # record returns from above and below, grown by _grow_records
-        self._records = ([(1, self.value)], [])
+        # record-return segments from above and below, grown by _grow_records
+        self._records = ([(1, 1, 1, self.value)], [])
         self._k, self._q = 0, (0, 1)  # k and (q_{k-1}, q_k)
 
     @classmethod
@@ -85,20 +85,21 @@ class RotationAngle:
         return 1 if floor(m) >= floor(p.b) - floor(q.b) else -1
 
     def _grow_records(self):
-        """Append the records of one more convergent.
+        """Append the records of one more convergent, as one segment.
 
         With theta_k = q_k*alpha - p_k, which is positive for even k, the
         steps q_{k-1} + j*q_k, j = 1..a_{k+1}, land at theta_{k-1} +
         j*theta_k: the next records from above for odd k, from below for
-        even k (q_0 = 1, the first record from above, starts the table)."""
+        even k (q_0 = 1, the first record from above, starts the table).
+        A segment (first n, step, count, last gap) holds them all, so a
+        partial quotient costs one Surd however large it is."""
         q0, q1 = self._q
         j = self._k + 1  # a_j of [a_0; a_1, a_2, ...]
         a = (self.prefix[j] if j < len(self.prefix)
              else self.period[(j - len(self.prefix)) % len(self.period)])
         side, sign = (0, 1) if self._k % 2 else (1, -1)
-        self._records[side].extend(
-            (n, self.value.frac_times(sign * n))
-            for n in range(q0 + q1, q0 + (a + 1) * q1, q1))
+        self._records[side].append(
+            (q0 + q1, q1, a, self.value.frac_times(sign * (q0 + a * q1))))
         self._q = (q1, q0 + a * q1)
         self._k += 1
 
@@ -107,12 +108,23 @@ class RotationAngle:
         gap = frac(n*alpha) on side 0 and 1 - frac(n*alpha) on side 1.
 
         Such a least n sets a record (its gap is below every earlier one),
-        and records have falling gaps, so one bisection of the table finds
-        it."""
+        and records have falling gaps: one bisection of the segments by
+        their last gaps finds the segment, and one inside it the record."""
         table = self._records[side]
-        while not (table and table[-1][1] < length):
+        while not (table and table[-1][3] < length):
             self._grow_records()
-        return table[bisect_left(table, True, key=lambda t: t[1] < length)]
+        n, step, count, gap = table[
+            bisect_left(table, True, key=lambda t: t[3] < length)]
+        # the least j < count with a gap below length; j = hi has one
+        lo, hi, sign = 0, count - 1, 1 - 2 * side
+        while lo < hi:
+            mid = (lo + hi) // 2
+            g = self.value.frac_times(sign * (n + mid * step))
+            if g < length:
+                hi, gap = mid, g
+            else:
+                lo = mid + 1
+        return n + hi * step, gap
 
     def __repr__(self):
         return f"RotationAngle({list(self.prefix)}+{list(self.period)}*)"

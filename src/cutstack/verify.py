@@ -224,8 +224,14 @@ def _check_surd_order(cfg):
         d = rng.choice([2, 3, 5, 7])
         a = Surd(Fraction(rng.randrange(-50, 50), rng.randrange(1, 20)),
                  Fraction(rng.randrange(-50, 50), rng.randrange(1, 20)), d)
-        b = Surd(Fraction(rng.randrange(-50, 50), rng.randrange(1, 20)),
-                 Fraction(rng.randrange(-50, 50), rng.randrange(1, 20)), d)
+        bu, bv = (Fraction(rng.randrange(-50, 50), rng.randrange(1, 20))
+                  for _ in range(2))
+        # b over d*k^2, k = 1..3: one field, another radicand
+        k = 1 + t % 3
+        b = Surd(bu, bv / k, d * k * k)
+        b_over_d = Surd(bu, bv, d)
+        if b != b_over_d or hash(b) != hash(b_over_d):
+            raise Failed({"trial": t, "kind": "radicand"})
         diff = a - b
         s_exact = diff.sign()
         approx = diff.approx(128)

@@ -4,7 +4,7 @@ that agreement with the package's recursive/arithmetic code is a real
 cross-check, not a tautology.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -1106,8 +1106,28 @@ def surd_preimage(em, p):
     return RotationPoint(p.a + 1, p.b - em.n)
 
 
-# The radicand reduction as it was before Pollard-Brent: trial division by
-# every f with f^2 <= d.  Kept as its oracle, and as FractionSurd's.
+def table_first_gap(angle, length, side):
+    """RotationAngle.first_gap as it was before record segments: every
+    record return of every convergent is its own (n, gap) entry of one
+    table per side, grown until its last gap is below length and bisected
+    once."""
+    tables = ([(1, angle.value)], [])
+    k, q0, q1 = 0, 0, 1
+    while not (tables[side] and tables[side][-1][1] < length):
+        j = k + 1
+        a = (angle.prefix[j] if j < len(angle.prefix)
+             else angle.period[(j - len(angle.prefix)) % len(angle.period)])
+        grown, sign = (0, 1) if k % 2 else (1, -1)
+        tables[grown].extend(
+            (n, angle.value.frac_times(sign * n))
+            for n in range(q0 + q1, q0 + (a + 1) * q1, q1))
+        q0, q1, k = q1, q0 + a * q1, k + 1
+    table = tables[side]
+    return table[bisect_left(table, True, key=lambda t: t[1] < length)]
+
+
+# The radicand reduction by trial division up to the root, kept as
+# FractionSurd's.
 
 
 def trial_reduce_root(n):

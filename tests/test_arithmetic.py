@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -522,3 +523,63 @@ def test_rotation_reads_build_no_fraction_surd(monkeypatch):
     for a, p in points:
         first_return_rotation(a, p)
     assert built == []
+
+
+# -- record segments against the materialized record table -----------------
+# first_gap stores one (first n, step, count, last gap) segment per
+# convergent; tests/oracles.py keeps the table of every record it replaced.
+
+GAP_LENGTHS = st.one_of(
+    st.integers(-10**4, 10**4).filter(bool),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=2),
+       st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       st.lists(st.tuples(GAP_LENGTHS, st.integers(0, 1)), min_size=1,
+                max_size=8))
+@example([], [1], [(1, 0), (1, 1), (Fraction(1), 0), (Fraction(1), 1)])
+@example([3], [9, 2], [(17, 0), (-400, 1), (5, 0)])
+@example([], [30], [(Fraction(1, 10**6), 1), (Fraction(1, 10**6), 0)])
+def test_record_segments_are_the_record_table(prefix, period, queries):
+    # an integer b gives the length frac(b*alpha); the queries share the
+    # angle, so later ones read segments that earlier ones grew
+    angle = RotationAngle([0] + prefix, period)
+    for b, side in queries:
+        length = angle.frac_value(0, b) if isinstance(b, int) else b
+        assert angle.first_gap(length, side) == oracles.table_first_gap(
+            angle, length, side)
+
+
+def test_a_huge_partial_quotient_is_one_segment():
+    # cf:[0;(10^30)]: the down-records n = 1..10^30 form one segment, and
+    # the gap 1 - frac(m*alpha) is first undercut at m + 1
+    a = 10**30
+    angle = RotationAngle((0,), (a,))
+    frac = angle.value.frac_times
+    for m in (1, 12345, 10**20, a - 1):
+        assert angle.first_gap(frac(-m), 1) == (m + 1, frac(-m - 1))
+    # the base [0, alpha) returns at a, a + 1 and 2a + 1: all past max_r
+    base = induction.IntervalUnion([(Surd(0), angle.value)])
+    dec = induction.column_decomposition(induction.RotationAdapter(angle),
+                                         base, 3)
+    assert dec.cells == [] and dec.remainder_mass == angle.value
+    assert angle.first_gap(angle.value, 0) == (a + 1, frac(a + 1))
+
+
+def test_a_twenty_term_period_builds_and_reads():
+    # its 89-bit discriminant keeps an 82-bit cofactor once the primes
+    # below 1000 are divided out; the radicand is kept as given, unfactored
+    period = (2, 2, 3, 3, 1, 2, 9, 7, 9, 5, 9, 4, 4, 7, 5, 8, 8, 6, 2, 6)
+    start = time.perf_counter()
+    angle = RotationAngle.parse(f"cf:[0;({','.join(map(str, period))})]")
+    base = induction.IntervalUnion([(Surd(0), angle.value)])
+    dec = induction.column_decomposition(induction.RotationAdapter(angle),
+                                         base, 40)
+    assert time.perf_counter() - start < 1.0
+    assert [r for _, r in dec.cells] == [2, 3] and dec.kac_sum() == 1
+    assert oracles.cf_terms_of(angle.value, 22) == [0, *period, 2]
+    for side in (0, 1):
+        assert angle.first_gap(angle.value, side) == (
+            oracles.table_first_gap(angle, angle.value, side))

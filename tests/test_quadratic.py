@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cutstack.quadratic import Surd, _reduce_root, surd_from_cf
+from cutstack.arithmetic import RotationAngle
+from cutstack.quadratic import Surd, surd_from_cf
 
 SQRT2 = Surd.sqrt(2)
 SQRT5 = Surd.sqrt(5)
@@ -33,7 +34,10 @@ def test_basic_arithmetic_against_floats():
 def test_perfect_square_radicand_collapses_to_rational():
     s = Surd(0, 1, 9)  # sqrt(9) = 3
     assert s == Surd(3)
-    assert Surd.sqrt(8) == Surd(0, 2, 2)  # sqrt(8) reduces to 2*sqrt(2)
+    # sqrt(8) is kept over 8, and is the value 2*sqrt(2)
+    assert Surd.sqrt(8).d == 8
+    assert Surd.sqrt(8) == Surd(0, 2, 2)
+    assert hash(Surd.sqrt(8)) == hash(Surd(0, 2, 2))
     assert float(Surd.sqrt(8)) == pytest.approx(2 * math.sqrt(2))
 
 
@@ -82,36 +86,8 @@ def test_cf_terms_of_inverts_surd_from_cf():
     assert oracles.cf_terms_of(g, 6) == [0, 1, 1, 1, 1, 1]
 
 
-# primes below and above the trial-division bound of 1000, so that square
-# factors come from both the trial pass and Pollard-Brent
-SQUARE_PRIMES = (2, 3, 5, 7, 997, 1009, 1013, 7919, 65537, 104729)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10**9), st.lists(st.sampled_from(SQUARE_PRIMES),
-                                       max_size=4))
-@example(1, [])
-@example(1009 * 1013, [1009])
-@example(7221, [])
-@example(104729, [104729, 104729])
-def test_reduce_root_is_the_trial_one(n, squares):
-    for p in squares:
-        n *= p * p
-    assert _reduce_root(n) == oracles.trial_reduce_root(n)
-
-
-def test_reduce_root_past_the_miller_rabin_bound():
-    # a cofactor above 3.3e24 with no prime below 1000 goes to trial division
-    n = 12 * (1009 * 1013 * 1019 * 1021) ** 2 * 1031 * 1033 * 1039
-    assert n > 3317044064679887385961981
-    assert _reduce_root(n) == oracles.trial_reduce_root(n)
-    # just below the bound, Pollard-Brent splits a 31-bit square
-    p = 2**31 - 1
-    assert _reduce_root(p * p * 524287) == (p, 524287)
-
-
 def test_long_period_builds_fast():
-    # a 60-bit discriminant: trial division up to its root takes seconds
+    # a 60-bit discriminant, kept as given
     period = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7)
     start = time.perf_counter()
     x = surd_from_cf((0,), period)
@@ -151,10 +127,13 @@ RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
 
 def same(s, o):
-    """The integer Surd holds the oracle's value, in normal form."""
-    assert (s.u, s.v, s.d) == (o.u, o.v, o.d)
+    """The integer Surd holds the oracle's value, in normal form; the
+    oracle reduces its radicand, so the two may hold it over different
+    radicands of one field."""
     assert s.q > 0 and math.gcd(s.x, s.y, s.q) == 1
     assert (s.d is None) == (s.y == 0)
+    t = Surd(o.u, o.v, o.d)
+    assert s == t and hash(s) == hash(t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,11 +160,75 @@ def test_integer_surd_is_the_fraction_surd(d, a, b, c, e, k):
         assert s.sign() == o.sign()
         assert s.floor() == o.floor()
         same(s.frac(), o.frac())
-        assert s.approx(96) == o.approx(96)
-        assert hash(s) == hash(o)
-        assert repr(s) == repr(o)
+        assert abs(s.approx(96) - o.approx(96)) < Fraction(1, 2**90)
+        t = Surd(o.u, o.v, o.d)
+        for cmp in (operator.eq, operator.lt, operator.le, operator.gt,
+                    operator.ge):
+            assert cmp(s, t) == cmp(o, o)
+            assert cmp(s, t + 1) == cmp(o, o + 1)
     for cmp in (operator.eq, operator.lt, operator.le, operator.gt,
                 operator.ge):
         assert cmp(x, y) == cmp(ox, oy)
         assert cmp(x, k) == cmp(ox, k)
     assert x == Surd(x.u, x.v, x.d) and x != x + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 6, 7)), st.integers(1, 12), RATIONALS,
+       RATIONALS)
+def test_one_value_over_two_radicands(d, k, a, b):
+    # a + b*sqrt(d*k^2) is a + b*k*sqrt(d): equal, one hash, one dict key
+    wide, narrow = Surd(a, b, d * k * k), Surd(a, b * k, d)
+    assert wide == narrow and not wide != narrow
+    assert hash(wide) == hash(narrow)
+    assert {narrow: "v"}[wide] == "v"
+    assert Surd.sqrt(d * k * k) == k * Surd.sqrt(d)
+    assert wide - narrow == 0 and (wide + 1) > narrow
+    assert (wide * narrow).floor() == (narrow * narrow).floor()
+
+
+def test_two_fields_stay_apart():
+    assert not Surd.sqrt(2) == Surd.sqrt(3)
+    assert Surd.sqrt(2) != Surd.sqrt(3)
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        Surd.sqrt(2) < Surd.sqrt(3)
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        Surd.sqrt(8) + Surd.sqrt(12)
+
+
+def test_the_angle_and_the_surd_share_a_field():
+    # the CF builds sqrt(2) - 1 over its discriminant 8
+    value = RotationAngle((0,), (2,)).value
+    assert value.d == 8
+    assert value == Surd.sqrt(2) - 1
+    assert hash(value) == hash(Surd.sqrt(2) - 1)
+
+
+def test_a_huge_radicand_compares_at_once():
+    # 10^40 + 1 has a cofactor no small prime divides; nothing factors it
+    start = time.perf_counter()
+    assert Surd.sqrt(10**40 + 1) < 10**20 + 1
+    assert Surd.sqrt(10**40 + 1) > 10**20
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("d", (2.5, Fraction(9, 4), True, 0, -3, "2"))
+def test_a_radicand_must_be_a_positive_integer(d):
+    with pytest.raises(ValueError, match="radicand must be a positive integer"):
+        Surd(0, 1, d)
+
+
+def test_operands_are_surds_ints_or_fractions():
+    # strings and floats are refused, not read as numbers
+    assert not Surd(Fraction(1, 2)) == "1/2"
+    assert Surd(Fraction(1, 2)) != "1/2"
+    assert Surd(Fraction(1, 2)) == Fraction(1, 2)
+    for bad in ("2", 0.5):
+        with pytest.raises(TypeError):
+            Surd(1) < bad
+        with pytest.raises(TypeError):
+            Surd(1) + bad
+        with pytest.raises(TypeError):
+            bad * Surd(1)
+        with pytest.raises(TypeError):
+            bad / Surd(1)
