@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, DslError, SpecInvalid
+from .errors import DslError, SpecInvalid
 from .quadratic import ONE, ZERO, Surd, surd_from_cf
 from .specs import spacer_free_spec
 from .towers import LevelSet, RankOnePoint, RankOneSystem
@@ -208,24 +208,20 @@ def induced_exchange(angle):
 
 def first_return_rotation(angle, p):
     """Least r >= 1 with frac(p + r*alpha) in [0, alpha), plus the landing
-    point.  For irrational alpha, r is n or n+1, so the search stops at
-    n + 2.
+    point: the induced exchange's step (ExchangeMap.image), read by two
+    floors whatever n = floor(1/alpha) is.
 
-    One floor per step: frac(c*alpha) < alpha exactly when
-    floor(c*alpha) - floor((c-1)*alpha) = 1.  For frac(c*alpha) =
-    frac((c-1)*alpha) + alpha - that difference, which is 0 or 1 as
-    0 < alpha < 1; so 1 gives a value below alpha, 0 one at least alpha."""
+    A point v in [0, alpha) stays in [alpha, 1) for r < n, as v + r*alpha
+    < n*alpha <= 1; it returns at n when v + n*alpha reaches 1, that is
+    floor((b + n)*alpha) > floor(b*alpha), and at n + 1 otherwise.
+    Membership is one floor difference: frac(b*alpha) < alpha exactly when
+    floor(b*alpha) - floor((b-1)*alpha) = 1."""
     floor = angle.value.floor_times
-    last = floor(p.b)
-    if last - floor(p.b - 1) != 1:
+    here = floor(p.b)
+    if here - floor(p.b - 1) != 1:
         raise ValueError("point must lie in [0, alpha)")
-    limit = angle.n + 2
-    for r in range(1, limit + 1):
-        here = floor(p.b + r)
-        if here - last == 1:
-            return r, rotate(angle, p, r)
-        last = here
-    raise BudgetExhausted(f"no return within {limit} steps")
+    r = angle.n + (floor(p.b + angle.n) == here)
+    return r, rotate(angle, p, r)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ class DigitStream:
         """New stream equal to this one except at the given stages."""
         if not overrides:
             return self
-        return OverlayDigits(self, dict(overrides))
+        return OverlayDigits(self, overrides)
 
 
 class PeriodicDigits(DigitStream):
@@ -104,12 +104,13 @@ class OverlayDigits(DigitStream):
 
     def __init__(self, base, overrides):
         if isinstance(base, OverlayDigits):
-            merged = dict(base.overrides)
-            merged.update(overrides)
-            base, overrides = base.base, merged
+            overrides = {**base.overrides, **overrides}
+            base = base.base
+        else:
+            overrides = dict(overrides)
         self.base = base
-        self.overrides = dict(overrides)
-        self.start = min([base.start] + list(overrides))
+        self.overrides = overrides
+        self.start = min(base.start, min(overrides, default=base.start))
 
     def digit(self, k):
         if k in self.overrides:

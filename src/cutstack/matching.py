@@ -74,6 +74,8 @@ class PairSpec:
     # (digits, window, edge items) of the last frame_stability audit
     _audit: tuple = field(default=None, init=False, repr=False,
                           compare=False)
+    # (sys_x, sys_y) whose base masses require_even found equal
+    _even: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def _delta_words(self, forward):
         """The Delta stage tables (see _DeltaWords), X to Y forward and Y
@@ -98,10 +100,16 @@ class PairSpec:
         return mx == my
 
     def require_even(self):
-        """Raise InadmissiblePair unless the base masses are equal."""
+        """Raise InadmissiblePair unless the base masses are equal.  Decided
+        once per pair of systems: a pass is kept under their identity, so a
+        reassigned sys_x or sys_y is checked again."""
+        even = self._even
+        if even is not None and even[0] is self.sys_x and even[1] is self.sys_y:
+            return
         if not self.is_even():
             mx, my = self.base_measures()
             raise InadmissiblePair(f"base masses differ: {mx} vs {my}")
+        self._even = (self.sys_x, self.sys_y)
 
 
 def validate_pair(pair, even=None):
@@ -170,8 +178,17 @@ def height_above_base(system, base, point):
     the stack.  While no base copy lies below the point, a digit a > 0
     puts copy a - 1, and so its top base copy, right below it: h = idx +
     offs[a] - offs[a - 1] - top, fixed from then on.  O(K); no lifted set.
+
+    The answer is kept on the point as its anchor (RankOnePoint.anchor),
+    and a point anchored over this system and an equal base set returns
+    its anchor with no climb, whichever writer proved it: this function,
+    a machine or strict-formula record (_point_above), or a non-even
+    reader (_anchored_above).
     """
-    stream, s = point.digits, base.stage
+    anchor = point.anchor
+    if anchor is not None and anchor[0] is system and anchor[1] == base:
+        return anchor[2], anchor[3]
+    given, stream, s = point, point.digits, base.stage
     k0 = max(s, point.birth_stage, explicit_extent(stream) + 1)
     k, idx = max(s, point.birth_stage), point.birth_level
     if k > s and system.decompose(k, idx)[0] == "copy":
@@ -209,7 +226,26 @@ def height_above_base(system, base, point):
             top += offs[-1]
         idx += offs[a]
         k += 1
-    return h, system.point_at(k, idx - h, stream)
+    base_point = system.point_at(k, idx - h, stream)
+    _anchor(given, system, base, h, base_point)
+    return h, base_point
+
+
+def _anchor(point, system, base, h, base_point):
+    """Write the point's anchor (system, base, h, base_point); only for an
+    h the caller has proved to lie in 0 .. r - 1, r the base point's return
+    time to `base`."""
+    object.__setattr__(point, "anchor", (system, base, h, base_point))
+
+
+def _anchored_above(system, base, digits, h):
+    """T^h of the base point with these digits, anchored over `base` (a set
+    holding that point); h as for _anchor.  At h = 0 the point is a copy
+    of the base point, so no point holds itself in its anchor."""
+    base_point = RankOnePoint(1, 0, digits)
+    point = system.apply(base_point, h) if h else RankOnePoint(1, 0, digits)
+    _anchor(point, system, base, h, base_point)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +449,8 @@ class _LazySource:
         if name != self._point or source is None:
             raise AttributeError(name)
         system, digits = source
-        point = _point_above(system, digits, getattr(self, self._height))
+        point = _point_above(system, digits, getattr(self, self._height),
+                             self.mode != "formula")
         setattr(self, name, point)
         return point
 
@@ -599,8 +636,19 @@ class _DeltaWords:
             self.lengths.append((len(row) + 1) * (size + 1) - 1)
 
 
-def _point_above(system, digits, k):
-    """The point k levels above the base point with these digits."""
+# the base set of every pair (PairSpec.base_x, base_y)
+_BASE = LevelSet(1, frozenset({0}))
+
+
+def _point_above(system, digits, k, anchored):
+    """The point k levels above the base point with these digits, anchored
+    over the base set when `anchored`: for a machine slot (d < b_t), a
+    strict-formula depth (d <= f_n - 1) or an item of the source pile (the
+    readers refuse any other).  A non-strict depth can equal the pit size,
+    which puts the point on the next base point, so its record writes no
+    anchor."""
+    if anchored:
+        return _anchored_above(system, _BASE, digits, k)
     base = RankOnePoint(1, 0, digits)
     return system.apply(base, k) if k else base
 
@@ -612,8 +660,9 @@ def _record(pair, digits, forward, k, shift, depth, image_digits, mode,
     InverseMatchRecord backward; the source point is built on first read."""
     src, img = _sides(pair, forward)
     cls = MatchRecord if forward else InverseMatchRecord
-    return cls(k, shift, depth, _point_above(img, image_digits, depth), mode,
-               boundary, (src, digits))
+    return cls(k, shift, depth,
+               _point_above(img, image_digits, depth, mode != "formula"),
+               mode, boundary, (src, digits))
 
 
 def _refuse_outside(forward, k, size):
@@ -956,11 +1005,10 @@ def noneven_match(plan, x):
     """Embed x into the Y skyscraper: descend to the cylinder point below,
     hop to the Y point with the same digits, climb the same number of
     steps.  The plan's margin covers the whole cylinder, so the pile fits
-    its pit and nothing is checked here."""
+    its pit and nothing is checked here: h < pile <= pit anchors y."""
     pair = plan.pair
     h, base = height_above_base(pair.sys_x, plan.a_set, x)
-    y_base = RankOnePoint(1, 0, base.digits)
-    y = pair.sys_y.apply(y_base, h) if h else y_base
+    y = _anchored_above(pair.sys_y, plan.b_set, base.digits, h)
     return y, h, base
 
 
@@ -979,13 +1027,13 @@ def noneven_in_image(plan, y):
 
 
 def noneven_inverse(plan, y):
-    """The X point embedded at y; SpecInvalid for a y outside the image."""
+    """The X point embedded at y, anchored (D < pile); SpecInvalid for a y
+    outside the image."""
     D, y_base, pile = _pit_read(plan, y)
     if D >= pile:
         raise SpecInvalid(f"point at depth {D} lies outside the embedded "
                           f"pile of height {pile} over its cylinder point")
-    x_base = RankOnePoint(1, 0, y_base.digits)
-    return plan.pair.sys_x.apply(x_base, D) if D else x_base
+    return _anchored_above(plan.pair.sys_x, plan.a_set, y_base.digits, D)
 
 
 def noneven_image_successor(plan, y):
@@ -995,9 +1043,12 @@ def noneven_image_successor(plan, y):
     the successor of a point at depth D is the next level when D + 1 <
     pile, and otherwise the next b-set point on the Y orbit: the digits
     advanced by one block, one RankOneSystem.advance (digits 1..m of a
-    b-set point are 0, so the carry starts at stage m + 1)."""
+    b-set point are 0, so the carry starts at stage m + 1).  The next
+    level is anchored at depth D + 1 < pile <= pit."""
     sys_y = plan.pair.sys_y
     D, y_base, pile = _pit_read(plan, y)
     if D + 1 < pile:
-        return sys_y.apply(y, 1, 256)
+        succ = sys_y.apply(y, 1, 256)
+        _anchor(succ, sys_y, plan.b_set, D + 1, y_base)
+        return succ
     return RankOnePoint(1, 0, sys_y.advance(y_base.digits, plan.block)[1])

@@ -72,6 +72,10 @@ class Surd:
     __slots__ = ("x", "y", "q", "d")
 
     def __init__(self, u, v=0, d=None):
+        for part in (u, v):  # the operators' rule (_parts)
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(
+                    f"a Surd is not built from {type(part).__name__}")
         u, v = Fraction(u), Fraction(v)
         if d is not None and (type(d) is not int or d <= 0):
             raise ValueError("radicand must be a positive integer")

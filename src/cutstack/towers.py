@@ -11,7 +11,7 @@ one signed add.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .digits import (
@@ -34,6 +34,11 @@ class RankOnePoint:
     birth_stage: int
     birth_level: int
     digits: DigitStream
+    # (system, base LevelSet, h, base point): point = T^h(base point), 0 <=
+    # h < the base point's return time to the set, written only where the
+    # code proves it (see matching.height_above_base); ==, hash and repr
+    # ignore it
+    anchor: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,23 @@ class RankOneSystem:
         Compares stack position at the deepest explicitly-addressed stage
         and digit streams beyond (see streams_equal_beyond): exact, or
         BudgetExhausted when two unrelated streams agree as far as read.
+
+        Two points anchored over this system and one base set are T^h(b)
+        with 0 <= h < r(b), b the last base visit at or before the point,
+        so they are equal exactly when their heights and base points are:
+        unequal heights answer False, and base points of one birth (stage,
+        level) compare their streams from that stage, with no level climb.
+        Any other pair takes the path above.
         """
+        a, b = p.anchor, q.anchor
+        if (a is not None and b is not None and a[0] is self
+                and b[0] is self and a[1] == b[1]):
+            if a[2] != b[2]:
+                return False
+            u, v = a[3], b[3]
+            if (u.birth_stage == v.birth_stage
+                    and u.birth_level == v.birth_level):
+                return streams_equal_beyond(u.digits, v.digits, u.birth_stage)
         k = max(
             p.birth_stage,
             q.birth_stage,

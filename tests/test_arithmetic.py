@@ -353,6 +353,28 @@ def test_floor_jump_first_return_is_the_stepped_one(angle, a, b, inside):
     assert (got[0] != "ValueError") >= inside
 
 
+def test_a_huge_partial_quotient_returns_at_once(monkeypatch):
+    # alpha = [0; 10^12, 10^12, ...], n = 10^12: two floors, not n + 1
+    angle = RotationAngle((0,), (10**12,))
+    n = angle.n
+    assert n == 10**12
+    floors = []
+    read = Surd.floor_times
+
+    def counted(self, b):
+        floors.append(b)
+        return read(self, b)
+
+    monkeypatch.setattr(Surd, "floor_times", counted)
+    # n*alpha < 1: the origin returns at n + 1, and lands at
+    # frac((n + 1)*alpha), which reaches 1 in n more steps
+    assert first_return_rotation(angle, RotationPoint(0, 0)) == (
+        n + 1, RotationPoint(0, n + 1))
+    assert first_return_rotation(angle, RotationPoint(3, n + 1)) == (
+        n, RotationPoint(3, 2 * n + 1))
+    assert len(floors) == 6
+
+
 # [0; 3, (9, 2)]: a prefix, and a partial quotient 9 that makes long
 # record runs
 NINE_ANGLE = RotationAngle.parse("cf:[0;3,(9,2)]")

@@ -19,6 +19,7 @@ from cutstack.errors import (
     NeedMoreDepth,
     SpecInvalid,
     WindowEdge,
+    WindowExhausted,
 )
 from cutstack.specs import (
     StackingSpec,
@@ -1350,3 +1351,209 @@ def test_a_stopping_time_takes_no_advance(monkeypatch):
     calls = _counting(monkeypatch, "advance")
     assert matching.stopping_time(pair, stream) == 3
     assert calls == []
+
+
+# -- anchors ----------------------------------------------------------------
+# A point keeps the column a reader proved for it, (system, base set, h,
+# base point).  The oracle is the climb of an anchor-stripped copy.
+
+
+def _stripped(p):
+    return RankOnePoint(p.birth_stage, p.birth_level, p.digits)
+
+
+def _assert_anchor_is_the_climb(p):
+    system, base, h, base_point = p.anchor
+    climbed, climbed_base = matching.height_above_base(system, base,
+                                                       _stripped(p))
+    assert h == climbed
+    assert system.same_point(_stripped(base_point), climbed_base)
+
+
+NONEVEN = noneven_plan()
+
+
+@st.composite
+def anchored_points(draw):
+    """(label, point) from every anchor writer: the image and the lazily
+    built source of machine and strict-formula records both ways, a climbed
+    point, a formula round trip, and the non-even match, inverse and
+    image successor (with the match of T x it equals)."""
+    name = draw(st.sampled_from(("dyadic", "chacon_triple")))
+    pair = PAIRS[name]
+    seeds = st.integers(0, 10**6)
+    points = []
+    for _ in range(2):
+        stream = SeededDigits(f"anchor:{draw(seeds)}", pair.sys_x.cuts)
+        forward = draw(st.booleans())
+        mode = draw(st.sampled_from(("formula", "machine")))
+        src = pair.sys_x if forward else pair.sys_y
+        top = src.return_time(*src.carry(stream)) - 1
+        k = draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+        opts = {"strict": True} if mode == "formula" else {"window": 256}
+        try:
+            rec = READERS[(forward, mode)][0](pair, stream, k, **opts)
+        except (WindowEdge, WindowExhausted):  # the shift's heavy tail
+            continue
+        image, source = (rec.y, rec.x) if forward else (rec.x, rec.y)
+        points += [(f"{rec.mode} image", image),
+                   (f"{rec.mode} source", source)]
+    rng = random.Random(draw(seeds))
+    if name == "dyadic":
+        x = pair.sys_x.random_point(rng, 6)
+        nxt = pair.sys_x.apply(x, 1)
+        matching.height_above_base(pair.sys_x, pair.base_x(), nxt)
+        points += [("climbed", x), ("climbed successor", nxt)]
+        try:
+            rec = matching.phi_hat(pair, x, mode="formula")
+        except WindowExhausted:
+            return points
+        inv = matching.phi_hat_inverse(pair, rec.y, mode="formula")
+        points += [("formula image", rec.y), ("round trip", inv.x)]
+        return points
+    pair, plan = NONEVEN
+    x = pair.sys_x.random_point(rng, plan.m + 2)
+    y = matching.noneven_match(plan, x)[0]
+    successor = matching.noneven_image_successor(plan, y)
+    points += [("climbed", x), ("noneven_match", y),
+               ("noneven_inverse", matching.noneven_inverse(plan, y)),
+               ("successor", successor),
+               ("match of T x",
+                matching.noneven_match(plan, pair.sys_x.apply(x, 1))[0])]
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchored_points())
+def test_every_anchor_is_the_climb(points):
+    # every anchored point has the height and base point of a climb of its
+    # anchor-stripped copy; only the non-even successor that leaves its pile
+    # for the next b-set point writes none
+    for label, p in points:
+        if p.anchor is None:
+            assert label == "successor"
+            continue
+        _assert_anchor_is_the_climb(p)
+
+
+def _same_outcome(system, p, q):
+    try:
+        return system.same_point(p, q)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchored_points())
+def test_anchored_same_point_is_the_stripped_same_point(points):
+    anchored = [p for _, p in points if p.anchor is not None]
+    for p in anchored:
+        for q in anchored:
+            system = p.anchor[0]
+            if q.anchor[0] is system:
+                assert (_same_outcome(system, p, q) == _same_outcome(
+                    system, _stripped(p), _stripped(q)))
+
+
+def test_anchored_same_point_true_and_false():
+    pair = dyadic()
+    sys_x, base = pair.sys_x, pair.base_x()
+    rng = random.Random("same")
+    for t in range(20):
+        x = sys_x.random_point(rng, 6, seed=f"same:{t}")
+        rec = matching.phi_hat(pair, x, mode="machine", window=256)
+        back = matching.phi_hat_inverse(pair, rec.y, mode="machine",
+                                        window=256).x
+        nxt = sys_x.apply(x, 1)
+        matching.height_above_base(sys_x, base, nxt)
+        assert x.anchor and back.anchor and nxt.anchor
+        assert sys_x.same_point(back, x) and sys_x.same_point(x, back)
+        assert not sys_x.same_point(nxt, x)
+        assert not sys_x.same_point(nxt, back)
+    # equal heights over base points of one birth and different streams
+    a, b, c = (matching.even_match_machine(
+        pair, SeededDigits(f"same:{s}", dyadic_cuts), 0).y for s in "aba")
+    assert a.anchor[2] == b.anchor[2] == c.anchor[2] == 0
+    assert not pair.sys_y.same_point(a, b)
+    assert pair.sys_y.same_point(a, c)
+    pair, plan = NONEVEN
+    x = pair.sys_x.random_point(rng, plan.m + 2, seed="same:ne")
+    y = matching.noneven_match(plan, x)[0]
+    assert pair.sys_x.same_point(matching.noneven_inverse(plan, y), x)
+    nxt = matching.noneven_image_successor(plan, y)
+    assert not pair.sys_y.same_point(nxt, y)
+
+
+def test_nonstrict_records_carry_no_anchor():
+    # a non-strict depth can equal the pit size: the point is then the
+    # next base point, at height 0, so no record of that mode is anchored
+    pair = dyadic()
+    at_next_base = 0
+    for t in range(40):
+        stream = SeededDigits(f"loose:{t}", dyadic_cuts)
+        for forward in (True, False):
+            src = pair.sys_x if forward else pair.sys_y
+            top = src.return_time(*src.carry(stream)) - 1
+            for k in range(top + 1):
+                read = READERS[(forward, "formula")][0]
+                rec = read(pair, stream, k, strict=False)
+                image, source = (rec.y, rec.x) if forward else (rec.x, rec.y)
+                assert image.anchor is None and source.anchor is None
+                depth = rec.d if forward else rec.H
+                img = pair.sys_y if forward else pair.sys_x
+                h, _ = matching.height_above_base(img, matching._BASE,
+                                                  _stripped(image))
+                at_next_base += h != depth
+    assert at_next_base > 0
+
+
+def test_an_anchor_holds_only_for_its_system_and_base():
+    pair = dyadic()
+    sys_x, base = pair.sys_x, pair.base_x()
+    x = sys_x.random_point(random.Random(5), 6, seed="own")
+    h, base_point = matching.height_above_base(sys_x, base, x)
+    # equality, hashes and repr ignore the anchor
+    assert x == _stripped(x) and hash(x) == hash(_stripped(x))
+    assert repr(x) == repr(_stripped(x))
+    # read back, for an equal base set, with no climb
+    assert matching.height_above_base(sys_x, LevelSet(1, {0}), x) == (
+        h, base_point)
+    assert matching.height_above_base(sys_x, base, x)[1] is base_point
+    # a forged anchor shows which reads take it
+    forged = (sys_x, base, h + 1, base_point)
+    twin = RankOneSystem(builtin_spec("dyadic_pair_left"))
+    other = LevelSet(2, {0})
+    for system, level_set in ((twin, base), (sys_x, other)):
+        object.__setattr__(x, "anchor", forged)
+        assert (matching.height_above_base(system, level_set, x)[0]
+                == matching.height_above_base(system, level_set,
+                                              _stripped(x))[0])
+    object.__setattr__(x, "anchor", forged)
+    assert matching.height_above_base(sys_x, base, x)[0] == h + 1
+    # same_point reads anchors of its own system only
+    y = _stripped(x)
+    object.__setattr__(y, "anchor", (sys_x, base, h, base_point))
+    assert not sys_x.same_point(x, y)  # the forged height differs
+    assert twin.same_point(x, y)
+
+
+def test_require_even_decides_once_per_pair_of_systems(monkeypatch):
+    pair = dyadic()
+    x = pair.sys_x.random_point(random.Random(3), 6, seed="once")
+    matching.phi_hat(pair, x)
+    calls = []
+
+    def counted(self, _read=RankOneSystem.unit_width):
+        calls.append(self)
+        return _read(self)
+
+    monkeypatch.setattr(RankOneSystem, "unit_width", counted)
+    for mode in ("machine", "formula"):
+        matching.phi_hat_inverse(pair, matching.phi_hat(pair, x, mode).y,
+                                 mode)
+    assert calls == []
+    pair.sys_y = RankOneSystem(builtin_spec("chacon"))
+    with pytest.raises(InadmissiblePair, match="^base masses differ"):
+        matching.phi_hat(pair, x)
+    assert len(calls) == 4
+

@@ -218,6 +218,15 @@ def test_a_radicand_must_be_a_positive_integer(d):
         Surd(0, 1, d)
 
 
+@pytest.mark.parametrize("u, v", (("1/2", 0), (0.1, 0), (1, "2"), (0, 0.5),
+                                  (Surd(1), 0)))
+def test_the_constructor_takes_what_the_operators_take(u, v):
+    # a string or a float (its binary value) is refused, as by every operator
+    with pytest.raises(TypeError):
+        Surd(u, v, 2)
+    assert Surd(True, Fraction(1, 2), 2) == Surd(1, Fraction(1, 2), 2)
+
+
 def test_operands_are_surds_ints_or_fractions():
     # strings and floats are refused, not read as numbers
     assert not Surd(Fraction(1, 2)) == "1/2"
